@@ -55,14 +55,12 @@ from .tomography import (
     reconstruct,
 )
 from .klm import (
-    BeamSplitterSpec,
     DetectorModel,
-    MultimodeState,
-    apply_beam_splitter,
-    herald_project,
-    product_state,
+    beam_splitter,
     run_ns_gate,
     solve_ns_transmittances,
+    transfer_matrix,
+    transition_amplitude,
 )
 from .errors import (
     ConfigError,

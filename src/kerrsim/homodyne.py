@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,9 +230,10 @@ def load_samples(csv_path) -> SampleBatch:
             thetas.append(float(row[0]))
             xs.append(float(row[1]))
     seed = 0
+    meta_path = csv_path.rsplit(".", 1)[0] + "_meta.json"
     try:
-        with open(csv_path.rsplit(".", 1)[0] + "_meta.json") as fh:
+        with open(meta_path) as fh:
             seed = int(json.load(fh).get("seed", 0))
     except FileNotFoundError:
-        pass
+        warnings.warn(f"no sidecar {meta_path}: sampling seed unknown, recorded as 0", stacklevel=2)
     return SampleBatch(np.asarray(thetas), np.asarray(xs), seed)

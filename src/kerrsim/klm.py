@@ -5,8 +5,12 @@ Fixed conventions (mode indices are 0-based):
 * mode 0: signal; mode 1: ancilla prepared with one photon (herald: exactly
   one photon / click); mode 2: ancilla vacuum (herald: zero photons / no
   click).
+* A linear network is its 3x3 mode-transfer matrix M: a_k+ -> sum_l M[l, k]
+  a_l+, later elements multiplying from the left.  The amplitude from
+  occupation S to T is Per(M[T, S]) / sqrt(prod S! prod T!), with row l
+  repeated T_l times and column k S_k times (Scheel, quant-ph/0406127).
 * A beam splitter on modes (i, j) with amplitude transmittance t and phase
-  convention angle phi maps creation operators as
+  convention angle phi maps
 
       a_i+ -> t a_i+ - r e^{-i phi} a_j+,
       a_j+ -> r e^{i phi} a_i+ + t a_j+,        r = sqrt(1 - t^2).
@@ -28,94 +32,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations
 
 import numpy as np
 from scipy import optimize
 
-from .fock import DensityMatrix, FockVector, basis_state, density_from_pure, fidelity
+from .fock import DensityMatrix, FockVector, density_from_pure, fidelity
 from .gates import nonlinear_sign_target
 from .tolerances import TOL
 
 __all__ = [
-    "MultimodeState",
-    "BeamSplitterSpec",
-    "DetectorModel",
-    "HeraldResult",
-    "NsGateSolution",
-    "NsGateResult",
-    "product_state",
-    "apply_beam_splitter",
-    "apply_mode_phase",
-    "herald_project",
-    "solve_ns_transmittances",
-    "run_ns_gate",
+    "DetectorModel", "NsGateSolution", "NsGateResult", "beam_splitter", "transfer_matrix",
+    "transition_amplitude", "solve_ns_transmittances", "run_ns_gate",
 ]
 
 SIGNAL, HERALD_ONE, HERALD_ZERO = 0, 1, 2
-
-
-@lru_cache(maxsize=None)
-def _simplex(modes: int, cutoff: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
-    """All occupation tuples with total photon number <= cutoff, plus index map."""
-    tuples = tuple(
-        occ for occ in product(range(cutoff + 1), repeat=modes) if sum(occ) <= cutoff
-    )
-    return tuples, {occ: i for i, occ in enumerate(tuples)}
-
-
-@dataclass(frozen=True)
-class MultimodeState:
-    """Complex amplitudes over occupation tuples (n_1..n_M) with sum <= cutoff."""
-
-    modes: int
-    cutoff: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.modes < 1 or self.cutoff < 0:
-            raise ValueError("modes must be >= 1 and cutoff >= 0")
-        basis, _ = _simplex(self.modes, self.cutoff)
-        arr = np.asarray(self.amps, dtype=np.complex128)
-        if arr.shape != (len(basis),):
-            raise ValueError(
-                f"amps must have length {len(basis)} for {self.modes} modes, cutoff {self.cutoff}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "amps", arr)
-
-    @property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        return _simplex(self.modes, self.cutoff)[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def to_fock_vector(self) -> FockVector:
-        if self.modes != 1:
-            raise ValueError("only single-mode states convert to FockVector")
-        amps = np.zeros(self.cutoff + 1, dtype=np.complex128)
-        for occ, i in _simplex(1, self.cutoff)[1].items():
-            amps[occ[0]] = self.amps[i]
-        return FockVector(self.cutoff + 1, amps)
-
-
-@dataclass(frozen=True)
-class BeamSplitterSpec:
-    """Mode pair, amplitude transmittance t in [0, 1], and phase convention angle."""
-
-    mode_pair: tuple[int, int]
-    t: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        i, j = self.mode_pair
-        if i == j:
-            raise ValueError("beam splitter needs two distinct modes")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("transmittance amplitude must lie in [0, 1]")
+MAX_PHOTONS = 3  # signal levels {0, 1, 2} plus the ancilla photon
 
 
 @dataclass(frozen=True)
@@ -132,85 +64,41 @@ class DetectorModel:
             raise ValueError("efficiency must lie in (0, 1]")
 
 
-def product_state(factors: list[FockVector], cutoff: int) -> MultimodeState:
-    """Tensor product of single-mode vectors, truncated to the total-photon cutoff."""
-    modes = len(factors)
-    basis, _ = _simplex(modes, cutoff)
-    amps = np.empty(len(basis), dtype=np.complex128)
-    for i, occ in enumerate(basis):
-        value = 1.0 + 0.0j
-        for n, vec in zip(occ, factors):
-            value *= vec.amps[n] if n < vec.dim else 0.0
-        amps[i] = value
-    return MultimodeState(modes, cutoff, amps)
+def beam_splitter(i: int, j: int, t: float, phi: float = 0.0) -> np.ndarray:
+    """Mode-transfer matrix of a beam splitter on modes (i, j), t in [0, 1]."""
+    if i == j or not {i, j} <= {SIGNAL, HERALD_ONE, HERALD_ZERO} or not 0.0 <= t <= 1.0:
+        raise ValueError("beam splitter needs two distinct modes in 0..2 and t in [0, 1]")
+    r = math.sqrt(1.0 - t * t)
+    m = np.eye(3, dtype=np.complex128)
+    m[i, i] = m[j, j] = t
+    m[j, i] = -r * np.exp(-1j * phi)
+    m[i, j] = r * np.exp(1j * phi)
+    return m
 
 
-@lru_cache(maxsize=None)
-def _bs_block(s: int, t: float, phi: float) -> np.ndarray:
-    """Two-mode mixing block on the s-photon sector: U[p, m] = <p, s-p|B|m, s-m>."""
-    r = math.sqrt(max(0.0, 1.0 - t * t))
-    log_fact = [math.lgamma(k + 1) for k in range(s + 1)]
-    block = np.zeros((s + 1, s + 1), dtype=np.complex128)
-    for m in range(s + 1):
-        n = s - m
-        for p in range(s + 1):
-            acc = 0.0
-            for k in range(max(0, p - n), min(m, p) + 1):
-                acc += (
-                    math.comb(m, k)
-                    * math.comb(n, p - k)
-                    * (-1.0) ** (m - k)
-                    * t ** (n - p + 2 * k)
-                    * r ** (m + p - 2 * k)
-                )
-            scale = math.exp(
-                0.5 * (log_fact[p] + log_fact[s - p] - log_fact[m] - log_fact[n])
-            )
-            block[p, m] = acc * scale * np.exp(1j * phi * (p - m))
-    return block
+def transfer_matrix(t1: float, t2: float, t3: float) -> np.ndarray:
+    """Mode-transfer matrix of the gate network (mirror phase, then three splitters)."""
+    return (
+        beam_splitter(HERALD_ONE, HERALD_ZERO, t3, math.pi)
+        @ beam_splitter(SIGNAL, HERALD_ONE, t2)
+        @ beam_splitter(HERALD_ONE, HERALD_ZERO, t1)
+        @ np.diag([-1.0, 1.0, 1.0])
+    )
 
 
-def _mix(state: MultimodeState, i: int, j: int, t: float, phi: float) -> MultimodeState:
-    basis, index = _simplex(state.modes, state.cutoff)
-    out = np.zeros_like(state.amps)
-    for idx, occ in enumerate(basis):
-        amp = state.amps[idx]
-        if amp == 0.0:
-            continue
-        s = occ[i] + occ[j]
-        block = _bs_block(s, float(t), float(phi))
-        column = block[:, occ[i]]
-        occ_list = list(occ)
-        for p in range(s + 1):
-            occ_list[i] = p
-            occ_list[j] = s - p
-            out[index[tuple(occ_list)]] += column[p] * amp
-    return MultimodeState(state.modes, state.cutoff, out)
-
-
-def apply_beam_splitter(state: MultimodeState, spec: BeamSplitterSpec) -> MultimodeState:
-    """Mix two modes; preserves norm and total photon number."""
-    i, j = spec.mode_pair
-    if not (0 <= i < state.modes and 0 <= j < state.modes):
-        raise ValueError(f"mode pair {spec.mode_pair} invalid for {state.modes} modes")
-    return _mix(state, i, j, spec.t, spec.phi)
-
-
-def apply_mode_phase(state: MultimodeState, mode: int, phi: float) -> MultimodeState:
-    """Phase plate on one mode: amplitude factor e^{i phi n_mode}."""
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} invalid for {state.modes} modes")
-    basis, _ = _simplex(state.modes, state.cutoff)
-    factors = np.exp(1j * phi * np.array([occ[mode] for occ in basis]))
-    return MultimodeState(state.modes, state.cutoff, factors * state.amps)
-
-
-@dataclass(frozen=True)
-class HeraldResult:
-    """Weighted pure branches on the remaining modes; weights sum to probability."""
-
-    branches: tuple[tuple[float, MultimodeState], ...]
-    probability: float
+def transition_amplitude(m: np.ndarray, out: tuple[int, ...], inp: tuple[int, ...]) -> complex:
+    """<out| U |inp> for the network with mode-transfer matrix m."""
+    rows = [mode for mode, n in enumerate(out) for _ in range(n)]
+    cols = [mode for mode, n in enumerate(inp) for _ in range(n)]
+    if len(rows) != len(cols):
+        return 0j  # linear optics conserves photon number
+    sub = m[np.ix_(rows, cols)].tolist()
+    permanent = sum(
+        math.prod(sub[r][c] for r, c in enumerate(sigma))
+        for sigma in permutations(range(len(rows)))
+    )
+    norm = math.prod(math.factorial(n) for n in (*out, *inp))
+    return complex(permanent) / math.sqrt(norm)
 
 
 def _detector_weight(detector: DetectorModel, outcome, n: int) -> float:
@@ -227,54 +115,6 @@ def _detector_weight(detector: DetectorModel, outcome, n: int) -> float:
     raise ValueError(f"on-off detector outcome must be 'click' or 'no_click', got {outcome!r}")
 
 
-def herald_project(
-    state: MultimodeState,
-    mode: int,
-    outcome,
-    detector: DetectorModel,
-) -> HeraldResult:
-    """Condition on a detector outcome on one mode and trace that mode out.
-
-    PNR detectors project onto each photon number compatible with the outcome,
-    weighted binomially by the efficiency; on-off detectors use the click /
-    no-click POVM diag(1 - (1-eta)^n) / diag((1-eta)^n).  Each surviving
-    photon number yields one normalized pure branch, so inefficient heralds
-    return mixed-state ensembles.
-    """
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} invalid for {state.modes} modes")
-    if state.modes < 2:
-        raise ValueError("cannot remove the only mode")
-    basis, _ = _simplex(state.modes, state.cutoff)
-    branches = []
-    probability = 0.0
-    for n in range(state.cutoff + 1):
-        weight = _detector_weight(detector, outcome, n)
-        if weight == 0.0:
-            continue
-        reduced_cutoff = state.cutoff - n
-        reduced_basis, reduced_index = _simplex(state.modes - 1, reduced_cutoff)
-        amps = np.zeros(len(reduced_basis), dtype=np.complex128)
-        mass = 0.0
-        for idx, occ in enumerate(basis):
-            if occ[mode] != n:
-                continue
-            amp = state.amps[idx]
-            if amp == 0.0:
-                continue
-            reduced = occ[:mode] + occ[mode + 1 :]
-            amps[reduced_index[reduced]] = amp
-            mass += abs(amp) ** 2
-        if mass == 0.0:
-            continue
-        branch_prob = weight * mass
-        probability += branch_prob
-        branches.append(
-            (branch_prob, MultimodeState(state.modes - 1, reduced_cutoff, amps / math.sqrt(mass)))
-        )
-    return HeraldResult(tuple(branches), probability)
-
-
 @dataclass(frozen=True)
 class NsGateSolution:
     """Solved beam-splitter settings plus the heralded diagonal they produce."""
@@ -284,34 +124,11 @@ class NsGateSolution:
     success_probability: float
     residuals: tuple[float, float]
 
-    @property
-    def splitters(self) -> tuple[BeamSplitterSpec, BeamSplitterSpec, BeamSplitterSpec]:
-        t1, t2, t3 = self.transmittances
-        return (
-            BeamSplitterSpec((HERALD_ONE, HERALD_ZERO), t1, 0.0),
-            BeamSplitterSpec((SIGNAL, HERALD_ONE), t2, 0.0),
-            BeamSplitterSpec((HERALD_ONE, HERALD_ZERO), t3, math.pi),
-        )
-
-
-def _network(state: MultimodeState, t1: float, t2: float, t3: float) -> MultimodeState:
-    state = apply_mode_phase(state, SIGNAL, math.pi)
-    state = _mix(state, HERALD_ONE, HERALD_ZERO, t1, 0.0)
-    state = _mix(state, SIGNAL, HERALD_ONE, t2, 0.0)
-    state = _mix(state, HERALD_ONE, HERALD_ZERO, t3, math.pi)
-    return state
-
 
 def _heralded_lambdas(t1: float, t2: float, t3: float) -> np.ndarray:
     """Conditional amplitudes lambda_n = <n,1,0|network|n,1,0> for n = 0, 1, 2."""
-    out = np.empty(3, dtype=np.complex128)
-    for n in range(3):
-        factors = [basis_state(n, 3), basis_state(1, 2), basis_state(0, 1)]
-        state = product_state(factors, cutoff=n + 1)
-        final = _network(state, t1, t2, t3)
-        _, index = _simplex(3, n + 1)
-        out[n] = final.amps[index[(n, 1, 0)]]
-    return out
+    m = transfer_matrix(t1, t2, t3)
+    return np.array([transition_amplitude(m, (n, 1, 0), (n, 1, 0)) for n in range(3)])
 
 
 def _conditions(t1: float, t2: float, t3: float) -> np.ndarray:
@@ -404,35 +221,34 @@ def run_ns_gate(
     if excess > TOL.subspace * norm:
         raise ValueError("input support above n=2 exceeds tolerance")
 
-    signal_in = FockVector(3, state.amps[:3] / norm)
-    multimode = product_state(
-        [signal_in, basis_state(1, 2), basis_state(0, 1)], cutoff=3
-    )
-    sol = solve_ns_transmittances()
-    final = _network(multimode, *sol.transmittances)
-
+    signal_in = state.amps[:3] / norm
+    network = transfer_matrix(*solve_ns_transmittances().transmittances)
     outcome_zero = 0 if det_zero.kind == "pnr" else "no_click"
     outcome_one = 1 if det_one.kind == "pnr" else "click"
-    first = herald_project(final, HERALD_ZERO, outcome_zero, det_zero)
 
-    probability = 0.0
     branches: list[tuple[float, FockVector]] = []
     phase = np.exp(1j * math.pi * np.arange(state.dim))
-    for weight_zero, branch in first.branches:
-        second = herald_project(branch, 1, outcome_one, det_one)
-        for weight_one, signal in second.branches:
-            weight = weight_zero * weight_one
-            probability += weight
-            vec = signal.to_fock_vector()
+    for n_zero in range(MAX_PHOTONS + 1):
+        for n_one in range(MAX_PHOTONS + 1 - n_zero):
+            weight = _detector_weight(det_zero, outcome_zero, n_zero)
+            weight *= _detector_weight(det_one, outcome_one, n_one)
+            if weight == 0.0:
+                continue
+            # both heralds report, so n_one >= 1 and the signal keeps m <= 2 photons
             amps = np.zeros(state.dim, dtype=np.complex128)
-            amps[: vec.dim] = vec.amps
-            branches.append((weight, FockVector(state.dim, phase * amps)))
+            for n in range(max(0, n_one + n_zero - 1), 3):
+                m = n + 1 - n_one - n_zero
+                amp = transition_amplitude(network, (m, n_one, n_zero), (n, 1, 0))
+                amps[m] = signal_in[n] * amp
+            mass = float(np.vdot(amps, amps).real)
+            if mass == 0.0:
+                continue
+            branches.append((weight * mass, FockVector(state.dim, phase * amps / math.sqrt(mass))))
 
+    probability = sum(weight for weight, _ in branches)
     if probability <= 0.0:
         raise RuntimeError("herald pattern has zero probability")
-    rho = np.zeros((state.dim, state.dim), dtype=np.complex128)
-    for weight, vec in branches:
-        rho += weight * np.outer(vec.amps, vec.amps.conj())
+    rho = sum(weight * np.outer(vec.amps, vec.amps.conj()) for weight, vec in branches)
     output = DensityMatrix(state.dim, rho / probability)
     target = density_from_pure(nonlinear_sign_target(FockVector(state.dim, state.amps / norm)))
     return NsGateResult(

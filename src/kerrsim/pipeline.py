@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ConfigError("need 3 <= recon_dim <= sim_dim")
         if self.mode == "custom" and self.custom_a == 0 and self.custom_b == 0:
             raise ConfigError("custom mode needs nonzero (a, b)")
+        try:
+            self.tomography()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def tomography(self) -> TomographyConfig:
         return TomographyConfig(

@@ -2,8 +2,13 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from kerrsim.pipeline import ExperimentConfig, RunReport, run_pipeline
+
+# a busy machine can stall one example past hypothesis' default 200 ms deadline
+settings.register_profile("kerrsim", deadline=None)
+settings.load_profile("kerrsim")
 
 
 @dataclass

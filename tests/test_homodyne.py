@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -178,6 +179,10 @@ def test_sample_roundtrip(tmp_path):
     assert np.array_equal(loaded.xs, batch.xs)
     assert np.array_equal(loaded.thetas, batch.thetas)
     assert loaded.seed == 9
+    os.remove(tmp_path / "samples_meta.json")
+    with pytest.warns(UserWarning, match="seed unknown"):
+        unseeded = load_samples(path)
+    assert unseeded.seed == 0 and np.array_equal(unseeded.xs, batch.xs)
     samples = batch.to_samples()
     assert isinstance(samples[0], QuadratureSample)
     assert len(samples) == len(batch)

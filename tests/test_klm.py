@@ -1,47 +1,46 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim.fock import FockVector, basis_state, density_from_pure, fidelity
 from kerrsim.gates import nonlinear_sign_target
 from kerrsim.klm import (
-    BeamSplitterSpec,
     DetectorModel,
-    MultimodeState,
+    _detector_weight,
     _heralded_lambdas,
-    apply_beam_splitter,
-    apply_mode_phase,
-    herald_project,
-    product_state,
+    beam_splitter,
     run_ns_gate,
     solve_ns_transmittances,
+    transfer_matrix,
+    transition_amplitude,
 )
 
 SQRT2 = math.sqrt(2.0)
+# three-mode occupations by total photon number, up to the gate's three photons
+SECTORS = [[occ for occ in product(range(s + 1), repeat=3) if sum(occ) == s] for s in range(4)]
+UNIT = st.floats(0.0, 1.0)
+ANGLE = st.floats(0.0, 2.0 * math.pi)
 
 
-def single_photon_state(mode, modes=3, cutoff=2):
-    factors = [basis_state(1 if m == mode else 0, cutoff + 1) for m in range(modes)]
-    return product_state(factors, cutoff)
-
-
-def random_multimode(rng, modes=3, cutoff=3):
-    template = product_state([basis_state(0, 1)] * modes, cutoff)
-    amps = rng.normal(size=template.amps.size) + 1j * rng.normal(size=template.amps.size)
-    return MultimodeState(modes, cutoff, amps / np.linalg.norm(amps))
+def assert_norm_and_photon_number_preserved(m):
+    assert_allclose(m @ m.conj().T, np.eye(3), atol=1e-12)
+    # every input with <= 3 photons spreads its whole norm over its own sector
+    for sector in SECTORS:
+        for inp in sector:
+            total = sum(abs(transition_amplitude(m, out, inp)) ** 2 for out in sector)
+            assert abs(total - 1.0) <= 1e-12
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        MultimodeState(3, 2, np.zeros(5))
-    state = single_photon_state(0)
-    assert_allclose(state.norm, 1.0, rtol=1e-15)
+        beam_splitter(0, 0, 0.5)
     with pytest.raises(ValueError):
-        BeamSplitterSpec((0, 0), 0.5)
-    with pytest.raises(ValueError):
-        BeamSplitterSpec((0, 1), 1.5)
+        beam_splitter(0, 1, 1.5)
     with pytest.raises(ValueError):
         DetectorModel("weird")
     with pytest.raises(ValueError):
@@ -49,131 +48,123 @@ def test_state_validation():
 
 
 def test_beam_splitter_identity():
-    rng = np.random.default_rng(51)
-    state = random_multimode(rng)
-    out = apply_beam_splitter(state, BeamSplitterSpec((0, 1), 1.0))
-    assert_allclose(out.amps, state.amps, atol=1e-14)
+    m = beam_splitter(0, 1, 1.0)
+    assert_allclose(m, np.eye(3), atol=1e-14)
+    for sector in SECTORS:
+        for inp in sector:
+            for out in sector:
+                assert_allclose(transition_amplitude(m, out, inp), float(out == inp), atol=1e-14)
 
 
 def test_beam_splitter_balanced_single_photon():
-    state = single_photon_state(0, modes=2, cutoff=1)
-    out = apply_beam_splitter(state, BeamSplitterSpec((0, 1), 1.0 / SQRT2))
-    amp = {occ: out.amps[i] for i, occ in enumerate(out.basis)}
-    assert_allclose(abs(amp[(1, 0)]) ** 2, 0.5, rtol=1e-12)
-    assert_allclose(abs(amp[(0, 1)]) ** 2, 0.5, rtol=1e-12)
-    assert_allclose(out.norm, 1.0, rtol=1e-12)
+    m = beam_splitter(0, 1, 1.0 / SQRT2)
+    amp = {out: transition_amplitude(m, out, (1, 0, 0)) for out in SECTORS[1]}
+    assert_allclose(abs(amp[(1, 0, 0)]) ** 2, 0.5, rtol=1e-12)
+    assert_allclose(abs(amp[(0, 1, 0)]) ** 2, 0.5, rtol=1e-12)
+    assert_allclose(sum(abs(a) ** 2 for a in amp.values()), 1.0, rtol=1e-12)
 
 
 def test_beam_splitter_hong_ou_mandel():
     # permanent oracle: amplitude (1,1)->(1,1) equals perm([[t, -r e^-iphi],[r e^iphi, t]])
     for t, phi in ((1.0 / SQRT2, 0.0), (0.6, 0.4), (0.8, 1.3)):
         r = math.sqrt(1.0 - t * t)
-        state = product_state([basis_state(1, 2), basis_state(1, 2)], cutoff=2)
-        out = apply_beam_splitter(state, BeamSplitterSpec((0, 1), t, phi))
-        amp11 = {occ: out.amps[i] for i, occ in enumerate(out.basis)}[(1, 1)]
+        amp11 = transition_amplitude(beam_splitter(0, 1, t, phi), (1, 1, 0), (1, 1, 0))
         permanent = t * t + (-r * np.exp(-1j * phi)) * (r * np.exp(1j * phi))
         assert_allclose(amp11, permanent, atol=1e-13)
     # balanced splitter: exact two-photon interference
-    state = product_state([basis_state(1, 2), basis_state(1, 2)], cutoff=2)
-    out = apply_beam_splitter(state, BeamSplitterSpec((0, 1), 1.0 / SQRT2))
-    amp11 = {occ: out.amps[i] for i, occ in enumerate(out.basis)}[(1, 1)]
+    amp11 = transition_amplitude(beam_splitter(0, 1, 1.0 / SQRT2), (1, 1, 0), (1, 1, 0))
     assert abs(amp11) <= 1e-15
 
 
-def test_beam_splitter_preserves_norm_and_photon_number():
-    rng = np.random.default_rng(52)
-    pairs = [(0, 1), (1, 2), (0, 2), (2, 1)]
-    for k in range(10):
-        state = random_multimode(rng)
-        spec = BeamSplitterSpec(
-            pairs[k % len(pairs)],
-            float(rng.uniform(0.1, 0.99)),
-            float(rng.uniform(0, 2 * math.pi)),
-        )
-        out = apply_beam_splitter(state, spec)
-        assert abs(out.norm - state.norm) <= 1e-12
-        # photon number sectors do not mix
-        totals = np.array([sum(occ) for occ in state.basis])
-        for s in range(4):
-            mask = totals == s
-            assert abs(
-                np.sum(np.abs(out.amps[mask]) ** 2) - np.sum(np.abs(state.amps[mask]) ** 2)
-            ) <= 1e-12
+def test_transition_amplitude_matches_two_mode_closed_form():
+    # reference: binomial expansion of (t a+ - r e^-iphi b+)^m (r e^iphi a+ + t b+)^n
+    t, phi = 0.61, 0.7
+    r = math.sqrt(1.0 - t * t)
+    m_bs = beam_splitter(0, 1, t, phi)
+    for s in range(4):
+        for m in range(s + 1):
+            n = s - m
+            for p in range(s + 1):
+                acc = sum(
+                    math.comb(m, k) * math.comb(n, p - k) * (-1.0) ** (m - k)
+                    * t ** (n - p + 2 * k) * r ** (m + p - 2 * k)
+                    for k in range(max(0, p - n), min(m, p) + 1)
+                )
+                scale = math.sqrt(
+                    math.factorial(p) * math.factorial(s - p) / (math.factorial(m) * math.factorial(n))
+                )
+                expected = acc * scale * np.exp(1j * phi * (p - m))
+                got = transition_amplitude(m_bs, (p, s - p, 0), (m, n, 0))
+                assert_allclose(got, expected, atol=1e-13)
+
+
+@given(t=UNIT, phi=ANGLE, pair=st.sampled_from([(0, 1), (1, 2), (0, 2), (2, 1)]))
+def test_beam_splitter_preserves_norm_and_photon_number(t, phi, pair):
+    assert_norm_and_photon_number_preserved(beam_splitter(*pair, t, phi))
+
+
+@given(t1=UNIT, t2=UNIT, t3=UNIT)
+def test_transfer_matrix_preserves_norm_and_photon_number(t1, t2, t3):
+    assert_norm_and_photon_number_preserved(transfer_matrix(t1, t2, t3))
 
 
 def test_beam_splitter_inverse_composition():
-    rng = np.random.default_rng(53)
-    state = random_multimode(rng)
-    spec = BeamSplitterSpec((0, 2), 0.73, 0.9)
-    inverse = BeamSplitterSpec((2, 0), 0.73, -0.9)
-    out = apply_beam_splitter(apply_beam_splitter(state, spec), inverse)
-    assert_allclose(out.amps, state.amps, atol=1e-12)
+    spec = beam_splitter(0, 2, 0.73, 0.9)
+    inverse = beam_splitter(2, 0, 0.73, -0.9)
+    assert_allclose(inverse @ spec, np.eye(3), atol=1e-12)
+    # amplitudes compose like the matrices: sum over the intermediate occupation
+    for inp in SECTORS[3]:
+        for out in SECTORS[3]:
+            amp = sum(
+                transition_amplitude(inverse, out, mid) * transition_amplitude(spec, mid, inp)
+                for mid in SECTORS[3]
+            )
+            assert_allclose(amp, float(out == inp), atol=1e-12)
 
 
 def test_mode_phase():
-    state = single_photon_state(1, modes=2, cutoff=1)
-    out = apply_mode_phase(state, 1, math.pi)
-    amp = {occ: out.amps[i] for i, occ in enumerate(out.basis)}
-    assert_allclose(amp[(0, 1)], -1.0, atol=1e-12)
+    # all splitters transmitting leave only the folding-mirror pi phase on the signal
+    m = transfer_matrix(1.0, 1.0, 1.0)
+    assert_allclose(transition_amplitude(m, (1, 0, 0), (1, 0, 0)), -1.0, atol=1e-12)
+    assert_allclose(transition_amplitude(m, (2, 1, 0), (2, 1, 0)), 1.0, atol=1e-12)
+    assert_allclose(transition_amplitude(m, (0, 1, 0), (0, 1, 0)), 1.0, atol=1e-12)
 
 
 def test_herald_pnr_exact():
-    state = single_photon_state(1, modes=2, cutoff=1)
-    res = herald_project(state, 1, 1, DetectorModel("pnr", 1.0))
-    assert_allclose(res.probability, 1.0, rtol=1e-12)
-    assert len(res.branches) == 1
-    vec = res.branches[0][1].to_fock_vector()
-    assert_allclose(abs(vec.amps[0]), 1.0, rtol=1e-12)
+    ideal = DetectorModel("pnr", 1.0)
+    weights = [_detector_weight(ideal, 1, n) for n in range(4)]
+    assert_allclose(weights, [0.0, 1.0, 0.0, 0.0], rtol=1e-12)
 
 
 def test_herald_on_off_examples():
-    vac = product_state([basis_state(0, 1), basis_state(0, 1)], cutoff=2)
-    res = herald_project(vac, 1, "click", DetectorModel("on_off", 1.0))
-    assert res.probability == 0.0
-
-    two = product_state([basis_state(0, 1), basis_state(2, 3)], cutoff=2)
-    res = herald_project(two, 1, "click", DetectorModel("on_off", 0.66))
-    assert_allclose(res.probability, 1.0 - 0.34**2, rtol=1e-12)
+    assert _detector_weight(DetectorModel("on_off", 1.0), "click", 0) == 0.0
+    two = _detector_weight(DetectorModel("on_off", 0.66), "click", 2)
+    assert_allclose(two, 1.0 - 0.34**2, rtol=1e-12)
 
 
 def test_herald_pnr_binomial_smearing():
     # two photons seen through a lossy counter: P(read 1) = C(2,1) eta (1-eta)
-    two = product_state([basis_state(0, 1), basis_state(2, 3)], cutoff=2)
-    res = herald_project(two, 1, 1, DetectorModel("pnr", 0.66))
-    assert_allclose(res.probability, 2.0 * 0.66 * 0.34, rtol=1e-12)
-    # the surviving branch still holds both photons in the measured mode
-    assert len(res.branches) == 1
-    assert res.branches[0][1].cutoff == 0
+    weight = _detector_weight(DetectorModel("pnr", 0.66), 1, 2)
+    assert_allclose(weight, 2.0 * 0.66 * 0.34, rtol=1e-12)
 
 
 def test_herald_and_phase_invalid_modes():
-    state = single_photon_state(0)
     with pytest.raises(ValueError):
-        herald_project(state, 5, 0, DetectorModel("pnr", 1.0))
+        beam_splitter(0, 7, 0.5)
     with pytest.raises(ValueError):
-        apply_mode_phase(state, -1, 0.3)
+        beam_splitter(-1, 1, 0.5)
     with pytest.raises(ValueError):
-        apply_beam_splitter(state, BeamSplitterSpec((0, 7), 0.5))
-    with pytest.raises(ValueError):
-        herald_project(state, 1, "maybe", DetectorModel("on_off", 1.0))
-    with pytest.raises(ValueError):
-        state.to_fock_vector()
+        _detector_weight(DetectorModel("on_off", 1.0), "maybe", 1)
 
 
 def test_herald_partition_sums_to_one():
-    rng = np.random.default_rng(54)
-    state = random_multimode(rng, modes=3, cutoff=3)
-    for detector in (DetectorModel("pnr", 0.66), DetectorModel("pnr", 1.0)):
-        total = sum(
-            herald_project(state, 1, n, detector).probability for n in range(4)
-        )
-        assert_allclose(total, 1.0, atol=1e-10)
-    onoff = DetectorModel("on_off", 0.66)
-    total = (
-        herald_project(state, 1, "click", onoff).probability
-        + herald_project(state, 1, "no_click", onoff).probability
-    )
-    assert_allclose(total, 1.0, atol=1e-10)
+    for eta in (0.66, 1.0):
+        pnr, onoff = DetectorModel("pnr", eta), DetectorModel("on_off", eta)
+        for n in range(4):
+            total = sum(_detector_weight(pnr, k, n) for k in range(4))
+            assert_allclose(total, 1.0, atol=1e-10)
+            total = _detector_weight(onoff, "click", n) + _detector_weight(onoff, "no_click", n)
+            assert_allclose(total, 1.0, atol=1e-10)
 
 
 def test_solve_transmittances_conditions():
@@ -196,14 +187,18 @@ def test_solve_transmittances_match_closed_form():
 
 
 def test_solution_splitters_reproduce_network():
-    # public specs (mirror + three splitters) give the same heralded diagonal
+    # the documented network (mirror + three splitters) gives the same heralded diagonal
     sol = solve_ns_transmittances()
+    t1, t2, t3 = sol.transmittances
+    network = (
+        beam_splitter(1, 2, t3, math.pi)
+        @ beam_splitter(0, 1, t2)
+        @ beam_splitter(1, 2, t1)
+        @ np.diag([-1.0, 1.0, 1.0])
+    )
+    assert_allclose(transfer_matrix(t1, t2, t3), network, atol=1e-15)
     for n in range(3):
-        state = product_state([basis_state(n, 3), basis_state(1, 2), basis_state(0, 1)], cutoff=n + 1)
-        state = apply_mode_phase(state, 0, math.pi)
-        for spec in sol.splitters:
-            state = apply_beam_splitter(state, spec)
-        amp = {occ: state.amps[i] for i, occ in enumerate(state.basis)}[(n, 1, 0)]
+        amp = transition_amplitude(network, (n, 1, 0), (n, 1, 0))
         assert_allclose(amp, sol.lambdas[n], atol=1e-12)
 
 

@@ -34,6 +34,9 @@ def test_config_validation():
         ExperimentConfig(eta=0.0).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(recon_dim=20).validate()
+    for bad in ({"bin_width": -1.0}, {"x_max": 0.0}, {"max_iterations": 0}, {"dilution": 0.0}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"bogus_field": 1})
 
@@ -200,6 +203,10 @@ def test_cli_solve(capsys):
 
 def test_cli_invalid_config_exit_code(tmp_path, capsys):
     assert main(["pipeline", "--mode", "ideal", "--eta", "2.0", "--out", str(tmp_path)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"dilution": 0}))
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
 
 
