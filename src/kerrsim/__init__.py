@@ -38,7 +38,6 @@ from .gates import (
 from .channels import LossChannel, apply_loss, loss_adjoint_on_operator
 from .homodyne import (
     PhaseSchedule,
-    QuadratureSample,
     SampleBatch,
     default_schedule,
     projector_matrix,

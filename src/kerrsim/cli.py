@@ -3,8 +3,8 @@
 Subcommands: ``pipeline`` (full run), ``simulate`` (forward model only),
 ``sample`` (quadrature data), ``reconstruct`` (from a sample CSV), ``klm``
 (detector comparison table), ``solve`` (print gate algebra).  Exit codes:
-0 success, 2 invalid configuration, 3 numerical failure (stage named on
-stderr).
+0 success, 2 invalid configuration or unusable sample file, 3 numerical
+failure (stage named on stderr); reconstruction warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import json
 import os
 import sys
 
+from .artifacts import alpha_dir, write_json
 from .errors import ConfigError, KerrsimError, StageError
-from .fock import density_from_pure, truncate_density
+from .fock import density_from_pure
 from .gates import solve_superposition
 from .homodyne import load_samples, save_samples, sample_quadratures
 from .klm import solve_ns_transmittances
@@ -23,12 +24,9 @@ from .pipeline import (
     ExperimentConfig,
     klm_compare,
     run_pipeline,
+    simulate,
     simulate_forward,
     write_klm_report,
-    _versions,
-    _write_json,
-    _alpha_dir,
-    _write_matrix_table,
 )
 from .tomography import bin_samples, reconstruct, save_density_matrix
 
@@ -87,43 +85,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    os.makedirs(config.outdir, exist_ok=True)
-    summary = []
-    for alpha in config.alphas:
-        psi_in, psi_out, weight = simulate_forward(config, alpha)
-        rho_in, _ = truncate_density(density_from_pure(psi_in), config.recon_dim)
-        rho_out, tail = truncate_density(density_from_pure(psi_out), config.recon_dim)
-        adir = _alpha_dir(config.outdir, alpha)
-        os.makedirs(os.path.join(adir, "tables"), exist_ok=True)
-        save_density_matrix(rho_in, os.path.join(adir, "input_model.json"))
-        save_density_matrix(rho_out, os.path.join(adir, "output_model.json"))
-        _write_matrix_table(os.path.join(adir, "tables", "input_model.csv"), rho_in)
-        _write_matrix_table(os.path.join(adir, "tables", "output_model.csv"), rho_out)
-        summary.append({"alpha": alpha, "success_weight": weight, "model_tail": tail})
-    _write_json(
-        os.path.join(config.outdir, "simulate.json"),
-        {"schema_version": 1, "config": config.to_dict(), "records": summary,
-         "versions": _versions()},
-    )
+    simulate(config)
     print(f"forward model written to {config.outdir}")
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    os.makedirs(config.outdir, exist_ok=True)
     for index, alpha in enumerate(config.alphas):
         _, psi_out, _ = simulate_forward(config, alpha)
         batch = sample_quadratures(
             density_from_pure(psi_out), config.schedule(index), config.eta
         )
-        adir = _alpha_dir(config.outdir, alpha)
+        adir = alpha_dir(config.outdir, alpha)
         os.makedirs(adir, exist_ok=True)
-        save_samples(
-            batch,
-            os.path.join(adir, "samples.csv"),
-            meta={"alpha": alpha, "eta": config.eta, "mode": config.mode},
-        )
+        meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
+        save_samples(batch, os.path.join(adir, "samples.csv"), meta=meta)
         print(f"alpha={alpha:g}: {len(batch)} samples")
     return 0
 
@@ -135,24 +112,20 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read samples from {args.samples}: {exc}") from exc
     tomo = config.tomography()
-    binned = bin_samples(batch, tomo)
-    rho_hat, diag = reconstruct(binned, tomo)
+    try:
+        binned = bin_samples(batch, tomo)
+        rho_hat, diag = reconstruct(binned, tomo)
+    except ValueError as exc:  # no sample, or none inside the binning range
+        raise ConfigError(f"cannot reconstruct from {args.samples}: {exc}") from exc
     os.makedirs(config.outdir, exist_ok=True)
     matrix_path = os.path.join(config.outdir, "reconstructed.json")
     save_density_matrix(rho_hat, matrix_path)
-    _write_json(
+    write_json(
         os.path.join(config.outdir, "reconstruction_diag.json"),
-        {
-            "schema_version": 1,
-            "iterations": diag.iterations,
-            "converged": diag.converged,
-            "final_loglik": diag.final_loglik,
-            "loglik_per_sample": diag.loglik_per_sample,
-            "completeness_residual": diag.completeness_residual,
-            "out_of_range": binned.out_of_range,
-            "warnings": diag.warnings,
-        },
+        {"schema_version": 1, "out_of_range": binned.out_of_range, **diag.to_dict()},
     )
+    for warning in diag.warnings:
+        print(f"warning: {args.samples}: {warning}", file=sys.stderr)
     print(f"reconstruction written to {matrix_path} ({diag.iterations} iterations)")
     return 0
 
@@ -181,6 +154,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             f"signs(model)={'ok' if record.signs_model.vacuum_flip_visible() else 'violated'} "
             f"signs(recon)={'ok' if record.signs_reconstructed.vacuum_flip_visible() else 'violated'}"
         )
+        for warning in record.diagnostics.warnings:
+            print(f"warning: alpha={record.alpha:g}: {warning}", file=sys.stderr)
     print(f"report written to {os.path.join(config.outdir, 'report.json')}")
     return 0
 

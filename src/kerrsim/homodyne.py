@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open, write_json
 from .channels import LossChannel, apply_loss
 from .errors import NumericalError
 from .fock import DensityMatrix
 from .tolerances import TOL
 
 __all__ = [
-    "QuadratureSample",
     "PhaseSchedule",
     "SampleBatch",
     "quadrature_wavefunction",
@@ -42,18 +42,7 @@ __all__ = [
 
 GRID_HALFWIDTH = 6.0
 GRID_STEP = 0.01
-
-
-@dataclass(frozen=True)
-class QuadratureSample:
-    """One homodyne outcome: local-oscillator phase and quadrature value."""
-
-    theta: float
-    x: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta < math.pi:
-            raise ValueError("theta must lie in [0, pi)")
+_CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -97,9 +86,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.thetas.size
-
-    def to_samples(self) -> list[QuadratureSample]:
-        return [QuadratureSample(float(t), float(x)) for t, x in zip(self.thetas, self.xs)]
 
 
 def default_schedule(seed: int, n_phases: int = 12, samples_per_phase: int = 16667) -> PhaseSchedule:
@@ -203,17 +189,17 @@ def sample_quadratures(
 def save_samples(batch: SampleBatch, csv_path, meta: dict | None = None) -> None:
     """Write samples as CSV (header theta,x) plus a seed-recording sidecar JSON."""
     csv_path = str(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "x"])
-        for t, x in zip(batch.thetas, batch.xs):
-            writer.writerow([repr(float(t)), repr(float(x))])
+    with atomic_open(csv_path, newline="") as fh:
+        fh.write("theta,x\r\n")
+        # bounded chunks keep the formatted text small next to the batch itself
+        for start in range(0, len(batch), _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            pairs = zip(batch.thetas[rows].tolist(), batch.xs[rows].tolist())
+            fh.write("".join(f"{t!r},{x!r}\r\n" for t, x in pairs))
     sidecar = {"schema_version": 1, "seed": batch.seed, "count": len(batch)}
     if meta:
         sidecar.update(meta)
-    with open(csv_path.rsplit(".", 1)[0] + "_meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(csv_path.rsplit(".", 1)[0] + "_meta.json", sidecar)
 
 
 def load_samples(csv_path) -> SampleBatch:

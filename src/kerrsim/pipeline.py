@@ -1,21 +1,22 @@
 """End-to-end experiment reproduction: prepare -> gate -> loss -> sample ->
 reconstruct -> compare, with seeded configs and JSON/CSV artifacts.
 
-A run is deterministic given its config and seed; output files are written
-atomically and carry a schema_version field.
+A run is deterministic given its config and seed; every output file is
+written atomically through ``artifacts.atomic_open``, and JSON files carry a
+schema_version field.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 import scipy
 
 from . import __version__
+from .artifacts import alpha_dir, atomic_open, write_json, write_matrix_table
 from .errors import ConfigError, StageError
 from .fock import (
     DensityMatrix,
@@ -32,7 +33,7 @@ from .gates import (
     build_superposition_operator,
     solve_superposition,
 )
-from .homodyne import PhaseSchedule, sample_quadratures, save_samples
+from .homodyne import PhaseSchedule, default_schedule, sample_quadratures, save_samples
 from .klm import DetectorModel, run_ns_gate, solve_ns_transmittances
 from .tomography import (
     ReconstructionDiagnostics,
@@ -49,8 +50,8 @@ __all__ = [
     "AlphaRecord",
     "RunReport",
     "run_pipeline",
+    "simulate",
     "simulate_forward",
-    "report_density_matrix_tables",
     "klm_compare",
     "superposition_for_mode",
     "fix_global_phase",
@@ -119,11 +120,7 @@ class ExperimentConfig:
 
     def schedule(self, alpha_index: int) -> PhaseSchedule:
         # each alpha gets its own seed offset; phases split further inside the sampler
-        thetas = np.arange(self.n_phases) * math.pi / self.n_phases
-        return PhaseSchedule(
-            tuple((float(t), self.samples_per_phase) for t in thetas),
-            seed=self.seed + alpha_index,
-        )
+        return default_schedule(self.seed + alpha_index, self.n_phases, self.samples_per_phase)
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
@@ -132,22 +129,14 @@ class ExperimentConfig:
                 return complex(float(v[0]), float(v[1]))
             return complex(v)
 
-        known = {}
-        for key in (
-            "alphas mode eta n_phases samples_per_phase seed sim_dim recon_dim "
-            "bin_width x_max max_iterations dilution outdir"
-        ).split():
-            if key in payload:
-                known[key] = payload[key]
-        if "alphas" in known:
-            known["alphas"] = tuple(known["alphas"])
-        for key in ("custom_a", "custom_b"):
-            if key in payload:
-                known[key] = as_complex(payload[key])
-        unknown = set(payload) - set(known)
+        unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        known = dict(payload)
         try:
+            for key in ("custom_a", "custom_b"):
+                if key in known:
+                    known[key] = as_complex(known[key])
             return ExperimentConfig(**known)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -241,14 +230,7 @@ class RunReport:
                     "input_model": matrix_to_json_dict(r.input_model),
                     "output_model": matrix_to_json_dict(r.output_model),
                     "reconstructed": matrix_to_json_dict(r.reconstructed),
-                    "reconstruction": {
-                        "iterations": r.diagnostics.iterations,
-                        "converged": r.diagnostics.converged,
-                        "final_loglik": r.diagnostics.final_loglik,
-                        "loglik_per_sample": r.diagnostics.loglik_per_sample,
-                        "completeness_residual": r.diagnostics.completeness_residual,
-                        "warnings": r.diagnostics.warnings,
-                    },
+                    "reconstruction": r.diagnostics.to_dict(),
                 }
                 for r in self.records
             ],
@@ -259,15 +241,14 @@ def _versions() -> dict:
     return {"kerrsim": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _stage(name, fn, *args, **kwargs):
+    """Call fn, reporting any failure as a StageError that names the stage."""
+    try:
+        return fn(*args, **kwargs)
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def simulate_forward(
@@ -285,36 +266,55 @@ def simulate_forward(
     return psi_in, fix_global_phase(raw), weight
 
 
-def _alpha_dir(outdir: str, alpha: float) -> str:
-    return os.path.join(outdir, f"alpha_{alpha:g}")
+def _model(config: ExperimentConfig, alpha: float):
+    """Output at the simulation cutoff, the model panels at recon_dim, weight and tail."""
+    psi_in, psi_out, weight = _stage("forward-model", simulate_forward, config, alpha)
+    rho_out_full = density_from_pure(psi_out)
+    rho_in, _ = truncate_density(density_from_pure(psi_in), config.recon_dim)
+    rho_out, tail = _stage("truncate", truncate_density, rho_out_full, config.recon_dim)
+    return rho_out_full, {"input_model": rho_in, "output_model": rho_out}, weight, tail
+
+
+def _save_panels(config: ExperimentConfig, alpha: float, panels: dict) -> str:
+    """Write each panel as <panel>.json plus tables/<panel>.csv; returns the alpha dir."""
+    adir = alpha_dir(config.outdir, alpha)
+    os.makedirs(os.path.join(adir, "tables"), exist_ok=True)
+    for panel, rho in panels.items():
+        save_density_matrix(rho, os.path.join(adir, f"{panel}.json"))
+        write_matrix_table(os.path.join(adir, "tables", f"{panel}.csv"), rho)
+    return adir
+
+
+def simulate(config: ExperimentConfig) -> list[dict]:
+    """Forward model only: per alpha the input and output panels, plus simulate.json."""
+    config.validate()
+    summary = []
+    for alpha in config.alphas:
+        _, panels, weight, tail = _model(config, alpha)
+        _save_panels(config, alpha, panels)
+        summary.append({"alpha": alpha, "success_weight": weight, "model_tail": tail})
+    write_json(
+        os.path.join(config.outdir, "simulate.json"),
+        {"schema_version": 1, "config": config.to_dict(), "records": summary,
+         "versions": _versions()},
+    )
+    return summary
 
 
 def _run_alpha(
     config: ExperimentConfig, index: int, alpha: float, povm, emit: bool
 ) -> AlphaRecord:
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, str(exc)) from exc
-
-    psi_in, psi_out, weight = stage("forward-model", simulate_forward, config, alpha)
-    rho_in_full = density_from_pure(psi_in)
-    rho_out_full = density_from_pure(psi_out)
-    rho_in, _ = truncate_density(rho_in_full, config.recon_dim)
-    rho_out, tail = stage("truncate", truncate_density, rho_out_full, config.recon_dim)
-
-    batch = stage(
+    rho_out_full, panels, weight, tail = _model(config, alpha)
+    rho_in, rho_out = panels["input_model"], panels["output_model"]
+    batch = _stage(
         "sample", sample_quadratures, rho_out_full, config.schedule(index), config.eta
     )
     tomo = config.tomography()
-    binned = stage("bin", bin_samples, batch, tomo)
-    rho_hat, diag = stage("reconstruct", reconstruct, binned, tomo, povm)
+    binned = _stage("bin", bin_samples, batch, tomo)
+    rho_hat, diag = _stage("reconstruct", reconstruct, binned, tomo, povm)
     for matrix in (rho_in, rho_out, rho_hat):
-        stage("validate", matrix.validate)
-    fid = stage("compare", fidelity, rho_hat, rho_out)
+        _stage("validate", matrix.validate)
+    fid = _stage("compare", fidelity, rho_hat, rho_out)
 
     record = AlphaRecord(
         alpha=alpha,
@@ -338,28 +338,12 @@ def _run_alpha(
             )
 
     if emit:
-        adir = _alpha_dir(config.outdir, alpha)
-        os.makedirs(adir, exist_ok=True)
-        save_samples(
-            batch,
-            os.path.join(adir, "samples.csv"),
-            meta={"alpha": alpha, "eta": config.eta, "mode": config.mode},
-        )
-        save_density_matrix(rho_in, os.path.join(adir, "input_model.json"))
-        save_density_matrix(rho_out, os.path.join(adir, "output_model.json"))
-        save_density_matrix(rho_hat, os.path.join(adir, "output_reconstructed.json"))
-        _write_json(
+        adir = _save_panels(config, alpha, {**panels, "output_reconstructed": rho_hat})
+        meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
+        save_samples(batch, os.path.join(adir, "samples.csv"), meta=meta)
+        write_json(
             os.path.join(adir, "reconstruction_diag.json"),
-            {
-                "schema_version": 1,
-                "iterations": diag.iterations,
-                "converged": diag.converged,
-                "final_loglik": diag.final_loglik,
-                "loglik_per_sample": diag.loglik_per_sample,
-                "completeness_residual": diag.completeness_residual,
-                "out_of_range": binned.out_of_range,
-                "warnings": diag.warnings,
-            },
+            {"schema_version": 1, "out_of_range": binned.out_of_range, **diag.to_dict()},
         )
     return record
 
@@ -374,46 +358,15 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
     config.validate()
     if emit:
         os.makedirs(config.outdir, exist_ok=True)
-    tomo = config.tomography()
-    thetas = np.arange(config.n_phases) * math.pi / config.n_phases
-    try:
-        povm = build_povm(tomo, thetas)
-    except Exception as exc:
-        raise StageError("povm", str(exc)) from exc
+    thetas = [theta for theta, _ in config.schedule(0).phases]
+    povm = _stage("povm", build_povm, config.tomography(), thetas)
 
     report = RunReport(config=config, versions=_versions())
     for index, alpha in enumerate(config.alphas):
         report.records.append(_run_alpha(config, index, alpha, povm, emit))
     if emit:
-        _write_json(os.path.join(config.outdir, "report.json"), report.to_dict())
-        report_density_matrix_tables(report)
+        write_json(os.path.join(config.outdir, "report.json"), report.to_dict())
     return report
-
-
-def _write_matrix_table(path: str, rho: DensityMatrix) -> None:
-    lines = ["part,m," + ",".join(str(n) for n in range(rho.dim))]
-    for part, values in (("re", rho.elems.real), ("im", rho.elems.imag)):
-        for m in range(rho.dim):
-            row = ",".join(repr(float(v)) for v in values[m])
-            lines.append(f"{part},{m},{row}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def report_density_matrix_tables(report: RunReport) -> list[str]:
-    """Emit plot-ready CSV tables (rows m, columns n; re and im blocks) per panel."""
-    paths = []
-    for record in report.records:
-        tdir = os.path.join(_alpha_dir(report.config.outdir, record.alpha), "tables")
-        os.makedirs(tdir, exist_ok=True)
-        for panel, rho in (
-            ("input_model", record.input_model),
-            ("output_model", record.output_model),
-            ("output_reconstructed", record.reconstructed),
-        ):
-            path = os.path.join(tdir, f"{panel}.csv")
-            _write_matrix_table(path, rho)
-            paths.append(path)
-    return paths
 
 
 _KLM_PROBES = (
@@ -501,7 +454,8 @@ def write_klm_report(rows: list[dict], outdir: str) -> tuple[str, str]:
                 for k in header
             )
         )
-    _atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    with atomic_open(csv_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     json_path = os.path.join(outdir, "klm_table.json")
-    _write_json(json_path, {"schema_version": 1, "rows": rows})
+    write_json(json_path, {"schema_version": 1, "rows": rows})
     return csv_path, json_path

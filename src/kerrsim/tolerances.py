@@ -29,6 +29,8 @@ class Tolerances:
     grid_deficit: float = 1e-6
     # POVM per-phase completeness residual
     completeness: float = 1e-6
+    # ML reconstruction stops once one iteration gains less log-likelihood per sample
+    ml_stop_gain: float = 1e-9
 
 
 TOL = Tolerances()

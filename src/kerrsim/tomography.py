@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .channels import LossChannel, loss_adjoint_on_operator
 from .errors import NumericalError
 from .fock import DensityMatrix
@@ -38,7 +39,6 @@ __all__ = [
     "save_density_matrix",
     "load_density_matrix",
     "matrix_to_json_dict",
-    "matrix_from_json_dict",
 ]
 
 _PROB_FLOOR = 1e-300
@@ -52,7 +52,6 @@ class TomographyConfig:
     x_max: float = 6.0
     max_iterations: int = 2000
     dilution: float = 0.5
-    stop_tolerance: float = 1e-9  # required log-likelihood gain per sample
 
     def __post_init__(self):
         if self.dim < 3:
@@ -65,8 +64,6 @@ class TomographyConfig:
             raise ValueError("max_iterations must be positive")
         if not 0.0 < self.dilution <= 1.0:
             raise ValueError("dilution must be in (0, 1]")
-        if self.stop_tolerance <= 0:
-            raise ValueError("stop_tolerance must be positive")
 
     @property
     def n_bins(self) -> int:
@@ -189,9 +186,19 @@ class ReconstructionDiagnostics:
     final_loglik: float = math.nan
     loglik_per_sample: float = math.nan
     completeness_residual: float = math.nan
-    dilution_final: float = math.nan
     loglik_trace: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        """The reported fields (the log-likelihood trace stays in memory)."""
+        return {
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "final_loglik": self.final_loglik,
+            "loglik_per_sample": self.loglik_per_sample,
+            "completeness_residual": self.completeness_residual,
+            "warnings": self.warnings,
+        }
 
 
 def reconstruct(
@@ -250,7 +257,7 @@ def reconstruct(
     loglik, probs = loglik_of(rho)
     diag.loglik_trace.append(loglik)
     lam = config.dilution
-    threshold = config.stop_tolerance * total
+    threshold = TOL.ml_stop_gain * total
 
     for iteration in range(1, config.max_iterations + 1):
         r_op = np.einsum("j,jmn->mn", c / probs, e, optimize=True) / total
@@ -283,7 +290,6 @@ def reconstruct(
         )
     diag.final_loglik = loglik
     diag.loglik_per_sample = loglik / total
-    diag.dilution_final = lam
     return DensityMatrix(config.dim, rho), diag
 
 
@@ -296,20 +302,15 @@ def matrix_to_json_dict(rho: DensityMatrix) -> dict:
     }
 
 
-def matrix_from_json_dict(payload: dict) -> DensityMatrix:
-    dim = int(payload["dim"])
-    elems = np.asarray(payload["re"], dtype=np.float64) + 1j * np.asarray(
-        payload["im"], dtype=np.float64
-    )
-    return DensityMatrix(dim, elems)
-
-
 def save_density_matrix(rho: DensityMatrix, path) -> None:
-    with open(str(path), "w") as fh:
-        json.dump(matrix_to_json_dict(rho), fh, sort_keys=True)
-        fh.write("\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(matrix_to_json_dict(rho), sort_keys=True) + "\n")
 
 
 def load_density_matrix(path) -> DensityMatrix:
     with open(str(path)) as fh:
-        return matrix_from_json_dict(json.load(fh))
+        payload = json.load(fh)
+    elems = np.asarray(payload["re"], dtype=np.float64) + 1j * np.asarray(
+        payload["im"], dtype=np.float64
+    )
+    return DensityMatrix(int(payload["dim"]), elems)

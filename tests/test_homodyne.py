@@ -9,7 +9,6 @@ from kerrsim.errors import NumericalError
 from kerrsim.fock import DensityMatrix, basis_state, coherent_state, density_from_pure
 from kerrsim.homodyne import (
     PhaseSchedule,
-    QuadratureSample,
     default_schedule,
     load_samples,
     projector_matrix,
@@ -124,8 +123,6 @@ def test_schedule_validation():
         PhaseSchedule(((0.0, 10), (0.0, 10)), seed=1)
     with pytest.raises(ValueError):
         PhaseSchedule(((0.0, 0),), seed=1)
-    with pytest.raises(ValueError):
-        QuadratureSample(theta=3.5, x=0.0)
     sched = default_schedule(seed=5, n_phases=12, samples_per_phase=10)
     assert sched.total == 120
     assert len({t for t, _ in sched.phases}) == 12
@@ -183,6 +180,3 @@ def test_sample_roundtrip(tmp_path):
     with pytest.warns(UserWarning, match="seed unknown"):
         unseeded = load_samples(path)
     assert unseeded.seed == 0 and np.array_equal(unseeded.xs, batch.xs)
-    samples = batch.to_samples()
-    assert isinstance(samples[0], QuadratureSample)
-    assert len(samples) == len(batch)

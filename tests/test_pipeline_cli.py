@@ -1,11 +1,16 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kerrsim.artifacts import write_json
 from kerrsim.cli import main
 from kerrsim.errors import ConfigError, StageError
 from kerrsim.fock import basis_state, density_from_pure, fidelity
@@ -266,6 +271,77 @@ def test_cli_reconstruct_missing_samples(tmp_path, capsys):
     code = main(["reconstruct", "--samples", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
     assert code == 2
     assert "cannot read samples" in capsys.readouterr().err
+    # a header-only file, and one whose values all lie outside +-x_max
+    for name, rows in (("empty.csv", ""), ("far.csv", "0.0,9.0\r\n0.5,-7.5\r\n")):
+        path = tmp_path / name
+        path.write_text("theta,x\r\n" + rows)
+        with pytest.warns(UserWarning, match="seed unknown"):
+            code = main(["reconstruct", "--samples", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"cannot reconstruct from {path}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "reconstructed.json")
+
+
+def test_cli_prints_reconstruction_warnings(tmp_path, capsys):
+    config = tmp_path / "capped.json"
+    config.write_text(json.dumps({"alphas": [0.53], "n_phases": 6,
+                                  "samples_per_phase": 2000, "max_iterations": 5}))
+    out = str(tmp_path / "capped")
+    capped = "no convergence after 5 iterations; best iterate returned"
+    assert main(["pipeline", "--config", str(config), "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: alpha=0.53: {capped}"]
+    samples = os.path.join(out, "alpha_0.53", "samples.csv")
+    assert main(["reconstruct", "--config", str(config), "--samples", samples,
+                 "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: {samples}: {capped}"]
+
+
+def test_cli_steps_write_the_pipeline_artifacts(tmp_path, capsys):
+    config = tmp_path / "fast.json"
+    config.write_text(json.dumps({"alphas": [0.53, 0.0], "n_phases": 6, "seed": 7,
+                                  "samples_per_phase": 2000, "max_iterations": 300}))
+    full, steps = str(tmp_path / "full"), str(tmp_path / "steps")
+    assert main(["pipeline", "--config", str(config), "--out", full]) == 0
+    for command in ("simulate", "sample"):
+        assert main([command, "--config", str(config), "--out", steps]) == 0
+    capsys.readouterr()
+    for alpha in ("alpha_0.53", "alpha_0"):
+        for name in ("output_model.json", os.path.join("tables", "output_model.csv"),
+                     "samples.csv", "samples_meta.json"):
+            rel = os.path.join(alpha, name)
+            assert Path(full, rel).read_bytes() == Path(steps, rel).read_bytes(), rel
+
+    # one serializer for the reconstruction diagnostics
+    report = json.loads(Path(full, "report.json").read_text())
+    for record in report["records"]:
+        diag = json.loads(Path(full, f"alpha_{record['alpha']:g}",
+                               "reconstruction_diag.json").read_text())
+        del diag["schema_version"], diag["out_of_range"]
+        assert record["reconstruction"] == diag
+
+    # the benchmark's tracer wraps these module attributes by name
+    tracing_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.WRAP_POINTS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+def test_atomic_write_json(tmp_path):
+    path = tmp_path / "artifact.json"
+    write_json(path, {"value": 1})
+    first = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"value": object()})
+    assert path.read_bytes() == first
+    assert list(tmp_path.iterdir()) == [path]
+    write_json(path, {"value": 2})
+    write_json(path, {"value": 3})
+    assert json.loads(path.read_text()) == {"value": 3}
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_config_accepts_scalar_complex():
