@@ -59,19 +59,23 @@ def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
 
 
 def loss_adjoint_on_operator(e: np.ndarray, channel: LossChannel) -> np.ndarray:
-    """Adjoint channel on a measurement operator: E' = sum_k A_k^T E A_k.
+    """Adjoint channel on measurement operators: E' = sum_k A_k^T E A_k.
 
-    Preserves Hermiticity and the operator bounds 0 <= E <= I; satisfies the
-    duality Tr[rho E'] = Tr[rho' E] with rho' the lossy state.
+    ``e`` is one operator of shape (dim, dim) or a stack of shape
+    (..., dim, dim), mapped in one contraction; every element of the stack must
+    be Hermitian with 0 <= E <= I.  Preserves Hermiticity and those bounds;
+    satisfies the duality Tr[rho E'] = Tr[rho' E] with rho' the lossy state.
     """
     e = np.asarray(e, dtype=np.complex128)
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    herm = np.max(np.abs(e - e.conj().T))
+    if e.ndim < 2 or e.shape[-1] != e.shape[-2]:
+        raise ValueError("operator must be a square matrix or a stack of them")
+    herm = np.max(np.abs(e - np.swapaxes(e.conj(), -1, -2)), initial=0.0)
     if herm > TOL.hermitian:
         raise ValueError(f"operator not Hermitian: residual {herm:.3e}")
     w = np.linalg.eigvalsh(e)
-    if w[0] < -TOL.psd_floor or w[-1] > 1.0 + TOL.psd_floor:
-        raise ValueError(f"operator bounds violated: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]")
-    ops = _kraus(float(channel.eta), e.shape[0])
-    return np.einsum("kba,bc,kcd->ad", ops, e, ops, optimize=True)
+    if w.size:
+        lo, hi = w[..., 0].min(), w[..., -1].max()
+        if lo < -TOL.psd_floor or hi > 1.0 + TOL.psd_floor:
+            raise ValueError(f"operator bounds violated: eigenvalues in [{lo:.3e}, {hi:.3e}]")
+    ops = _kraus(float(channel.eta), e.shape[-1])
+    return np.einsum("kba,...bc,kcd->...ad", ops, e, ops, optimize=True)

@@ -203,18 +203,20 @@ def save_samples(batch: SampleBatch, csv_path, meta: dict | None = None) -> None
 
 
 def load_samples(csv_path) -> SampleBatch:
-    """Read a sample CSV written by save_samples; seed comes from the sidecar."""
+    """Read a sample CSV written by save_samples; seed comes from the sidecar.
+
+    The body is parsed by NumPy's C reader, which rounds each decimal exactly
+    as ``float()`` does, so a reloaded batch is bit-identical to the saved one.
+    """
     csv_path = str(csv_path)
-    thetas = []
-    xs = []
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader([fh.readline()]), [])
         if header[:2] != ["theta", "x"]:
             raise ValueError(f"unexpected sample CSV header: {header}")
-        for row in reader:
-            thetas.append(float(row[0]))
-            xs.append(float(row[1]))
+        with warnings.catch_warnings():
+            # a header-only file is an empty batch; the caller decides what that means
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+            body = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
     seed = 0
     meta_path = csv_path.rsplit(".", 1)[0] + "_meta.json"
     try:
@@ -222,4 +224,4 @@ def load_samples(csv_path) -> SampleBatch:
             seed = int(json.load(fh).get("seed", 0))
     except FileNotFoundError:
         warnings.warn(f"no sidecar {meta_path}: sampling seed unknown, recorded as 0", stacklevel=2)
-    return SampleBatch(np.asarray(thetas), np.asarray(xs), seed)
+    return SampleBatch(body[:, 0], body[:, 1], seed)

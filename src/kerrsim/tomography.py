@@ -116,16 +116,21 @@ def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
     """
     if len(samples) == 0:
         raise ValueError("empty sample batch")
-    edges = config.bin_edges()
-    thetas = np.unique(samples.thetas)
-    counts = np.zeros((thetas.size, config.n_bins), dtype=np.float64)
-    out_of_range = 0
-    for i, theta in enumerate(thetas):
-        x = samples.xs[samples.thetas == theta]
-        idx = np.digitize(x, edges, right=False)
-        in_range = (idx >= 1) & (idx <= config.n_bins)
-        out_of_range += int(np.count_nonzero(~in_range))
-        np.add.at(counts[i], idx[in_range] - 1, 1.0)
+    n_bins = config.n_bins
+    t = samples.thetas
+    # every distinct phase begins at least one run of equal values, so the run
+    # heads hold them all and only those few values are sorted
+    starts = np.ones(t.size, dtype=bool)
+    np.not_equal(t[1:], t[:-1], out=starts[1:])
+    thetas = np.unique(t[starts])
+    # digitize puts x < -x_max in slot 0 and x >= x_max in slot n_bins + 1, so
+    # each phase owns n_bins + 2 slots and one bincount histograms every sample
+    slot = np.searchsorted(thetas, t)
+    slot *= n_bins + 2
+    slot += np.digitize(samples.xs, config.bin_edges(), right=False)
+    slots = np.bincount(slot, minlength=thetas.size * (n_bins + 2)).reshape(thetas.size, n_bins + 2)
+    out_of_range = int(slots[:, 0].sum() + slots[:, -1].sum())
+    counts = slots[:, 1:-1].astype(np.float64)
     return BinnedData(thetas, config.bin_centers(), counts, out_of_range)
 
 
@@ -150,17 +155,17 @@ def build_povm(config: TomographyConfig, thetas) -> np.ndarray:
     """Efficiency-compensated POVM, shape (n_phases, n_bins, dim, dim).
 
     Each element is the bin-integrated quadrature projector pushed through the
-    adjoint loss channel at config.eta.  Raises if any phase's elements fail
-    to resolve the identity within tolerance.
+    adjoint loss channel at config.eta, all phases and bins in one call.
+    Raises if any phase's elements fail to resolve the identity within
+    tolerance.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
-    channel = LossChannel(config.eta)
-    povm = np.empty((thetas.size, config.n_bins, config.dim, config.dim), dtype=np.complex128)
+    raw = np.empty((thetas.size, config.n_bins, config.dim, config.dim), dtype=np.complex128)
+    for i, theta in enumerate(thetas):
+        raw[i] = _bin_integrated_projectors(config.dim, float(theta), config)
+    povm = loss_adjoint_on_operator(raw, LossChannel(config.eta))
     eye = np.eye(config.dim)
     for i, theta in enumerate(thetas):
-        raw = _bin_integrated_projectors(config.dim, float(theta), config)
-        for b in range(config.n_bins):
-            povm[i, b] = loss_adjoint_on_operator(raw[b], channel)
         residual = np.linalg.norm(povm[i].sum(axis=0) - eye, ord=2)
         if residual > TOL.completeness:
             raise NumericalError(
@@ -169,14 +174,36 @@ def build_povm(config: TomographyConfig, thetas) -> np.ndarray:
     return povm
 
 
+def _occupied_rows(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of the occupied bins and their POVM elements as real rows.
+
+    Row j is E_j flattened and viewed as float64, shape (J, 2 dim^2), so for
+    Hermitian rho the Born probability Tr[rho E_j] is a real dot product of
+    the row with the float64 view of vec(rho): sum Re E Re rho + Im E Im rho.
+    """
+    counts = data.counts.reshape(-1)
+    occupied = counts > 0
+    dim = povm.shape[-1]
+    # boolean indexing returns a fresh C-ordered array, so viewing it as float64 copies nothing
+    elements = np.asarray(povm, dtype=np.complex128).reshape(-1, dim, dim)[occupied]
+    return counts[occupied], elements.reshape(elements.shape[0], -1).view(np.float64)
+
+
+def _born(rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr[rho E_j] for every row of ``_occupied_rows`` (rho Hermitian)."""
+    return rows @ np.ascontiguousarray(rho, dtype=np.complex128).reshape(-1).view(np.float64)
+
+
+def _weighted_sum(weights: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
+    """sum_j weights_j E_j as a (dim, dim) complex matrix."""
+    return (weights @ rows).view(np.complex128).reshape(dim, dim)
+
+
 def loglikelihood(rho: DensityMatrix, data: BinnedData, povm: np.ndarray) -> float:
     """L = sum_j f_j log Tr[rho E_j] over occupied bins (floored at 1e-300)."""
-    counts = data.counts.reshape(-1)
-    elements = povm.reshape(-1, rho.dim, rho.dim)
-    occupied = counts > 0
-    probs = np.einsum("jmn,nm->j", elements[occupied], rho.elems, optimize=True).real
-    floored = np.maximum(probs, _PROB_FLOOR)
-    return float(np.sum(counts[occupied] * np.log(floored)))
+    counts, rows = _occupied_rows(data, povm)
+    floored = np.maximum(_born(rows, rho.elems), _PROB_FLOOR)
+    return float(np.sum(counts * np.log(floored)))
 
 
 @dataclass
@@ -186,6 +213,7 @@ class ReconstructionDiagnostics:
     final_loglik: float = math.nan
     loglik_per_sample: float = math.nan
     completeness_residual: float = math.nan
+    ml_gap_nats: float = math.nan
     loglik_trace: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -197,6 +225,7 @@ class ReconstructionDiagnostics:
             "final_loglik": self.final_loglik,
             "loglik_per_sample": self.loglik_per_sample,
             "completeness_residual": self.completeness_residual,
+            "ml_gap_nats": self.ml_gap_nats,
             "warnings": self.warnings,
         }
 
@@ -231,11 +260,7 @@ def reconstruct(
         for i in range(povm.shape[0])
     )
 
-    counts = data.counts.reshape(-1).astype(np.float64)
-    elements = povm.reshape(-1, config.dim, config.dim)
-    occupied = counts > 0
-    c = counts[occupied]
-    e = np.ascontiguousarray(elements[occupied])
+    c, rows = _occupied_rows(data, povm)
     total = float(c.sum())
 
     if initial is None:
@@ -248,7 +273,7 @@ def reconstruct(
     floor_warning = "bin probability floored at 1e-300"
 
     def loglik_of(mat: np.ndarray) -> tuple[float, np.ndarray]:
-        probs = np.einsum("jmn,nm->j", e, mat, optimize=True).real
+        probs = _born(rows, mat)
         floored = np.maximum(probs, _PROB_FLOOR)
         if np.any(probs <= 0.0) and floor_warning not in diag.warnings:
             diag.warnings.append(floor_warning)
@@ -260,7 +285,7 @@ def reconstruct(
     threshold = TOL.ml_stop_gain * total
 
     for iteration in range(1, config.max_iterations + 1):
-        r_op = np.einsum("j,jmn->mn", c / probs, e, optimize=True) / total
+        r_op = _weighted_sum(c / probs, rows, config.dim) / total
         accepted = False
         while lam > 1e-14:
             step = eye + lam * r_op
@@ -288,6 +313,10 @@ def reconstruct(
         diag.warnings.append(
             f"no convergence after {config.max_iterations} iterations; best iterate returned"
         )
+    # certified distance to the optimum, L* - L(rho) <= N (lambda_max(R(rho)) - 1)
+    # (Glancy, Knill & Girard, NJP 14, 095017, 2012); reported, not a stop rule
+    r_op = _weighted_sum(c / probs, rows, config.dim) / total
+    diag.ml_gap_nats = total * float(np.linalg.eigvalsh(0.5 * (r_op + r_op.conj().T))[-1] - 1.0)
     diag.final_loglik = loglik
     diag.loglik_per_sample = loglik / total
     return DensityMatrix(config.dim, rho), diag

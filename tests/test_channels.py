@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim.channels import LossChannel, apply_loss, loss_adjoint_on_operator, loss_kraus
@@ -110,3 +112,46 @@ def test_adjoint_rejects_malformed():
         loss_adjoint_on_operator(skew, channel)
     with pytest.raises(ValueError):
         loss_adjoint_on_operator(2.0 * np.eye(4), channel)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eta=st.floats(0.0, 1.0),
+    shape=st.sampled_from([(1,), (5,), (2, 3), (3, 1, 2)]),
+    dim=st.integers(2, 9),
+)
+def test_adjoint_stack_matches_per_matrix(seed, eta, shape, dim):
+    rng = np.random.default_rng(seed)
+    channel = LossChannel(eta)
+    stack = np.array([random_effect(rng, dim) for _ in range(int(np.prod(shape)))])
+    stack = stack.reshape(*shape, dim, dim)
+    out = loss_adjoint_on_operator(stack, channel)
+    assert out.shape == stack.shape
+    for index in np.ndindex(*shape):
+        assert np.max(np.abs(out[index] - loss_adjoint_on_operator(stack[index], channel))) <= 1e-13
+
+
+def test_adjoint_stack_rejects_one_bad_element():
+    rng = np.random.default_rng(26)
+    channel = LossChannel(0.66)
+    stack = np.array([random_effect(rng, 6) for _ in range(12)]).reshape(3, 4, 6, 6)
+    loss_adjoint_on_operator(stack, channel)  # a valid stack passes
+
+    skew = stack.copy()
+    skew[2, 1, 0, 3] += 1e-6j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        loss_adjoint_on_operator(skew, channel)
+
+    # random_effect spans eigenvalues [0, 1] exactly
+    too_big = stack.copy()
+    too_big[1, 3] *= 1.01
+    with pytest.raises(ValueError, match="bounds violated"):
+        loss_adjoint_on_operator(too_big, channel)
+
+    negative = stack.copy()
+    negative[0, 0] -= 0.01 * np.eye(6)
+    with pytest.raises(ValueError, match="bounds violated"):
+        loss_adjoint_on_operator(negative, channel)
+
+    with pytest.raises(ValueError):
+        loss_adjoint_on_operator(np.zeros((2, 3, 4)), channel)

@@ -1,5 +1,7 @@
+import csv
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from kerrsim.errors import NumericalError
 from kerrsim.fock import DensityMatrix, basis_state, coherent_state, density_from_pure
 from kerrsim.homodyne import (
     PhaseSchedule,
+    SampleBatch,
     default_schedule,
     load_samples,
     projector_matrix,
@@ -180,3 +183,40 @@ def test_sample_roundtrip(tmp_path):
     with pytest.warns(UserWarning, match="seed unknown"):
         unseeded = load_samples(path)
     assert unseeded.seed == 0 and np.array_equal(unseeded.xs, batch.xs)
+
+
+def test_load_samples_bit_identical_to_float_parsing(tmp_path):
+    rng = np.random.default_rng(44)
+    xs = np.concatenate([
+        rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, size=2000),
+        [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3],
+    ])
+    thetas = np.repeat(np.arange(3) * math.pi / 3, xs.size // 3 + 1)[: xs.size]
+    path = tmp_path / "samples.csv"
+    save_samples(SampleBatch(thetas, xs, seed=4), path)
+    # rows typed by hand, not by repr: short decimals, exponents, 17+ digits
+    with open(path, "a", newline="") as fh:
+        fh.write("0.5,1e-5\r\n2.0943951023931957,-3.14159265358979323846264\r\n1,7E+2\r\n")
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected_t = np.array([float(r[0]) for r in rows])
+    expected_x = np.array([float(r[1]) for r in rows])
+    loaded = load_samples(path)
+    assert loaded.seed == 4
+    assert np.array_equal(loaded.thetas.view(np.int64), expected_t.view(np.int64))
+    assert np.array_equal(loaded.xs.view(np.int64), expected_x.view(np.int64))
+    assert np.array_equal(loaded.xs[: xs.size].view(np.int64), xs.view(np.int64))
+
+
+def test_load_samples_header_only(tmp_path):
+    path = tmp_path / "samples.csv"
+    save_samples(SampleBatch(np.array([0.0]), np.array([0.1]), seed=2), path)
+    path.write_text("theta,x\r\n")  # the sidecar stays, so no warning is due
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_samples(path)
+    assert len(loaded) == 0 and loaded.seed == 2
+    path.write_text("")
+    with pytest.raises(ValueError, match="header"):
+        load_samples(path)

@@ -249,3 +249,108 @@ def test_matrix_json_roundtrip(tmp_path):
     assert payload["schema_version"] == 1
     assert payload["dim"] == 8
     assert len(payload["re"]) == 8 and len(payload["im"]) == 8
+
+
+def _reference_reconstruct(data, cfg, povm):
+    """Diluted RrhoR written out with complex einsum contractions, as a check on
+    the real flat map inside ``reconstruct``; same dilution and stopping rules."""
+    counts = data.counts.reshape(-1)
+    occupied = counts > 0
+    c = counts[occupied]
+    e = povm.reshape(-1, cfg.dim, cfg.dim)[occupied]
+    total = c.sum()
+    eye = np.eye(cfg.dim)
+    rho = eye.astype(complex) / cfg.dim
+
+    def loglik_of(mat):
+        probs = np.maximum(np.einsum("jmn,nm->j", e, mat).real, 1e-300)
+        return float(np.sum(c * np.log(probs))), probs
+
+    loglik, probs = loglik_of(rho)
+    trace = [loglik]
+    lam = cfg.dilution
+    converged = False
+    for iteration in range(1, cfg.max_iterations + 1):
+        r_op = np.einsum("j,jmn->mn", c / probs, e) / total
+        accepted = False
+        while lam > 1e-14:
+            step = eye + lam * r_op
+            cand = step @ rho @ step
+            cand = 0.5 * (cand + cand.conj().T)
+            cand /= np.trace(cand).real
+            cand_loglik, cand_probs = loglik_of(cand)
+            if cand_loglik >= loglik:
+                accepted = True
+                break
+            lam *= 0.5
+        if not accepted:
+            converged = True
+            break
+        gain = cand_loglik - loglik
+        rho, loglik, probs = cand, cand_loglik, cand_probs
+        trace.append(loglik)
+        lam = min(2.0 * lam, cfg.dilution)
+        if gain < 1e-9 * total:
+            converged = True
+            break
+    r_op = np.einsum("j,jmn->mn", c / probs, e) / total
+    gap = total * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
+    return rho, iteration, converged, np.array(trace), gap
+
+
+@pytest.mark.parametrize("eta, max_iterations", [(1.0, 2000), (0.66, 150)])
+def test_reconstruct_matches_einsum_reference(eta, max_iterations):
+    cfg = TomographyConfig(eta=eta, max_iterations=max_iterations)
+    batch = sample_quadratures(
+        ideal_gate_output(0.53), default_schedule(11, n_phases=4, samples_per_phase=1500), eta=eta
+    )
+    data = bin_samples(batch, cfg)
+    povm = build_povm(cfg, data.thetas)
+    rho_ref, iterations, converged, trace, gap = _reference_reconstruct(data, cfg, povm)
+    rho_hat, diag = reconstruct(data, cfg, povm)
+
+    assert diag.iterations == iterations
+    assert diag.converged == converged
+    assert_allclose(diag.loglik_trace, trace, rtol=1e-9, atol=0)
+    assert_allclose(rho_hat.elems, rho_ref, atol=1e-10)
+    assert_allclose(diag.final_loglik, loglikelihood(rho_hat, data, povm), rtol=1e-12)
+    # the certified gap bounds L* - L(rho_hat) from above, so it is never negative
+    assert diag.ml_gap_nats == pytest.approx(gap, rel=1e-6, abs=1e-9)
+    assert diag.ml_gap_nats >= -1e-9 * data.total
+    assert diag.to_dict()["ml_gap_nats"] == diag.ml_gap_nats
+
+
+def _reference_bin_counts(samples, cfg):
+    """Per-phase mask, digitize and np.add.at: the straightforward histogram."""
+    edges = cfg.bin_edges()
+    thetas = np.unique(samples.thetas)
+    counts = np.zeros((thetas.size, cfg.n_bins))
+    out_of_range = 0
+    for i, theta in enumerate(thetas):
+        idx = np.digitize(samples.xs[samples.thetas == theta], edges, right=False)
+        in_range = (idx >= 1) & (idx <= cfg.n_bins)
+        out_of_range += int(np.count_nonzero(~in_range))
+        np.add.at(counts[i], idx[in_range] - 1, 1.0)
+    return thetas, counts, out_of_range
+
+
+def test_bin_samples_matches_per_phase_reference():
+    cfg = TomographyConfig(bin_width=0.25)
+    edges = cfg.bin_edges()
+    rng = np.random.default_rng(43)
+    thetas = rng.choice([0.0, 0.7, 1.9, 3.0], size=3000)
+    xs = 2.5 * rng.normal(size=3000)
+    # every edge, both ends of the range and values outside it, on every phase
+    special = np.concatenate([edges, [-6.0, 6.0, -6.000001, 6.000001, -1e9, 1e9, np.nextafter(6.0, 0)]])
+    thetas = np.concatenate([thetas, np.repeat([0.0, 0.7, 1.9, 3.0], special.size)])
+    xs = np.concatenate([xs, np.tile(special, 4)])
+    order = rng.permutation(xs.size)  # phases interleaved, not in blocks
+    batch = SampleBatch(thetas[order], xs[order], seed=0)
+
+    data = bin_samples(batch, cfg)
+    ref_thetas, ref_counts, ref_out = _reference_bin_counts(batch, cfg)
+    assert np.array_equal(data.thetas, ref_thetas)
+    assert np.array_equal(data.counts, ref_counts)
+    assert data.out_of_range == ref_out
+    assert data.out_of_range >= 4 * 5  # x_max itself and beyond, each phase
+    assert data.total + data.out_of_range == xs.size
