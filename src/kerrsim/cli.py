@@ -3,14 +3,18 @@
 Subcommands: ``pipeline`` (full run), ``simulate`` (forward model only),
 ``sample`` (quadrature data), ``reconstruct`` (from a sample CSV), ``klm``
 (detector comparison table), ``solve`` (print gate algebra).  Exit codes:
-0 success, 2 invalid configuration or unusable sample file, 3 numerical
-failure (stage named on stderr); reconstruction warnings go to stderr.
+0 success, 2 invalid configuration, unusable sample file or an output that
+cannot be written (path named on stderr), 3 numerical failure (stage named
+on stderr); reconstruction warnings go to stderr.  ``kerrsim --verbose``
+logs each pipeline stage's wall time to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import os
 import sys
 
@@ -165,6 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kerrsim",
         description="Simulate the measurement-induced Kerr gate pipeline",
     )
+    parser.add_argument(
+        "--verbose", action="store_true", help="log each stage's wall time to stderr"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="print the gate algebra and NS-gate settings")
@@ -194,10 +201,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _stage_log(verbose: bool):
+    """While active, the "kerrsim" logger's INFO lines (stage timings) go to stderr."""
+    if not verbose:
+        yield
+        return
+    log = logging.getLogger("kerrsim")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with _stage_log(args.verbose):
+            return args.fn(args)
+    except OSError as exc:  # unreadable inputs already became ConfigError; this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -186,20 +187,38 @@ def sample_quadratures(
     return SampleBatch(np.concatenate(thetas_out), np.concatenate(xs_out), schedule.seed)
 
 
+def _sidecar_path(csv_path: str) -> str:
+    """``samples.csv`` -> ``samples_meta.json``, beside the CSV."""
+    return os.path.splitext(csv_path)[0] + "_meta.json"
+
+
 def save_samples(batch: SampleBatch, csv_path, meta: dict | None = None) -> None:
-    """Write samples as CSV (header theta,x) plus a seed-recording sidecar JSON."""
+    """Write samples as CSV (header theta,x) plus a seed-recording sidecar JSON.
+
+    Each row is ``repr(theta),repr(x)`` with CRLF line ends, the bytes
+    ``csv.writer`` gives.  The sampler writes each phase as one run of rows,
+    so a run's ``repr(theta) + ","`` is formatted once and joined in front of
+    every x of the run.
+    """
     csv_path = str(csv_path)
+    n = len(batch)
+    bits = batch.thetas.view(np.int64)
+    # runs split on the bit pattern, not on !=, so 0.0 and -0.0 keep their own repr
+    heads = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+    edges = [0, *heads, n] if n else []
     with atomic_open(csv_path, newline="") as fh:
         fh.write("theta,x\r\n")
-        # bounded chunks keep the formatted text small next to the batch itself
-        for start in range(0, len(batch), _CSV_CHUNK_ROWS):
-            rows = slice(start, start + _CSV_CHUNK_ROWS)
-            pairs = zip(batch.thetas[rows].tolist(), batch.xs[rows].tolist())
-            fh.write("".join(f"{t!r},{x!r}\r\n" for t, x in pairs))
-    sidecar = {"schema_version": 1, "seed": batch.seed, "count": len(batch)}
+        for start, stop in zip(edges, edges[1:]):
+            prefix = repr(float(batch.thetas[start])) + ","
+            sep = "\r\n" + prefix
+            # bounded chunks keep the formatted text small next to the batch itself
+            for lo in range(start, stop, _CSV_CHUNK_ROWS):
+                xs = batch.xs[lo:min(lo + _CSV_CHUNK_ROWS, stop)].tolist()
+                fh.write(prefix + sep.join(map(repr, xs)) + "\r\n")
+    sidecar = {"schema_version": 1, "seed": batch.seed, "count": n}
     if meta:
         sidecar.update(meta)
-    write_json(csv_path.rsplit(".", 1)[0] + "_meta.json", sidecar)
+    write_json(_sidecar_path(csv_path), sidecar)
 
 
 def load_samples(csv_path) -> SampleBatch:
@@ -218,7 +237,7 @@ def load_samples(csv_path) -> SampleBatch:
             warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
             body = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
     seed = 0
-    meta_path = csv_path.rsplit(".", 1)[0] + "_meta.json"
+    meta_path = _sidecar_path(csv_path)
     try:
         with open(meta_path) as fh:
             seed = int(json.load(fh).get("seed", 0))

@@ -3,13 +3,17 @@ reconstruct -> compare, with seeded configs and JSON/CSV artifacts.
 
 A run is deterministic given its config and seed; every output file is
 written atomically through ``artifacts.atomic_open``, and JSON files carry a
-schema_version field.
+schema_version field.  Each stage logs its wall time at INFO level on the
+``kerrsim`` logger (``kerrsim --verbose``); no timing enters an artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import logging
 import math
 import os
+import time
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -65,6 +69,8 @@ BESTFIT_RATIO_MAGNITUDE = 5.97
 BESTFIT_RATIO_PHASE = math.pi - math.pi / 7.0
 
 _MODES = ("ideal", "bestfit", "custom")
+
+_log = logging.getLogger("kerrsim")
 
 
 @dataclass(frozen=True)
@@ -241,14 +247,24 @@ def _versions() -> dict:
     return {"kerrsim": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _stage(name, fn, *args, **kwargs):
-    """Call fn, reporting any failure as a StageError that names the stage."""
-    try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
+@contextlib.contextmanager
+def _timed(name: str, alpha: float | None):
+    """Log the block's wall time, if it completes, as one line naming the stage."""
+    start = time.perf_counter()
+    yield
+    where = "" if alpha is None else f" alpha={alpha:g}"
+    _log.info("stage %s%s: %.3f s", name, where, time.perf_counter() - start)
+
+
+def _stage(name, alpha, fn, *args, **kwargs):
+    """Call fn, timing it and reporting any failure as a StageError that names the stage."""
+    with _timed(name, alpha):
+        try:
+            return fn(*args, **kwargs)
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError(name, str(exc)) from exc
 
 
 def simulate_forward(
@@ -268,10 +284,10 @@ def simulate_forward(
 
 def _model(config: ExperimentConfig, alpha: float):
     """Output at the simulation cutoff, the model panels at recon_dim, weight and tail."""
-    psi_in, psi_out, weight = _stage("forward-model", simulate_forward, config, alpha)
+    psi_in, psi_out, weight = _stage("forward-model", alpha, simulate_forward, config, alpha)
     rho_out_full = density_from_pure(psi_out)
     rho_in, _ = truncate_density(density_from_pure(psi_in), config.recon_dim)
-    rho_out, tail = _stage("truncate", truncate_density, rho_out_full, config.recon_dim)
+    rho_out, tail = _stage("truncate", alpha, truncate_density, rho_out_full, config.recon_dim)
     return rho_out_full, {"input_model": rho_in, "output_model": rho_out}, weight, tail
 
 
@@ -291,13 +307,15 @@ def simulate(config: ExperimentConfig) -> list[dict]:
     summary = []
     for alpha in config.alphas:
         _, panels, weight, tail = _model(config, alpha)
-        _save_panels(config, alpha, panels)
+        with _timed("emit", alpha):
+            _save_panels(config, alpha, panels)
         summary.append({"alpha": alpha, "success_weight": weight, "model_tail": tail})
-    write_json(
-        os.path.join(config.outdir, "simulate.json"),
-        {"schema_version": 1, "config": config.to_dict(), "records": summary,
-         "versions": _versions()},
-    )
+    with _timed("emit", None):
+        write_json(
+            os.path.join(config.outdir, "simulate.json"),
+            {"schema_version": 1, "config": config.to_dict(), "records": summary,
+             "versions": _versions()},
+        )
     return summary
 
 
@@ -307,14 +325,13 @@ def _run_alpha(
     rho_out_full, panels, weight, tail = _model(config, alpha)
     rho_in, rho_out = panels["input_model"], panels["output_model"]
     batch = _stage(
-        "sample", sample_quadratures, rho_out_full, config.schedule(index), config.eta
+        "sample", alpha, sample_quadratures, rho_out_full, config.schedule(index), config.eta
     )
     tomo = config.tomography()
-    binned = _stage("bin", bin_samples, batch, tomo)
-    rho_hat, diag = _stage("reconstruct", reconstruct, binned, tomo, povm)
-    for matrix in (rho_in, rho_out, rho_hat):
-        _stage("validate", matrix.validate)
-    fid = _stage("compare", fidelity, rho_hat, rho_out)
+    binned = _stage("bin", alpha, bin_samples, batch, tomo)
+    rho_hat, diag = _stage("reconstruct", alpha, reconstruct, binned, tomo, povm)
+    _stage("validate", alpha, lambda: [m.validate() for m in (rho_in, rho_out, rho_hat)])
+    fid = _stage("compare", alpha, fidelity, rho_hat, rho_out)
 
     record = AlphaRecord(
         alpha=alpha,
@@ -338,13 +355,15 @@ def _run_alpha(
             )
 
     if emit:
-        adir = _save_panels(config, alpha, {**panels, "output_reconstructed": rho_hat})
-        meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
-        save_samples(batch, os.path.join(adir, "samples.csv"), meta=meta)
-        write_json(
-            os.path.join(adir, "reconstruction_diag.json"),
-            {"schema_version": 1, "out_of_range": binned.out_of_range, **diag.to_dict()},
-        )
+        # not a _stage: a failed write is an OSError, not a numerical failure
+        with _timed("emit", alpha):
+            adir = _save_panels(config, alpha, {**panels, "output_reconstructed": rho_hat})
+            meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
+            save_samples(batch, os.path.join(adir, "samples.csv"), meta=meta)
+            write_json(
+                os.path.join(adir, "reconstruction_diag.json"),
+                {"schema_version": 1, "out_of_range": binned.out_of_range, **diag.to_dict()},
+            )
     return record
 
 
@@ -359,13 +378,14 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
     if emit:
         os.makedirs(config.outdir, exist_ok=True)
     thetas = [theta for theta, _ in config.schedule(0).phases]
-    povm = _stage("povm", build_povm, config.tomography(), thetas)
+    povm = _stage("povm", None, build_povm, config.tomography(), thetas)
 
     report = RunReport(config=config, versions=_versions())
     for index, alpha in enumerate(config.alphas):
         report.records.append(_run_alpha(config, index, alpha, povm, emit))
     if emit:
-        write_json(os.path.join(config.outdir, "report.json"), report.to_dict())
+        with _timed("emit", None):
+            write_json(os.path.join(config.outdir, "report.json"), report.to_dict())
     return report
 
 

@@ -2,11 +2,14 @@ import csv
 import math
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from kerrsim import homodyne
 from kerrsim.errors import NumericalError
 from kerrsim.fock import DensityMatrix, basis_state, coherent_state, density_from_pure
 from kerrsim.homodyne import (
@@ -220,3 +223,80 @@ def test_load_samples_header_only(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="header"):
         load_samples(path)
+
+
+def _reference_csv(batch):
+    """The row-by-row writer save_samples replaced: two reprs per row, CRLF ends."""
+    rows = zip(batch.thetas.tolist(), batch.xs.tolist())
+    return ("theta,x\r\n" + "".join(f"{t!r},{x!r}\r\n" for t, x in rows)).encode()
+
+
+def _saved_bytes(batch, path):
+    save_samples(batch, path)
+    return path.read_bytes()
+
+
+_EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 9999999999999998.0,
+                0.0001, math.pi, -1.5)
+
+
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from((0.0, -0.0)), st.sampled_from(_EDGE_FLOATS), st.floats()),
+            st.integers(1, 7),
+        ),
+        max_size=12,
+    ),
+    xs_pool=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20),
+    chunk=st.integers(1, 5),
+)
+def test_save_samples_bytes_match_row_writer(runs, xs_pool, chunk, tmp_path_factory):
+    # runs of equal theta of any length, adjacent runs may repeat a theta or
+    # differ only in sign of zero; small chunks put chunk edges inside runs
+    thetas = np.array([t for t, count in runs for _ in range(count)], dtype=np.float64)
+    xs = np.resize(np.array(xs_pool), thetas.size)
+    batch = SampleBatch(thetas, xs, seed=3)
+    path = tmp_path_factory.mktemp("csv") / "samples.csv"
+    with mock.patch.object(homodyne, "_CSV_CHUNK_ROWS", chunk):
+        assert _saved_bytes(batch, path) == _reference_csv(batch)
+
+
+@pytest.mark.parametrize(
+    "thetas, xs",
+    [
+        ([], []),
+        ([0.5], [-0.25]),
+        ([0.0, -0.0, 0.0, -0.0], [1.0, 2.0, 3.0, 4.0]),
+        ([math.nan, math.nan, math.inf, -math.inf], [math.nan, math.inf, -math.inf, 0.0]),
+        ([5e-324, 5e-324, -5e-324], [5e-324, -0.0, 1.7976931348623157e308]),
+        ([1e16, 1e16, 1e-5, 1e-5], [1e16, 9999999999999998.0, 1e-5, 0.0001]),
+        ([0.0, 1.0, 0.0, 1.0], [0.1, 0.2, 0.3, 0.4]),
+    ],
+    ids=["empty", "one-row", "signed-zero-runs", "nan-inf", "subnormal", "exponent-switch",
+         "interleaved"],
+)
+def test_save_samples_edge_rows(thetas, xs, tmp_path):
+    batch = SampleBatch(np.array(thetas, dtype=np.float64), np.array(xs, dtype=np.float64), 1)
+    assert _saved_bytes(batch, tmp_path / "samples.csv") == _reference_csv(batch)
+
+
+def test_save_samples_default_batch_bytes(tmp_path):
+    rho = density_from_pure(coherent_state(0.53, 16))
+    batch = sample_quadratures(rho, default_schedule(seed=20230), eta=0.66)
+    assert len(batch) == 12 * 16667
+    assert _saved_bytes(batch, tmp_path / "samples.csv") == _reference_csv(batch)
+
+
+def test_sidecar_beside_extensionless_path_in_dotted_dir(tmp_path):
+    batch = SampleBatch(np.array([0.0, 0.5]), np.array([0.1, -0.2]), seed=6)
+    rundir = tmp_path / "run.v2"
+    rundir.mkdir()
+    save_samples(batch, rundir / "samples", meta={"alpha": 0.53})
+    assert sorted(os.listdir(tmp_path)) == ["run.v2"]
+    assert sorted(os.listdir(rundir)) == ["samples", "samples_meta.json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_samples(rundir / "samples").seed == 6
+    save_samples(batch, rundir / "samples.csv")  # a .csv path keeps its sidecar name
+    assert sorted(os.listdir(rundir)) == ["samples", "samples.csv", "samples_meta.json"]

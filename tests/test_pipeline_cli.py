@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -359,3 +360,44 @@ def test_cli_klm(tmp_path, capsys):
     assert payload["schema_version"] == 1
     stdout = capsys.readouterr().out
     assert "ns_gate" in stdout
+
+
+SMALL = ["--alpha", "0.53", "--phases", "3", "--samples-per-phase", "200"]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "simulate", "sample", "reconstruct", "klm"])
+def test_cli_unwritable_output_exit_code(tmp_path, capsys, command):
+    extra = []
+    if command == "reconstruct":
+        assert main(["sample", *SMALL, "--out", str(tmp_path / "data")]) == 0
+        extra = ["--samples", str(tmp_path / "data" / "alpha_0.53" / "samples.csv")]
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    capsys.readouterr()
+    assert main([command, *SMALL, *extra, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+    assert out in err[0]
+
+
+def test_cli_verbose_logs_stage_timings(tmp_path, capsys, caplog):
+    out = str(tmp_path / "run")
+    args = ["pipeline", *SMALL, "--alpha", "0.23", "--out", out]
+    assert main(args) == 0
+    quiet = Path(out, "report.json").read_bytes()
+    assert not [r for r in caplog.records if r.name == "kerrsim"]
+    assert "stage" not in capsys.readouterr().err
+
+    assert main(["--verbose", *args]) == 0
+    assert Path(out, "report.json").read_bytes() == quiet
+    lines = [r.getMessage() for r in caplog.records if r.name == "kerrsim"]
+    assert capsys.readouterr().err.splitlines() == [f"kerrsim: {line}" for line in lines]
+    logged = [re.fullmatch(r"stage (\S+?)(?: alpha=(\S+))?: \d+\.\d{3} s", line).groups()
+              for line in lines]
+    per_alpha = ["forward-model", "truncate", "sample", "bin", "reconstruct", "validate",
+                 "compare", "emit"]
+    assert logged == [("povm", None),
+                      *[(stage, "0.53") for stage in per_alpha],
+                      *[(stage, "0.23") for stage in per_alpha],
+                      ("emit", None)]
