@@ -5,8 +5,9 @@ Subcommands: ``pipeline`` (full run), ``simulate`` (forward model only),
 (detector comparison table), ``solve`` (print gate algebra).  Exit codes:
 0 success, 2 invalid configuration, unusable sample file or an output that
 cannot be written (path named on stderr), 3 numerical failure (stage named
-on stderr); reconstruction warnings go to stderr.  ``kerrsim --verbose``
-logs each pipeline stage's wall time to stderr.
+on stderr); reconstruction warnings go to stderr.  Each subcommand but
+``solve`` is one ``pipeline`` entry point; ``kerrsim --verbose`` logs its
+stages' wall times and each reconstruction's convergence to stderr.
 """
 
 from __future__ import annotations
@@ -18,21 +19,19 @@ import logging
 import os
 import sys
 
-from .artifacts import alpha_dir, write_json
 from .errors import ConfigError, KerrsimError, StageError
-from .fock import density_from_pure
 from .gates import solve_superposition
-from .homodyne import load_samples, save_samples, sample_quadratures
 from .klm import solve_ns_transmittances
 from .pipeline import (
     ExperimentConfig,
-    klm_compare,
+    klm_table,
+    reconstruct_file,
     run_pipeline,
+    sample,
     simulate,
-    simulate_forward,
-    write_klm_report,
 )
-from .tomography import bin_samples, reconstruct, save_density_matrix
+# names the benchmark tracer wraps on this module (perfbench/tracing.py WRAP_POINTS)
+from .pipeline import bin_samples, load_samples, reconstruct, sample_quadratures, save_density_matrix, save_samples, simulate_forward  # noqa: F401
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,9 +62,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             payload[key] = value
-    config = ExperimentConfig.from_dict(payload)
-    config.validate()
-    return config
+    return ExperimentConfig.from_dict(payload)  # each entry point validates it
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -96,55 +93,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    for index, alpha in enumerate(config.alphas):
-        _, psi_out, _ = simulate_forward(config, alpha)
-        batch = sample_quadratures(
-            density_from_pure(psi_out), config.schedule(index), config.eta
-        )
-        adir = alpha_dir(config.outdir, alpha)
-        os.makedirs(adir, exist_ok=True)
-        meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
-        save_samples(batch, os.path.join(adir, "samples.csv"), meta=meta)
+    for alpha, batch in zip(config.alphas, sample(config)):
         print(f"alpha={alpha:g}: {len(batch)} samples")
     return 0
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    try:
-        batch = load_samples(args.samples)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read samples from {args.samples}: {exc}") from exc
-    tomo = config.tomography()
-    try:
-        binned = bin_samples(batch, tomo)
-        rho_hat, diag = reconstruct(binned, tomo)
-    except ValueError as exc:  # no sample, or none inside the binning range
-        raise ConfigError(f"cannot reconstruct from {args.samples}: {exc}") from exc
-    os.makedirs(config.outdir, exist_ok=True)
-    matrix_path = os.path.join(config.outdir, "reconstructed.json")
-    save_density_matrix(rho_hat, matrix_path)
-    write_json(
-        os.path.join(config.outdir, "reconstruction_diag.json"),
-        {"schema_version": 1, "out_of_range": binned.out_of_range, **diag.to_dict()},
-    )
+    _, diag = reconstruct_file(config, args.samples)
     for warning in diag.warnings:
         print(f"warning: {args.samples}: {warning}", file=sys.stderr)
+    matrix_path = os.path.join(config.outdir, "reconstructed.json")
     print(f"reconstruction written to {matrix_path} ({diag.iterations} iterations)")
     return 0
 
 
 def _cmd_klm(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    rows = klm_compare(eta_heralds=config.eta)
-    csv_path, json_path = write_klm_report(rows, config.outdir)
+    rows = klm_table(config)
     print("probe        scheme                 detector eta    fidelity  success")
     for row in rows:
         print(
             f"{row['probe']:<13}{row['scheme']:<23}{row['detector']:<9}"
             f"{row['eta']:<7.3g}{row['fidelity']:<10.6f}{row['success']:.6f}"
         )
-    print(f"table written to {csv_path} and {json_path}")
+    table = os.path.join(config.outdir, "klm_table")
+    print(f"table written to {table}.csv and {table}.json")
     return 0
 
 
@@ -155,6 +129,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         print(
             f"alpha={record.alpha:g}: fidelity(recon, model)={record.fidelity_model:.4f} "
             f"weight={record.success_weight:.4f} "
+            f"ml_gap={record.diagnostics.ml_gap_nats:.3g} nats "
             f"signs(model)={'ok' if record.signs_model.vacuum_flip_visible() else 'violated'} "
             f"signs(recon)={'ok' if record.signs_reconstructed.vacuum_flip_visible() else 'violated'}"
         )
@@ -170,33 +145,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate the measurement-induced Kerr gate pipeline",
     )
     parser.add_argument(
-        "--verbose", action="store_true", help="log each stage's wall time to stderr"
+        "--verbose", action="store_true",
+        help="log each stage's wall time and each reconstruction's convergence to stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="print the gate algebra and NS-gate settings")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("pipeline", help="full run: model, sampling, reconstruction")
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_pipeline)
-
-    p = sub.add_parser("simulate", help="forward model only")
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("sample", help="generate quadrature data")
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_sample)
-
-    p = sub.add_parser("reconstruct", help="reconstruct from a sample CSV")
-    _add_config_flags(p)
-    p.add_argument("--samples", required=True, help="sample CSV written by 'sample'")
-    p.set_defaults(fn=_cmd_reconstruct)
-
-    p = sub.add_parser("klm", help="detector comparison table for the NS gate")
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_klm)
+    for name, fn, text in (
+        ("pipeline", _cmd_pipeline, "full run: model, sampling, reconstruction"),
+        ("simulate", _cmd_simulate, "forward model only"),
+        ("sample", _cmd_sample, "generate quadrature data"),
+        ("reconstruct", _cmd_reconstruct, "reconstruct from a sample CSV"),
+        ("klm", _cmd_klm, "detector comparison table for the NS gate"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_config_flags(p)
+        if name == "reconstruct":
+            p.add_argument("--samples", required=True, help="sample CSV written by 'sample'")
+        p.set_defaults(fn=fn)
 
     return parser
 

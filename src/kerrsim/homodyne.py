@@ -226,6 +226,7 @@ def load_samples(csv_path) -> SampleBatch:
 
     The body is parsed by NumPy's C reader, which rounds each decimal exactly
     as ``float()`` does, so a reloaded batch is bit-identical to the saved one.
+    A NaN or infinite theta or x raises ValueError; the sampler writes none.
     """
     csv_path = str(csv_path)
     with open(csv_path, newline="") as fh:
@@ -236,6 +237,9 @@ def load_samples(csv_path) -> SampleBatch:
             # a header-only file is an empty batch; the caller decides what that means
             warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
             body = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
+    finite = np.isfinite(body).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite theta or x in data row {int(np.argmin(finite)) + 1}")
     seed = 0
     meta_path = _sidecar_path(csv_path)
     try:

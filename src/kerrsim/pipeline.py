@@ -1,10 +1,15 @@
 """End-to-end experiment reproduction: prepare -> gate -> loss -> sample ->
 reconstruct -> compare, with seeded configs and JSON/CSV artifacts.
 
+``run_pipeline`` runs the whole chain; ``simulate``, ``sample``,
+``reconstruct_file`` and ``klm_table`` run its parts through the same stages
+and write the same artifacts, one entry point per ``kerrsim`` subcommand.
 A run is deterministic given its config and seed; every output file is
 written atomically through ``artifacts.atomic_open``, and JSON files carry a
 schema_version field.  Each stage logs its wall time at INFO level on the
-``kerrsim`` logger (``kerrsim --verbose``); no timing enters an artifact.
+``kerrsim`` logger (``kerrsim --verbose``), and each reconstruction logs its
+iterations, convergence flag and certified gap there; no timing enters an
+artifact.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -37,7 +43,14 @@ from .gates import (
     build_superposition_operator,
     solve_superposition,
 )
-from .homodyne import PhaseSchedule, default_schedule, sample_quadratures, save_samples
+from .homodyne import (
+    PhaseSchedule,
+    SampleBatch,
+    default_schedule,
+    load_samples,
+    sample_quadratures,
+    save_samples,
+)
 from .klm import DetectorModel, run_ns_gate, solve_ns_transmittances
 from .tomography import (
     ReconstructionDiagnostics,
@@ -55,8 +68,11 @@ __all__ = [
     "RunReport",
     "run_pipeline",
     "simulate",
+    "sample",
+    "reconstruct_file",
     "simulate_forward",
     "klm_compare",
+    "klm_table",
     "superposition_for_mode",
     "fix_global_phase",
     "BESTFIT_RATIO_MAGNITUDE",
@@ -95,6 +111,22 @@ class ExperimentConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            elif f.type == "float":
+                ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and math.isfinite(value))
+            elif f.type == "str":
+                ok = isinstance(value, str)
+            else:
+                continue
+            if not ok:
+                kind = "a finite real number" if f.type == "float" else f"of type {f.type}"
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if any(a < 0 or not math.isfinite(a) for a in self.alphas):
@@ -247,21 +279,27 @@ def _versions() -> dict:
     return {"kerrsim": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def _where(alpha: float | None) -> str:
+    return "" if alpha is None else f" alpha={alpha:g}"
+
+
 @contextlib.contextmanager
 def _timed(name: str, alpha: float | None):
     """Log the block's wall time, if it completes, as one line naming the stage."""
     start = time.perf_counter()
     yield
-    where = "" if alpha is None else f" alpha={alpha:g}"
-    _log.info("stage %s%s: %.3f s", name, where, time.perf_counter() - start)
+    _log.info("stage %s%s: %.3f s", name, _where(alpha), time.perf_counter() - start)
 
 
 def _stage(name, alpha, fn, *args, **kwargs):
-    """Call fn, timing it and reporting any failure as a StageError that names the stage."""
+    """Call fn, timing it and reporting any failure as a StageError that names the stage.
+
+    A ConfigError (an unusable input) passes through unchanged.
+    """
     with _timed(name, alpha):
         try:
             return fn(*args, **kwargs)
-        except StageError:
+        except (StageError, ConfigError):
             raise
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
@@ -271,14 +309,9 @@ def simulate_forward(
     config: ExperimentConfig, alpha: float
 ) -> tuple[FockVector, FockVector, float]:
     """Input state and phase-fixed conditional output at the simulation cutoff."""
-    try:
-        psi_in = coherent_state(alpha, config.sim_dim)
-        operator = build_superposition_operator(
-            superposition_for_mode(config), config.sim_dim
-        )
-        raw, weight = apply_conditional(operator, psi_in)
-    except Exception as exc:
-        raise StageError("forward-model", str(exc)) from exc
+    psi_in = coherent_state(alpha, config.sim_dim)
+    operator = build_superposition_operator(superposition_for_mode(config), config.sim_dim)
+    raw, weight = apply_conditional(operator, psi_in)
     return psi_in, fix_global_phase(raw), weight
 
 
@@ -291,6 +324,25 @@ def _model(config: ExperimentConfig, alpha: float):
     return rho_out_full, {"input_model": rho_in, "output_model": rho_out}, weight, tail
 
 
+def _sample(config: ExperimentConfig, index: int, alpha: float):
+    """The model stages, then the sample stage: the batch, model panels, weight and tail."""
+    rho_out_full, panels, weight, tail = _model(config, alpha)
+    batch = _stage(
+        "sample", alpha, sample_quadratures, rho_out_full, config.schedule(index), config.eta
+    )
+    return batch, panels, weight, tail
+
+
+def _reconstruct(alpha: float | None, binned, tomo: TomographyConfig, povm):
+    """The reconstruct stage, then one log line with its convergence."""
+    rho_hat, diag = _stage("reconstruct", alpha, reconstruct, binned, tomo, povm)
+    _log.info(
+        "reconstruct%s: %d iterations, converged=%s, ml_gap_nats=%.3g",
+        _where(alpha), diag.iterations, diag.converged, diag.ml_gap_nats,
+    )
+    return rho_hat, diag
+
+
 def _save_panels(config: ExperimentConfig, alpha: float, panels: dict) -> str:
     """Write each panel as <panel>.json plus tables/<panel>.csv; returns the alpha dir."""
     adir = alpha_dir(config.outdir, alpha)
@@ -299,6 +351,21 @@ def _save_panels(config: ExperimentConfig, alpha: float, panels: dict) -> str:
         save_density_matrix(rho, os.path.join(adir, f"{panel}.json"))
         write_matrix_table(os.path.join(adir, "tables", f"{panel}.csv"), rho)
     return adir
+
+
+def _save_batch(config: ExperimentConfig, alpha: float, batch: SampleBatch) -> None:
+    """Write <alpha dir>/samples.csv and its sidecar, which records alpha, eta and mode."""
+    adir = alpha_dir(config.outdir, alpha)
+    os.makedirs(adir, exist_ok=True)
+    meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
+    save_samples(batch, os.path.join(adir, "samples.csv"), meta=meta)
+
+
+def _save_diag(directory: str, binned, diag: ReconstructionDiagnostics) -> None:
+    write_json(
+        os.path.join(directory, "reconstruction_diag.json"),
+        {"schema_version": 1, "out_of_range": binned.out_of_range, **diag.to_dict()},
+    )
 
 
 def simulate(config: ExperimentConfig) -> list[dict]:
@@ -319,17 +386,58 @@ def simulate(config: ExperimentConfig) -> list[dict]:
     return summary
 
 
+def sample(config: ExperimentConfig) -> list[SampleBatch]:
+    """Sample every alpha as run_pipeline does and write its samples.csv plus sidecar."""
+    config.validate()
+    batches = []
+    for index, alpha in enumerate(config.alphas):
+        batch = _sample(config, index, alpha)[0]
+        with _timed("emit", alpha):
+            _save_batch(config, alpha, batch)
+        batches.append(batch)
+    return batches
+
+
+def _load(path: str) -> SampleBatch:
+    try:
+        return load_samples(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read samples from {path}: {exc}") from exc
+
+
+def reconstruct_file(
+    config: ExperimentConfig, path: str
+) -> tuple[DensityMatrix, ReconstructionDiagnostics]:
+    """Reconstruct from a sample CSV; writes reconstructed.json and reconstruction_diag.json.
+
+    The POVM is built for the phases found in the file.  A file that cannot be
+    read, or holds no sample inside the binning range, is a ConfigError.
+    """
+    config.validate()
+    tomo = config.tomography()
+    batch = _stage("load", None, _load, path)
+    binned = _stage("bin", None, bin_samples, batch, tomo) if len(batch) else None
+    if binned is None or binned.total <= 0:
+        raise ConfigError(
+            f"cannot reconstruct from {path}: {len(batch)} samples, none inside +-{tomo.x_max:g}"
+        )
+    povm = _stage("povm", None, build_povm, tomo, binned.thetas)
+    rho_hat, diag = _reconstruct(None, binned, tomo, povm)
+    with _timed("emit", None):
+        os.makedirs(config.outdir, exist_ok=True)
+        save_density_matrix(rho_hat, os.path.join(config.outdir, "reconstructed.json"))
+        _save_diag(config.outdir, binned, diag)
+    return rho_hat, diag
+
+
 def _run_alpha(
     config: ExperimentConfig, index: int, alpha: float, povm, emit: bool
 ) -> AlphaRecord:
-    rho_out_full, panels, weight, tail = _model(config, alpha)
+    batch, panels, weight, tail = _sample(config, index, alpha)
     rho_in, rho_out = panels["input_model"], panels["output_model"]
-    batch = _stage(
-        "sample", alpha, sample_quadratures, rho_out_full, config.schedule(index), config.eta
-    )
     tomo = config.tomography()
     binned = _stage("bin", alpha, bin_samples, batch, tomo)
-    rho_hat, diag = _stage("reconstruct", alpha, reconstruct, binned, tomo, povm)
+    rho_hat, diag = _reconstruct(alpha, binned, tomo, povm)
     _stage("validate", alpha, lambda: [m.validate() for m in (rho_in, rho_out, rho_hat)])
     fid = _stage("compare", alpha, fidelity, rho_hat, rho_out)
 
@@ -358,12 +466,8 @@ def _run_alpha(
         # not a _stage: a failed write is an OSError, not a numerical failure
         with _timed("emit", alpha):
             adir = _save_panels(config, alpha, {**panels, "output_reconstructed": rho_hat})
-            meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
-            save_samples(batch, os.path.join(adir, "samples.csv"), meta=meta)
-            write_json(
-                os.path.join(adir, "reconstruction_diag.json"),
-                {"schema_version": 1, "out_of_range": binned.out_of_range, **diag.to_dict()},
-            )
+            _save_batch(config, alpha, batch)
+            _save_diag(adir, binned, diag)
     return record
 
 
@@ -462,20 +566,24 @@ def klm_compare(eta_heralds: float = 0.66) -> list[dict]:
     return rows
 
 
-def write_klm_report(rows: list[dict], outdir: str) -> tuple[str, str]:
-    os.makedirs(outdir, exist_ok=True)
-    csv_path = os.path.join(outdir, "klm_table.csv")
-    header = ["probe", "scheme", "detector", "eta", "fidelity", "success"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                repr(float(row[k])) if isinstance(row[k], float) else str(row[k])
-                for k in header
+def klm_table(config: ExperimentConfig) -> list[dict]:
+    """klm_compare at the config's eta as the klm stage; writes klm_table.csv and .json."""
+    config.validate()
+    rows = _stage("klm", None, klm_compare, eta_heralds=config.eta)
+    with _timed("emit", None):
+        os.makedirs(config.outdir, exist_ok=True)
+        header = ["probe", "scheme", "detector", "eta", "fidelity", "success"]
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(
+                ",".join(
+                    repr(float(row[k])) if isinstance(row[k], float) else str(row[k])
+                    for k in header
+                )
             )
+        with atomic_open(os.path.join(config.outdir, "klm_table.csv")) as fh:
+            fh.write("\n".join(lines) + "\n")
+        write_json(
+            os.path.join(config.outdir, "klm_table.json"), {"schema_version": 1, "rows": rows}
         )
-    with atomic_open(csv_path) as fh:
-        fh.write("\n".join(lines) + "\n")
-    json_path = os.path.join(outdir, "klm_table.json")
-    write_json(json_path, {"schema_version": 1, "rows": rows})
-    return csv_path, json_path
+    return rows

@@ -45,6 +45,14 @@ def test_config_validation():
             ExperimentConfig(**bad).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"bogus_field": 1})
+    # wrongly-typed fields and a negative seed name the field, not a traceback
+    for bad in ({"max_iterations": "5"}, {"eta": "0.5"}, {"seed": 1.5}, {"seed": -1},
+                {"seed": True}, {"n_phases": 6.0}, {"x_max": math.inf}, {"eta": math.nan},
+                {"mode": 1}, {"outdir": 5}):
+        (name,) = bad
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict(bad).validate()
+    ExperimentConfig(eta=1, x_max=6).validate()  # an int is a real number
 
 
 def test_config_roundtrip():
@@ -214,6 +222,14 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     config.write_text(json.dumps({"dilution": 0}))
     assert main(["pipeline", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+    config.write_text(json.dumps({"max_iterations": "5"}))
+    assert main(["reconstruct", "--config", str(config), "--samples", str(config),
+                 "--out", str(tmp_path)]) == 2
+    assert "max_iterations" in capsys.readouterr().err
+    for command in ("sample", "pipeline"):
+        assert main([command, "--seed", "-1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: seed must be non-negative")
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
@@ -281,6 +297,13 @@ def test_cli_reconstruct_missing_samples(tmp_path, capsys):
         assert code == 2
         assert f"cannot reconstruct from {path}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "reconstructed.json")
+    # a NaN or infinite value makes the file unusable, not an out-of-range sample
+    for name, row in (("nan.csv", "nan,0.1"), ("inf.csv", "0.5,-inf")):
+        path = tmp_path / name
+        path.write_text(f"theta,x\r\n0.0,0.2\r\n{row}\r\n")
+        assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path)]) == 2
+        assert f"cannot read samples from {path}: non-finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "reconstructed.json")
 
 
 def test_cli_prints_reconstruction_warnings(tmp_path, capsys):
@@ -311,6 +334,16 @@ def test_cli_steps_write_the_pipeline_artifacts(tmp_path, capsys):
                      "samples.csv", "samples_meta.json"):
             rel = os.path.join(alpha, name)
             assert Path(full, rel).read_bytes() == Path(steps, rel).read_bytes(), rel
+
+    # reconstructing the pipeline's samples gives the pipeline's reconstruction files
+    for alpha in ("alpha_0.53", "alpha_0"):
+        recon = str(tmp_path / "recon" / alpha)
+        assert main(["reconstruct", "--config", str(config), "--out", recon,
+                     "--samples", str(Path(full, alpha, "samples.csv"))]) == 0
+        for mine, theirs in (("reconstructed.json", "output_reconstructed.json"),
+                             ("reconstruction_diag.json", "reconstruction_diag.json")):
+            assert Path(recon, mine).read_bytes() == Path(full, alpha, theirs).read_bytes()
+    capsys.readouterr()
 
     # one serializer for the reconstruction diagnostics
     report = json.loads(Path(full, "report.json").read_text())
@@ -381,23 +414,69 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, command):
     assert out in err[0]
 
 
-def test_cli_verbose_logs_stage_timings(tmp_path, capsys, caplog):
-    out = str(tmp_path / "run")
-    args = ["pipeline", *SMALL, "--alpha", "0.23", "--out", out]
+_PER_ALPHA = ("forward-model", "truncate", "sample", "bin", "reconstruct", "validate",
+              "compare", "emit")
+VERBOSE_STAGES = {
+    "pipeline": [("povm", None),
+                 *[(stage, alpha) for alpha in ("0.53", "0.23") for stage in _PER_ALPHA],
+                 ("emit", None)],
+    "simulate": [*[(stage, alpha) for alpha in ("0.53", "0.23")
+                   for stage in ("forward-model", "truncate", "emit")],
+                 ("emit", None)],
+    "sample": [(stage, alpha) for alpha in ("0.53", "0.23")
+               for stage in ("forward-model", "truncate", "sample", "emit")],
+    "reconstruct": [(stage, None) for stage in ("load", "bin", "povm", "reconstruct", "emit")],
+    "klm": [("klm", None), ("emit", None)],
+}
+
+
+@pytest.mark.parametrize("command", list(VERBOSE_STAGES))
+def test_cli_verbose_logs_stage_timings(tmp_path, capsys, caplog, command):
+    extra = []
+    if command == "reconstruct":
+        assert main(["sample", *SMALL, "--out", str(tmp_path / "data")]) == 0
+        extra = ["--samples", str(tmp_path / "data" / "alpha_0.53" / "samples.csv")]
+    out = Path(tmp_path, "run")
+    args = [command, *SMALL, "--alpha", "0.23", *extra, "--out", str(out)]
+
+    def artifacts():
+        return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
     assert main(args) == 0
-    quiet = Path(out, "report.json").read_bytes()
+    quiet = artifacts()
     assert not [r for r in caplog.records if r.name == "kerrsim"]
-    assert "stage" not in capsys.readouterr().err
+    assert "kerrsim:" not in capsys.readouterr().err
 
     assert main(["--verbose", *args]) == 0
-    assert Path(out, "report.json").read_bytes() == quiet
+    assert artifacts() == quiet
     lines = [r.getMessage() for r in caplog.records if r.name == "kerrsim"]
-    assert capsys.readouterr().err.splitlines() == [f"kerrsim: {line}" for line in lines]
-    logged = [re.fullmatch(r"stage (\S+?)(?: alpha=(\S+))?: \d+\.\d{3} s", line).groups()
-              for line in lines]
-    per_alpha = ["forward-model", "truncate", "sample", "bin", "reconstruct", "validate",
-                 "compare", "emit"]
-    assert logged == [("povm", None),
-                      *[(stage, "0.53") for stage in per_alpha],
-                      *[(stage, "0.23") for stage in per_alpha],
-                      ("emit", None)]
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"kerrsim: {line}" for line in lines]
+
+    # after each reconstruct stage, one line with the convergence its artifact records
+    diags = {}
+    if command == "pipeline":
+        report = json.loads(Path(out, "report.json").read_text())
+        diags = {f"{r['alpha']:g}": r["reconstruction"] for r in report["records"]}
+        printed = [line for line in captured.out.splitlines() if line.startswith("alpha=")]
+        assert [re.search(r" ml_gap=(\S+) nats ", line)[1] for line in printed] == [
+            f"{diag['ml_gap_nats']:.3g}" for diag in diags.values()]
+    elif command == "reconstruct":
+        diags = {None: json.loads(Path(out, "reconstruction_diag.json").read_text())}
+    logged, expected = [], []
+    for stage, alpha in VERBOSE_STAGES[command]:
+        expected.append((stage, alpha))
+        if stage == "reconstruct":
+            diag = diags[alpha]
+            expected.append(("converged", alpha, diag["iterations"], diag["converged"],
+                             f"{diag['ml_gap_nats']:.3g}"))
+    for line in lines:
+        timed = re.fullmatch(r"stage (\S+?)(?: alpha=(\S+))?: \d+\.\d{3} s", line)
+        if timed:
+            logged.append(timed.groups())
+            continue
+        conv = re.fullmatch(r"reconstruct(?: alpha=(\S+))?: (\d+) iterations, "
+                            r"converged=(True|False), ml_gap_nats=(\S+)", line)
+        assert conv, line
+        logged.append(("converged", conv[1], int(conv[2]), conv[3] == "True", conv[4]))
+    assert logged == expected
