@@ -104,7 +104,10 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     for warning in diag.warnings:
         print(f"warning: {args.samples}: {warning}", file=sys.stderr)
     matrix_path = os.path.join(config.outdir, "reconstructed.json")
-    print(f"reconstruction written to {matrix_path} ({diag.iterations} iterations)")
+    print(
+        f"reconstruction written to {matrix_path} ({diag.iterations} iterations, "
+        f"converged={diag.converged}, ml_gap={diag.ml_gap_nats:.3g} nats)"
+    )
     return 0
 
 

@@ -203,12 +203,25 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _is_pure(rho: DensityMatrix) -> bool:
+    purity = float(np.vdot(rho.elems, rho.elems).real)
+    return purity >= (1.0 - TOL.pure) * rho.trace ** 2
+
+
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
+    """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
+
+    When either state is pure, |psi><psi|, F = <psi|other|psi> = Tr[rho sigma]
+    is computed directly: the Uhlmann form would add the square root of every
+    rounding-level eigenvalue of sqrt(rho) sigma sqrt(rho), about 3e-9 each.
+    """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     rho.validate()
     sigma.validate()
+    if _is_pure(rho) or _is_pure(sigma):
+        # Tr[rho^dagger sigma], and rho is Hermitian
+        return min(max(float(np.vdot(rho.elems, sigma.elems).real), 0.0), 1.0)
     s = _psd_sqrt(0.5 * (rho.elems + rho.elems.conj().T))
     mid = s @ sigma.elems @ s
     w = np.linalg.eigvalsh(0.5 * (mid + mid.conj().T))

@@ -69,11 +69,16 @@ class PhaseSchedule:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Batch of samples as parallel arrays; carries the seed that produced it."""
+    """Batch of samples as parallel arrays; carries the seed that produced it.
+
+    ``eta`` is the detector efficiency recorded beside a loaded sample file,
+    None when no record says.
+    """
 
     thetas: np.ndarray
     xs: np.ndarray
     seed: int
+    eta: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.thetas, dtype=np.float64)
@@ -222,7 +227,7 @@ def save_samples(batch: SampleBatch, csv_path, meta: dict | None = None) -> None
 
 
 def load_samples(csv_path) -> SampleBatch:
-    """Read a sample CSV written by save_samples; seed comes from the sidecar.
+    """Read a sample CSV written by save_samples; seed and eta come from the sidecar.
 
     The body is parsed by NumPy's C reader, which rounds each decimal exactly
     as ``float()`` does, so a reloaded batch is bit-identical to the saved one.
@@ -240,11 +245,13 @@ def load_samples(csv_path) -> SampleBatch:
     finite = np.isfinite(body).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite theta or x in data row {int(np.argmin(finite)) + 1}")
-    seed = 0
+    meta = {}
     meta_path = _sidecar_path(csv_path)
     try:
         with open(meta_path) as fh:
-            seed = int(json.load(fh).get("seed", 0))
+            meta = json.load(fh)
     except FileNotFoundError:
         warnings.warn(f"no sidecar {meta_path}: sampling seed unknown, recorded as 0", stacklevel=2)
-    return SampleBatch(body[:, 0], body[:, 1], seed)
+    eta = meta.get("eta")
+    return SampleBatch(body[:, 0], body[:, 1], int(meta.get("seed", 0)),
+                       None if eta is None else float(eta))

@@ -89,6 +89,10 @@ _MODES = ("ideal", "bestfit", "custom")
 _log = logging.getLogger("kerrsim")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     alphas: tuple[float, ...] = (0.23, 0.53, 0.79)
@@ -104,11 +108,13 @@ class ExperimentConfig:
     bin_width: float = 0.05
     x_max: float = 6.0
     max_iterations: int = 2000
-    dilution: float = 0.5
     outdir: str = "out"
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        # real numbers become floats; anything else is kept for validate to reject
+        object.__setattr__(self, "alphas", tuple(
+            float(a) if _is_real(a) else a for a in self.alphas
+        ))
 
     def validate(self) -> None:
         for f in fields(self):
@@ -116,8 +122,7 @@ class ExperimentConfig:
             if f.type == "int":
                 ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             elif f.type == "float":
-                ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                      and math.isfinite(value))
+                ok = _is_real(value) and math.isfinite(value)
             elif f.type == "str":
                 ok = isinstance(value, str)
             else:
@@ -129,8 +134,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if any(a < 0 or not math.isfinite(a) for a in self.alphas):
-            raise ConfigError("alphas must be nonnegative finite reals")
+        if not all(_is_real(a) and a >= 0 and math.isfinite(a) for a in self.alphas):
+            raise ConfigError(f"alphas must be nonnegative finite reals, got {list(self.alphas)!r}")
         if not self.alphas:
             raise ConfigError("at least one alpha is required")
         if not 0.0 < self.eta <= 1.0:
@@ -153,7 +158,6 @@ class ExperimentConfig:
             bin_width=self.bin_width,
             x_max=self.x_max,
             max_iterations=self.max_iterations,
-            dilution=self.dilution,
         )
 
     def schedule(self, alpha_index: int) -> PhaseSchedule:
@@ -410,8 +414,10 @@ def reconstruct_file(
 ) -> tuple[DensityMatrix, ReconstructionDiagnostics]:
     """Reconstruct from a sample CSV; writes reconstructed.json and reconstruction_diag.json.
 
-    The POVM is built for the phases found in the file.  A file that cannot be
-    read, or holds no sample inside the binning range, is a ConfigError.
+    The POVM is built for the phases found in the file and compensates
+    ``config.eta``; if the file's sidecar records another eta, the
+    diagnostics carry a warning.  A file that cannot be read, or holds no
+    sample inside the binning range, is a ConfigError.
     """
     config.validate()
     tomo = config.tomography()
@@ -423,6 +429,10 @@ def reconstruct_file(
         )
     povm = _stage("povm", None, build_povm, tomo, binned.thetas)
     rho_hat, diag = _reconstruct(None, binned, tomo, povm)
+    if batch.eta is not None and batch.eta != tomo.eta:
+        diag.warnings.append(
+            f"samples were recorded at eta={batch.eta:g} but reconstructed with eta={tomo.eta:g}"
+        )
     with _timed("emit", None):
         os.makedirs(config.outdir, exist_ok=True)
         save_density_matrix(rho_hat, os.path.join(config.outdir, "reconstructed.json"))

@@ -29,8 +29,11 @@ class Tolerances:
     grid_deficit: float = 1e-6
     # POVM per-phase completeness residual
     completeness: float = 1e-6
-    # ML reconstruction stops once one iteration gains less log-likelihood per sample
-    ml_stop_gain: float = 1e-9
+    # ML reconstruction stops once its certified gap N (lambda_max(R(rho)) - 1),
+    # an upper bound on L* - L(rho) in nats, is this small; float64 stalls near 0.01
+    ml_gap_nats: float = 0.1
+    # fidelity treats a state with 1 - Tr[rho^2] / Tr[rho]^2 below this as pure
+    pure: float = 1e-12
 
 
 TOL = Tolerances()

@@ -1,16 +1,22 @@
-"""Iterative maximum-likelihood reconstruction from binned quadrature data.
+"""Maximum-likelihood reconstruction from binned quadrature data.
 
 The estimator maximizes the binned log-likelihood L = sum_j f_j log Tr[rho E_j]
-over density matrices with the diluted fixed-point iteration
+over density matrices by accelerated projected gradient with restart (Shang,
+Zhang & Ng, PRA 95, 062336, 2017) on f(rho) = -L(rho)/N, whose gradient is
+-R(rho) with
 
-    R(rho) = (1/N) sum_j f_j E_j / Tr[rho E_j],
-    rho <- (I + lam R) rho (I + lam R) / trace,
+    R(rho) = (1/N) sum_j f_j E_j / Tr[rho E_j].
 
-halving ``lam`` whenever a step would decrease the likelihood, which makes the
-monotone-likelihood property assertable.  POVM elements are bin-integrated
-quadrature projectors pushed through the adjoint loss channel, so the
-reconstruction compensates detector efficiency and estimates the pre-detector
-state.
+Each step moves from a momentum point along R, projects onto density
+matrices (an eigendecomposition with the eigenvalues projected onto the
+simplex) and backtracks the step size on the quadratic upper bound.  An
+iterate that would lower L restarts the momentum instead, so the accepted
+likelihoods are monotone.  The iteration stops on the certified gap
+N (lambda_max(R(rho)) - 1) >= L* - L(rho) (Glancy, Knill & Girard, NJP 14,
+095017, 2012) once it is at most ``TOL.ml_gap_nats``.  POVM elements are
+bin-integrated quadrature projectors pushed through the adjoint loss
+channel, so the reconstruction compensates detector efficiency and
+estimates the pre-detector state.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ __all__ = [
 ]
 
 _PROB_FLOOR = 1e-300
+_MIN_STEP = 1e-12  # below this the backtracking gives up on a gradient step
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,6 @@ class TomographyConfig:
     bin_width: float = 0.05
     x_max: float = 6.0
     max_iterations: int = 2000
-    dilution: float = 0.5
 
     def __post_init__(self):
         if self.dim < 3:
@@ -62,8 +68,6 @@ class TomographyConfig:
             raise ValueError("bin width and range must be positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if not 0.0 < self.dilution <= 1.0:
-            raise ValueError("dilution must be in (0, 1]")
 
     @property
     def n_bins(self) -> int:
@@ -230,19 +234,35 @@ class ReconstructionDiagnostics:
         }
 
 
+def _project_density(mat: np.ndarray) -> np.ndarray:
+    """The density matrix nearest to Hermitian ``mat`` in Frobenius norm.
+
+    Keeps the eigenvectors and projects the eigenvalues onto the probability
+    simplex (sort, then shift by the threshold that makes them sum to one).
+    """
+    w, v = np.linalg.eigh(mat)
+    desc = w[::-1]
+    excess = np.cumsum(desc) - 1.0
+    k = np.flatnonzero(desc * np.arange(1, w.size + 1) > excess)[-1]
+    w = np.maximum(w - excess[k] / (k + 1), 0.0)
+    out = (v * w) @ v.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
 def reconstruct(
     data: BinnedData,
     config: TomographyConfig,
     povm: np.ndarray | None = None,
     initial: np.ndarray | None = None,
 ) -> tuple[DensityMatrix, ReconstructionDiagnostics]:
-    """Diluted RrhoR maximum-likelihood estimate from binned data.
+    """Maximum-likelihood estimate by accelerated projected gradient.
 
-    Starts from the maximally mixed state unless ``initial`` is given.
-    Accepted iterations never decrease the log-likelihood; on a decrease the
-    dilution parameter is halved and the step retried.  Returns the estimate
-    plus diagnostics; non-convergence within max_iterations returns the best
-    iterate flagged, it does not raise.
+    Starts from the maximally mixed state unless ``initial`` is given, and
+    stops once the certified gap ``ml_gap_nats`` is at most
+    ``TOL.ml_gap_nats``; ``converged`` means exactly that.  Accepted
+    iterations never decrease the log-likelihood (``loglik_trace``).  Returns
+    the estimate plus diagnostics; a run that reaches max_iterations returns
+    its best iterate flagged, it does not raise.
     """
     if data.total <= 0:
         raise ValueError("no counts to reconstruct from")
@@ -262,6 +282,7 @@ def reconstruct(
 
     c, rows = _occupied_rows(data, povm)
     total = float(c.sum())
+    freqs = c / total
 
     if initial is None:
         rho = eye.astype(np.complex128) / config.dim
@@ -269,54 +290,69 @@ def reconstruct(
         rho = np.asarray(initial, dtype=np.complex128).copy()
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
+    probs = _born(rows, rho)
+    if np.any(probs <= 0.0):
+        raise ValueError("initial state gives an occupied bin zero probability")
 
-    floor_warning = "bin probability floored at 1e-300"
+    def gradient(p: np.ndarray) -> np.ndarray:
+        """R at the state whose Born probabilities are p: minus the gradient of f."""
+        return _weighted_sum(freqs / p, rows, config.dim)
 
-    def loglik_of(mat: np.ndarray) -> tuple[float, np.ndarray]:
-        probs = _born(rows, mat)
-        floored = np.maximum(probs, _PROB_FLOOR)
-        if np.any(probs <= 0.0) and floor_warning not in diag.warnings:
-            diag.warnings.append(floor_warning)
-        return float(np.sum(c * np.log(floored))), floored
+    def gap_of(p: np.ndarray) -> float:
+        # L* - L(rho) <= N (lambda_max(R) - 1); nonnegative in exact arithmetic,
+        # since lambda_max(R) >= Tr[rho R] = 1, so only rounding is clamped
+        return max(0.0, total * float(np.linalg.eigvalsh(gradient(p))[-1] - 1.0))
 
-    loglik, probs = loglik_of(rho)
+    loglik = float(c @ np.log(probs))
     diag.loglik_trace.append(loglik)
-    lam = config.dilution
-    threshold = TOL.ml_stop_gain * total
+    gap = gap_of(probs)
+    # the momentum point sigma; Born probabilities are linear in the state, so
+    # sigma's are extrapolated from the iterates' rather than recomputed
+    sigma, sigma_probs, momentum, step = rho, probs, 1.0, 1.0
 
-    for iteration in range(1, config.max_iterations + 1):
-        r_op = _weighted_sum(c / probs, rows, config.dim) / total
-        accepted = False
-        while lam > 1e-14:
-            step = eye + lam * r_op
-            cand = step @ rho @ step
-            cand = 0.5 * (cand + cand.conj().T)
-            cand /= np.trace(cand).real
-            cand_loglik, cand_probs = loglik_of(cand)
-            if cand_loglik >= loglik:
-                accepted = True
-                break
-            lam *= 0.5
-        diag.iterations = iteration
-        if not accepted:
-            diag.converged = True
-            break
-        gain = cand_loglik - loglik
-        rho, loglik, probs = cand, cand_loglik, cand_probs
+    while gap > TOL.ml_gap_nats and diag.iterations < config.max_iterations:
+        diag.iterations += 1
+        r_op = gradient(sigma_probs)
+        sigma_loglik = float(c @ np.log(sigma_probs))
+        while step > _MIN_STEP:
+            cand = _project_density(sigma + step * r_op)
+            cand_probs = _born(rows, cand)
+            if np.all(cand_probs > 0.0):
+                cand_loglik = float(c @ np.log(cand_probs))
+                # quadratic upper bound on f = -L/N around sigma, in nats
+                delta = cand - sigma
+                bound = sigma_loglik + total * (
+                    float(np.vdot(r_op, delta).real)
+                    - float(np.vdot(delta, delta).real) / (2.0 * step)
+                )
+                if cand_loglik >= bound:
+                    break
+            step *= 0.5
+        else:
+            if sigma is rho:
+                break  # not even a short step from the last iterate helps: stalled
+            cand_loglik = -math.inf
+        if cand_loglik < loglik:
+            # the step would lower L: restart the momentum from the last iterate
+            sigma, sigma_probs, momentum = rho, probs, 1.0
+            continue
+        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+        beta = (momentum - 1.0) / next_momentum
+        sigma = cand + beta * (cand - rho)
+        sigma_probs = cand_probs + beta * (cand_probs - probs)
+        rho, probs, loglik, momentum = cand, cand_probs, cand_loglik, next_momentum
+        if np.any(sigma_probs <= 0.0):
+            sigma, sigma_probs, momentum = rho, probs, 1.0
         diag.loglik_trace.append(loglik)
-        lam = min(2.0 * lam, config.dilution)
-        if gain < threshold:
-            diag.converged = True
-            break
+        step *= 1.5
+        gap = gap_of(probs)
 
+    diag.converged = gap <= TOL.ml_gap_nats
     if not diag.converged:
         diag.warnings.append(
-            f"no convergence after {config.max_iterations} iterations; best iterate returned"
+            f"no convergence after {diag.iterations} iterations; best iterate returned"
         )
-    # certified distance to the optimum, L* - L(rho) <= N (lambda_max(R(rho)) - 1)
-    # (Glancy, Knill & Girard, NJP 14, 095017, 2012); reported, not a stop rule
-    r_op = _weighted_sum(c / probs, rows, config.dim) / total
-    diag.ml_gap_nats = total * float(np.linalg.eigvalsh(0.5 * (r_op + r_op.conj().T))[-1] - 1.0)
+    diag.ml_gap_nats = gap
     diag.final_loglik = loglik
     diag.loglik_per_sample = loglik / total
     return DensityMatrix(config.dim, rho), diag

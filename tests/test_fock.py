@@ -180,6 +180,26 @@ def test_fidelity_against_sqrtm_oracle():
     assert_allclose(fidelity(sigma, rho), fidelity(rho, sigma), atol=1e-10)
 
 
+def test_fidelity_pure_target_is_the_overlap():
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    mixed = g @ g.conj().T
+    mixed = DensityMatrix(6, mixed / np.trace(mixed).real)
+    amps = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi = amps / np.linalg.norm(amps)
+    pure = density_from_pure(FockVector(6, amps))
+    overlap = float((psi.conj() @ mixed.elems @ psi).real)
+    assert fidelity(mixed, pure) == pytest.approx(overlap, rel=0, abs=1e-15)
+    assert fidelity(pure, mixed) == pytest.approx(overlap, rel=0, abs=1e-15)
+    # two mixed states keep the Uhlmann form
+    h = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    other = h @ h.conj().T
+    other = DensityMatrix(6, other / np.trace(other).real)
+    expected = _oracle_fidelity(mixed.elems, other.elems)
+    assert_allclose(fidelity(mixed, other), expected, atol=1e-8)
+    assert abs(fidelity(mixed, other) - float(np.vdot(mixed.elems, other.elems).real)) > 1e-3
+
+
 def test_fidelity_global_phase_invariant():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=6) + 1j * rng.normal(size=6)

@@ -25,6 +25,7 @@ from kerrsim.pipeline import (
     simulate_forward,
     superposition_for_mode,
 )
+from kerrsim.tolerances import TOL
 from kerrsim.tomography import load_density_matrix
 
 FAST = dict(n_phases=6, samples_per_phase=2000, max_iterations=300)
@@ -40,7 +41,7 @@ def test_config_validation():
         ExperimentConfig(eta=0.0).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(recon_dim=20).validate()
-    for bad in ({"bin_width": -1.0}, {"x_max": 0.0}, {"max_iterations": 0}, {"dilution": 0.0}):
+    for bad in ({"bin_width": -1.0}, {"x_max": 0.0}, {"max_iterations": 0}):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad).validate()
     with pytest.raises(ConfigError):
@@ -48,7 +49,8 @@ def test_config_validation():
     # wrongly-typed fields and a negative seed name the field, not a traceback
     for bad in ({"max_iterations": "5"}, {"eta": "0.5"}, {"seed": 1.5}, {"seed": -1},
                 {"seed": True}, {"n_phases": 6.0}, {"x_max": math.inf}, {"eta": math.nan},
-                {"mode": 1}, {"outdir": 5}):
+                {"mode": 1}, {"outdir": 5}, {"alphas": ["0.5", True]}, {"alphas": ["0.5"]},
+                {"alphas": [0.5, True]}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(bad).validate()
@@ -118,6 +120,19 @@ def test_pipeline_deterministic_artifacts(tmp_path):
     for rel in files:
         with open(os.path.join(outdir, rel), "rb") as fh:
             assert fh.read() == first[rel], f"artifact {rel} not byte-identical"
+
+
+def test_default_run_is_certified_and_fidelity_is_the_overlap(ideal_run):
+    config = ideal_run.report.config
+    for record in ideal_run.report.records:
+        diag = record.diagnostics
+        assert diag.converged and 0.0 <= diag.ml_gap_nats <= TOL.ml_gap_nats
+        # the model output is pure, so the fidelity is <psi|rho_hat|psi> itself
+        _, psi_out, _ = simulate_forward(config, record.alpha)
+        psi = psi_out.amps[: config.recon_dim]
+        psi = psi / np.linalg.norm(psi)
+        overlap = float((psi.conj() @ record.reconstructed.elems @ psi).real)
+        assert record.fidelity_model == pytest.approx(overlap, rel=0, abs=1e-15)
 
 
 def test_pipeline_seed_changes_samples(tmp_path):
@@ -219,7 +234,7 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     assert main(["pipeline", "--mode", "ideal", "--eta", "2.0", "--out", str(tmp_path)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"dilution": 0}))
+    config.write_text(json.dumps({"max_iterations": 0}))
     assert main(["pipeline", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
     config.write_text(json.dumps({"max_iterations": "5"}))
@@ -230,6 +245,16 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
         assert main([command, "--seed", "-1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration: seed must be non-negative")
+
+
+def test_cli_config_setting_dilution_is_unknown_field(tmp_path, capsys):
+    # the dilution knob of the old R rho R solver is gone; a config that still sets it exits 2
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"dilution": 0.5}))
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid configuration: unknown config fields: ['dilution']\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
@@ -318,6 +343,30 @@ def test_cli_prints_reconstruction_warnings(tmp_path, capsys):
     assert main(["reconstruct", "--config", str(config), "--samples", samples,
                  "--out", out]) == 0
     assert capsys.readouterr().err.splitlines() == [f"warning: {samples}: {capped}"]
+
+
+def test_cli_reconstruct_reports_convergence_and_eta_mismatch(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["sample", *SMALL, "--eta", "0.95", "--out", data]) == 0
+    samples = os.path.join(data, "alpha_0.53", "samples.csv")
+    capsys.readouterr()
+
+    out = str(tmp_path / "default_eta")
+    assert main(["reconstruct", *SMALL, "--samples", samples, "--out", out]) == 0
+    captured = capsys.readouterr()
+    mismatch = "samples were recorded at eta=0.95 but reconstructed with eta=0.66"
+    diag = json.loads(Path(out, "reconstruction_diag.json").read_text())
+    assert mismatch in diag["warnings"]
+    assert f"warning: {samples}: {mismatch}" in captured.err.splitlines()
+    assert captured.out.splitlines()[-1].endswith(
+        f"({diag['iterations']} iterations, converged={diag['converged']}, "
+        f"ml_gap={diag['ml_gap_nats']:.3g} nats)")
+
+    out = str(tmp_path / "same_eta")
+    assert main(["reconstruct", *SMALL, "--eta", "0.95", "--samples", samples, "--out", out]) == 0
+    assert "recorded at eta" not in capsys.readouterr().err
+    assert not [w for w in json.loads(Path(out, "reconstruction_diag.json").read_text())["warnings"]
+                if "recorded at eta" in w]
 
 
 def test_cli_steps_write_the_pipeline_artifacts(tmp_path, capsys):

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kerrsim import tomography
 from kerrsim.channels import LossChannel, apply_loss
 from kerrsim.fock import (
     DensityMatrix,
@@ -25,6 +29,7 @@ from kerrsim.tomography import (
     reconstruct,
     save_density_matrix,
 )
+from kerrsim.tolerances import TOL
 
 THETAS_12 = np.arange(12) * math.pi / 12
 
@@ -45,8 +50,6 @@ def test_config_validation():
         TomographyConfig(dim=2)
     with pytest.raises(ValueError):
         TomographyConfig(eta=0.0)
-    with pytest.raises(ValueError):
-        TomographyConfig(dilution=1.5)
 
 
 def test_bin_samples_basics():
@@ -215,7 +218,7 @@ def test_reconstruct_fixed_point():
     r_op = np.einsum("j,jmn->mn", c / born.reshape(-1), e, optimize=True) / c.sum()
     assert np.linalg.norm(r_op @ rho_star - rho_star, ord="fro") <= 1e-8
 
-    # ... and one diluted iteration barely moves
+    # ... so the certified gap at rho* is already inside the stop rule and it barely moves
     rho_hat, _ = reconstruct(data, cfg, povm, initial=rho_star)
     assert np.linalg.norm(rho_hat.elems - rho_star, ord="fro") <= 1e-8
 
@@ -236,6 +239,22 @@ def test_nonconvergence_flagged():
     assert any("no convergence" in w for w in diag.warnings)
 
 
+def test_reconstruct_stops_when_no_step_helps(monkeypatch):
+    # a zero gap tolerance is out of float64's reach: the backtracking runs out of
+    # step size from the last iterate, and the run ends flagged well before the cap
+    monkeypatch.setattr(tomography, "TOL", dataclasses.replace(TOL, ml_gap_nats=0.0))
+    cfg = TomographyConfig(eta=1.0, max_iterations=20000)
+    rho = ideal_gate_output(0.53)
+    batch = sample_quadratures(rho, default_schedule(5, n_phases=4, samples_per_phase=2000), eta=1.0)
+    rho_hat, diag = reconstruct(bin_samples(batch, cfg), cfg)
+    assert diag.iterations < 1000
+    assert not diag.converged
+    assert diag.warnings == [f"no convergence after {diag.iterations} iterations; best iterate returned"]
+    assert 0.0 <= diag.ml_gap_nats <= 1e-3
+    assert np.all(np.diff(diag.loglik_trace) >= 0.0)
+    rho_hat.validate()
+
+
 def test_matrix_json_roundtrip(tmp_path):
     rho, _ = truncate_density(ideal_gate_output(0.53), 8)
     path = tmp_path / "rho.json"
@@ -251,51 +270,74 @@ def test_matrix_json_roundtrip(tmp_path):
     assert len(payload["re"]) == 8 and len(payload["im"]) == 8
 
 
+def _reference_simplex(w):
+    """Euclidean projection of w onto {x >= 0, sum x = 1}: drop the smallest
+    entries until the common shift leaves the rest positive (Michelot)."""
+    active = np.ones(w.size, dtype=bool)
+    while True:
+        shift = (w[active].sum() - 1.0) / active.sum()
+        low = active & (w - shift <= 0.0)
+        if not low.any():
+            return np.where(active, w - shift, 0.0)
+        active &= ~low
+
+
 def _reference_reconstruct(data, cfg, povm):
-    """Diluted RrhoR written out with complex einsum contractions, as a check on
-    the real flat map inside ``reconstruct``; same dilution and stopping rules."""
+    """Accelerated projected gradient with restart written out with complex
+    einsum contractions, as a check on the real flat map inside
+    ``reconstruct``; same step rules and the same certified-gap stop."""
     counts = data.counts.reshape(-1)
     occupied = counts > 0
     c = counts[occupied]
     e = povm.reshape(-1, cfg.dim, cfg.dim)[occupied]
     total = c.sum()
-    eye = np.eye(cfg.dim)
-    rho = eye.astype(complex) / cfg.dim
 
-    def loglik_of(mat):
-        probs = np.maximum(np.einsum("jmn,nm->j", e, mat).real, 1e-300)
-        return float(np.sum(c * np.log(probs))), probs
+    def born(mat):
+        return np.einsum("jmn,nm->j", e, mat).real
 
-    loglik, probs = loglik_of(rho)
+    def r_of(p):
+        return np.einsum("j,jmn->mn", c / p, e) / total
+
+    def gap_of(p):
+        return max(0.0, total * (np.linalg.eigvalsh(r_of(p))[-1] - 1.0))
+
+    def project(mat):
+        w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+        out = v @ np.diag(_reference_simplex(w)) @ v.conj().T
+        return 0.5 * (out + out.conj().T)
+
+    rho = np.eye(cfg.dim, dtype=complex) / cfg.dim
+    loglik = float(np.sum(c * np.log(born(rho))))
     trace = [loglik]
-    lam = cfg.dilution
-    converged = False
-    for iteration in range(1, cfg.max_iterations + 1):
-        r_op = np.einsum("j,jmn->mn", c / probs, e) / total
-        accepted = False
-        while lam > 1e-14:
-            step = eye + lam * r_op
-            cand = step @ rho @ step
-            cand = 0.5 * (cand + cand.conj().T)
-            cand /= np.trace(cand).real
-            cand_loglik, cand_probs = loglik_of(cand)
-            if cand_loglik >= loglik:
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            converged = True
-            break
-        gain = cand_loglik - loglik
-        rho, loglik, probs = cand, cand_loglik, cand_probs
+    gap = gap_of(born(rho))
+    sigma, theta, step, iteration = rho, 1.0, 1.0, 0
+    while gap > 0.1 and iteration < cfg.max_iterations:
+        iteration += 1
+        p_sigma = born(sigma)
+        r_op = r_of(p_sigma)
+        l_sigma = float(np.sum(c * np.log(p_sigma)))
+        while True:
+            cand = project(sigma + step * r_op)
+            p_cand = born(cand)
+            if np.all(p_cand > 0):
+                l_cand = float(np.sum(c * np.log(p_cand)))
+                delta = cand - sigma
+                inner = np.trace(r_op @ delta).real
+                if l_cand >= l_sigma + total * (inner - np.sum(np.abs(delta) ** 2) / (2 * step)):
+                    break
+            step /= 2
+        if l_cand < loglik:
+            sigma, theta = rho, 1.0
+            continue
+        theta_next = (1 + math.sqrt(1 + 4 * theta**2)) / 2
+        sigma = cand + (theta - 1) / theta_next * (cand - rho)
+        rho, loglik, theta = cand, l_cand, theta_next
+        if np.any(born(sigma) <= 0):
+            sigma, theta = rho, 1.0
         trace.append(loglik)
-        lam = min(2.0 * lam, cfg.dilution)
-        if gain < 1e-9 * total:
-            converged = True
-            break
-    r_op = np.einsum("j,jmn->mn", c / probs, e) / total
-    gap = total * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
-    return rho, iteration, converged, np.array(trace), gap
+        step *= 1.5
+        gap = gap_of(born(rho))
+    return rho, iteration, gap <= 0.1, np.array(trace), gap
 
 
 @pytest.mark.parametrize("eta, max_iterations", [(1.0, 2000), (0.66, 150)])
@@ -354,3 +396,46 @@ def test_bin_samples_matches_per_phase_reference():
     assert data.out_of_range == ref_out
     assert data.out_of_range >= 4 * 5  # x_max itself and beyond, each phase
     assert data.total + data.out_of_range == xs.size
+
+
+def _random_density(rng, dim, rank):
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return DensityMatrix(dim, rho / np.trace(rho).real)
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 6),
+    n_phases=st.integers(1, 4),
+    eta=st.floats(0.5, 1.0),
+    cap=st.integers(1, 40),
+)
+def test_reconstruct_properties_on_random_binned_data(seed, dim, n_phases, eta, cap):
+    # a coarse grid of 12 bins, sparse Poisson counts, a random iteration cap
+    rng = np.random.default_rng(seed)
+    cfg = TomographyConfig(dim=dim, eta=eta, bin_width=1.0, max_iterations=cap)
+    means = rng.exponential(20.0, size=(n_phases, cfg.n_bins)) * (rng.random((n_phases, cfg.n_bins)) < 0.6)
+    counts = rng.poisson(means).astype(float)
+    counts[0, rng.integers(cfg.n_bins)] += 1.0  # never empty
+    thetas = np.sort(rng.choice(12, size=n_phases, replace=False)) * math.pi / 12
+    data = BinnedData(thetas, cfg.bin_centers(), counts)
+    povm = build_povm(cfg, thetas)
+
+    rho_hat, diag = reconstruct(data, cfg, povm)
+    rho_hat.validate()
+    assert rho_hat.trace == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(diag.loglik_trace) >= 0.0)
+    assert diag.ml_gap_nats >= 0.0
+    assert diag.converged == (diag.ml_gap_nats <= TOL.ml_gap_nats)
+    assert diag.final_loglik == diag.loglik_trace[-1]
+    assert len(diag.loglik_trace) <= diag.iterations + 1 <= cap + 1
+
+    # the certificate: no density matrix beats L(rho_hat) by more than the gap,
+    # neither random states of every rank nor a reconstruction run to the stop rule
+    best, _ = reconstruct(data, TomographyConfig(dim=dim, eta=eta, bin_width=1.0), povm)
+    rivals = [best] + [_random_density(rng, dim, rank) for rank in (1, 2, dim)]
+    slack = 1e-12 * abs(diag.final_loglik)  # rounding of the two sums of logs
+    for sigma in rivals:
+        assert loglikelihood(sigma, data, povm) <= diag.final_loglik + diag.ml_gap_nats + slack
