@@ -12,11 +12,11 @@ measurement operators instead of states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import comb
 
 from .fock import DensityMatrix
 from .tolerances import TOL
@@ -41,7 +41,8 @@ def _kraus(eta: float, dim: int) -> np.ndarray:
     ops = np.zeros((dim, dim, dim))
     for k in range(dim):
         kept = n[k:] - k
-        diag = np.sqrt(comb(n[k:], k)) * eta ** (kept / 2.0) * (1.0 - eta) ** (k / 2.0)
+        binom = np.array([float(math.comb(m, k)) for m in range(k, dim)])
+        diag = np.sqrt(binom) * eta ** (kept / 2.0) * (1.0 - eta) ** (k / 2.0)
         ops[k, np.arange(dim - k), np.arange(k, dim)] = diag
     return ops
 

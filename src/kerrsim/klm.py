@@ -35,7 +35,6 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-from scipy import optimize
 
 from .fock import DensityMatrix, FockVector, density_from_pure, fidelity
 from .gates import nonlinear_sign_target
@@ -117,7 +116,7 @@ def _detector_weight(detector: DetectorModel, outcome, n: int) -> float:
 
 @dataclass(frozen=True)
 class NsGateSolution:
-    """Solved beam-splitter settings plus the heralded diagonal they produce."""
+    """Beam-splitter settings plus the heralded diagonal they produce."""
 
     transmittances: tuple[float, float, float]
     lambdas: tuple[float, float, float]
@@ -131,49 +130,18 @@ def _heralded_lambdas(t1: float, t2: float, t3: float) -> np.ndarray:
     return np.array([transition_amplitude(m, (n, 1, 0), (n, 1, 0)) for n in range(3)])
 
 
-def _conditions(t1: float, t2: float, t3: float) -> np.ndarray:
-    lam = _heralded_lambdas(t1, t2, t3)
-    return np.array([(lam[1] - lam[0]).real, (lam[2] + lam[0]).real])
-
-
 @lru_cache(maxsize=1)
 def solve_ns_transmittances() -> NsGateSolution:
-    """Numerically solve the three transmittances of the heralded sign gate.
+    """Beam-splitter settings of the heralded sign gate at its best success probability.
 
     The two ratio conditions lambda_1/lambda_0 = 1 and lambda_2/lambda_0 = -1
-    leave a one-parameter family in (t1, t2, t3); the returned point maximizes
-    the success probability |lambda_0|^2 along it.
+    leave a one-parameter family in (t1, t2, t3); its most probable point is
+    t1 = t3 = cos(pi/8), t2 = sqrt(2) - 1 with |lambda_0|^2 = 1/4 (Ralph, White,
+    Munro & Milburn, PRA 65, 012314, 2001).  The conditions are checked on the
+    network built from these settings, so a convention that breaks them raises.
     """
-
-    def solve_pair(t1: float) -> tuple[float, float] | None:
-        # angle variables keep the probed transmittances inside [-1, 1]
-        sol = optimize.root(
-            lambda v: _conditions(t1, math.cos(v[0]), math.cos(v[1])),
-            x0=np.array([math.acos(0.45), math.acos(min(t1, 0.98))]),
-            method="hybr",
-            tol=1e-13,
-        )
-        t2, t3 = math.cos(sol.x[0]), math.cos(sol.x[1])
-        if not sol.success or not (0.0 < t2 < 1.0 and 0.0 < t3 < 1.0):
-            return None
-        return float(t2), float(t3)
-
-    def negative_success(t1: float) -> float:
-        pair = solve_pair(t1)
-        if pair is None:
-            return 0.0
-        lam = _heralded_lambdas(t1, *pair)
-        return -float(abs(lam[0]) ** 2)
-
-    best = optimize.minimize_scalar(
-        negative_success, bounds=(0.75, 0.99), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    t1 = float(best.x)
-    pair = solve_pair(t1)
-    if pair is None:
-        raise RuntimeError("transmittance solve failed to converge on the constraint manifold")
-    t2, t3 = pair
+    t1 = t3 = math.cos(math.pi / 8.0)
+    t2 = math.sqrt(2.0) - 1.0
     lam = _heralded_lambdas(t1, t2, t3)
     residuals = (
         float(abs(lam[1] / lam[0] - 1.0)),

@@ -14,6 +14,7 @@ artifact.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import logging
 import math
@@ -23,7 +24,6 @@ import time
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .artifacts import alpha_dir, atomic_open, write_json, write_matrix_table
@@ -93,6 +93,9 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+_KINDS = {"float": "a finite real number", "complex": "a finite complex number"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     alphas: tuple[float, ...] = (0.23, 0.53, 0.79)
@@ -123,12 +126,15 @@ class ExperimentConfig:
                 ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             elif f.type == "float":
                 ok = _is_real(value) and math.isfinite(value)
+            elif f.type == "complex":
+                ok = (isinstance(value, numbers.Complex) and not isinstance(value, bool)
+                      and cmath.isfinite(value))
             elif f.type == "str":
                 ok = isinstance(value, str)
             else:
                 continue
             if not ok:
-                kind = "a finite real number" if f.type == "float" else f"of type {f.type}"
+                kind = _KINDS.get(f.type, f"of type {f.type}")
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
@@ -138,6 +144,14 @@ class ExperimentConfig:
             raise ConfigError(f"alphas must be nonnegative finite reals, got {list(self.alphas)!r}")
         if not self.alphas:
             raise ConfigError("at least one alpha is required")
+        owners = {}
+        for a in self.alphas:
+            adir = alpha_dir(self.outdir, a)
+            if adir in owners:
+                raise ConfigError(
+                    f"alphas {owners[adir]!r} and {a!r} would share the artifact directory {adir}"
+                )
+            owners[adir] = a
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("eta must lie in (0, 1]")
         if self.n_phases < 1 or self.samples_per_phase < 1:
@@ -167,9 +181,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
         def as_complex(v):
-            if isinstance(v, (list, tuple)) and len(v) == 2:
-                return complex(float(v[0]), float(v[1]))
-            return complex(v)
+            # a real number or a [re, im] pair of them; anything else is kept for validate
+            parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+            return complex(*parts) if all(_is_real(p) for p in parts) else v
 
         unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
@@ -280,7 +294,7 @@ class RunReport:
 
 
 def _versions() -> dict:
-    return {"kerrsim": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"kerrsim": __version__, "numpy": np.__version__}
 
 
 def _where(alpha: float | None) -> str:

@@ -68,6 +68,10 @@ class TomographyConfig:
             raise ValueError("bin width and range must be positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
+        if self.n_bins < 1:
+            raise ValueError(
+                f"bin_width {self.bin_width:g} leaves no bin on [-{self.x_max:g}, {self.x_max:g}]"
+            )
 
     @property
     def n_bins(self) -> int:
@@ -144,9 +148,11 @@ _MAX_PANEL_WIDTH = 0.1  # subdivide wide bins so the quadrature stays accurate
 
 def _bin_integrated_projectors(dim: int, theta: float, config: TomographyConfig) -> np.ndarray:
     """integral over each bin of |x_theta><x_theta| dx, shape (n_bins, dim, dim)."""
-    panels = max(1, int(math.ceil(config.bin_width / _MAX_PANEL_WIDTH)))
-    half = 0.5 * config.bin_width / panels
-    offsets = -0.5 * config.bin_width + (2 * np.arange(panels) + 1) * half
+    # the width of the grid's bins; bin_width is rounded to it so n_bins tile +-x_max
+    width = 2.0 * config.x_max / config.n_bins
+    panels = max(1, int(math.ceil(width / _MAX_PANEL_WIDTH)))
+    half = 0.5 * width / panels
+    offsets = -0.5 * width + (2 * np.arange(panels) + 1) * half
     nodes = (offsets[:, None] + half * _GL_NODES[None, :]).ravel()
     x = (config.bin_centers()[:, None] + nodes[None, :]).ravel()
     psi = wavefunction_table(dim, x).reshape(dim, config.n_bins, nodes.size)

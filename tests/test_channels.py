@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim.channels import LossChannel, apply_loss, loss_adjoint_on_operator, loss_kraus
-from kerrsim.fock import DensityMatrix, basis_state, coherent_state, density_from_pure
+from kerrsim.fock import (
+    DensityMatrix,
+    basis_state,
+    coherent_state,
+    density_from_pure,
+    truncate_density,
+)
 
 
 def random_density(rng, dim):
@@ -20,6 +26,26 @@ def random_effect(rng, dim):
     w, v = np.linalg.eigh(h)
     u = (w - w.min()) / (w.max() - w.min())  # eigenvalues into [0, 1]
     return (v * u) @ v.conj().T
+
+
+@st.composite
+def states(draw, max_dim=10):
+    """Random density matrices of every rank; low ranks sit on the PSD boundary."""
+    dim = draw(st.integers(1, max_dim))
+    rank = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = a @ a.conj().T
+    return DensityMatrix(dim, m / np.trace(m).real)
+
+
+def assert_density_matrix(rho, atol=1e-12):
+    assert np.max(np.abs(rho.elems - rho.elems.conj().T)) <= atol
+    assert abs(rho.trace - 1.0) <= atol
+    assert np.linalg.eigvalsh(rho.elems)[0] >= -atol
+
+
+ETA = st.floats(0.0, 1.0)
 
 
 def test_channel_validation():
@@ -155,3 +181,38 @@ def test_adjoint_stack_rejects_one_bad_element():
 
     with pytest.raises(ValueError):
         loss_adjoint_on_operator(np.zeros((2, 3, 4)), channel)
+
+
+@given(rho=states(), eta1=ETA, eta2=ETA)
+def test_loss_semigroup_property(rho, eta1, eta2):
+    chained = apply_loss(apply_loss(rho, LossChannel(eta2)), LossChannel(eta1))
+    direct = apply_loss(rho, LossChannel(eta1 * eta2))
+    assert np.max(np.abs(chained.elems - direct.elems)) <= 1e-12
+
+
+@given(rho=states(), seed=st.integers(0, 2**32 - 1), eta=ETA)
+def test_loss_duality_property(rho, seed, eta):
+    # Tr[L(rho) E] = Tr[rho L+(E)] for an effect 0 <= E <= I with random spectrum
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rho.dim, rho.dim)) + 1j * rng.normal(size=(rho.dim, rho.dim))
+    v = np.linalg.qr(a)[0]
+    effect = (v * rng.uniform(size=rho.dim)) @ v.conj().T
+    effect = 0.5 * (effect + effect.conj().T)
+    channel = LossChannel(eta)
+    lhs = np.trace(apply_loss(rho, channel).elems @ effect).real
+    rhs = np.trace(rho.elems @ loss_adjoint_on_operator(effect, channel)).real
+    assert abs(lhs - rhs) <= 1e-12
+
+
+@given(rho=states(), eta=ETA)
+def test_apply_loss_keeps_a_density_matrix(rho, eta):
+    assert_density_matrix(apply_loss(rho, LossChannel(eta)))
+
+
+@given(rho=states(), data=st.data())
+def test_truncate_density_keeps_a_density_matrix(rho, data):
+    dim = data.draw(st.integers(1, rho.dim))
+    block, tail = truncate_density(rho, dim)
+    assert_density_matrix(block)
+    assert_allclose(tail, 1.0 - np.trace(rho.elems[:dim, :dim]).real, atol=1e-15)
+    assert -1e-12 <= tail < 1.0

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim import homodyne
@@ -156,6 +156,31 @@ def test_sampling_deterministic():
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.thetas, b.thetas)
     c = sample_quadratures(rho, default_schedule(seed=78, n_phases=4, samples_per_phase=500), eta=0.66)
     assert not np.array_equal(a.xs, c.xs)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 10),
+    counts=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    eta=st.floats(0.0, 1.0),
+)
+def test_sampling_split_schedule(seed, dim, counts, eta):
+    # each phase draws from its own stream keyed by (seed, its place in the schedule),
+    # so a phase sampled without the others, in the same place, gives the joint block
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = DensityMatrix(dim, a @ a.conj().T / np.sum(np.abs(a) ** 2))
+    thetas = np.sort(rng.uniform(0.0, math.pi, size=len(counts)))
+    schedule = PhaseSchedule(tuple(zip(thetas.tolist(), counts)), seed)
+    joint = sample_quadratures(rho, schedule, eta)
+    blocks = np.split(joint.xs, np.cumsum(counts)[:-1])
+    for k, (theta, count) in enumerate(schedule.phases):
+        # the phases before k are replaced by one sample each at unrelated angles
+        before = tuple((10.0 + i, 1) for i in range(k))
+        alone = PhaseSchedule(before + ((theta, count),), seed)
+        xs = sample_quadratures(rho, alone, eta).xs[k:]
+        assert np.array_equal(xs, blocks[k])
 
 
 def test_sampling_grid_deficit():

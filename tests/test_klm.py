@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import optimize
 
 from kerrsim.fock import FockVector, basis_state, density_from_pure, fidelity
 from kerrsim.gates import nonlinear_sign_target
@@ -179,11 +180,57 @@ def test_solve_transmittances_conditions():
 
 
 def test_solve_transmittances_match_closed_form():
-    # known closed forms as cross-checks (not ground truth for the solver)
     sol = solve_ns_transmittances()
-    t1, t2, t3 = sol.transmittances
-    assert_allclose(t2, SQRT2 - 1.0, atol=1e-9)
-    assert_allclose(t1 * t3, (2.0 + SQRT2) / 4.0, atol=1e-8)
+    cos_pi_8 = math.cos(math.pi / 8.0)
+    assert sol.transmittances == (cos_pi_8, SQRT2 - 1.0, cos_pi_8)
+    assert max(sol.residuals) <= 1e-15
+    assert abs(sol.success_probability - 0.25) <= 1e-15
+
+
+def _scipy_reference_solution():
+    """Numeric reference for the closed form: the most probable point on the ratio conditions.
+
+    For each t1, a root solve puts (t2, t3) on lambda_1/lambda_0 = 1 and
+    lambda_2/lambda_0 = -1; a bounded scalar search then maximizes |lambda_0|^2
+    over t1.  Returns (success probability, t1, t2, t3).
+    """
+    def conditions(t1, t2, t3):
+        lam = _heralded_lambdas(t1, t2, t3)
+        return np.array([(lam[1] - lam[0]).real, (lam[2] + lam[0]).real])
+
+    def solve_pair(t1):
+        # angle variables keep the probed transmittances inside [-1, 1]
+        sol = optimize.root(
+            lambda v: conditions(t1, math.cos(v[0]), math.cos(v[1])),
+            x0=np.array([math.acos(0.45), math.acos(min(t1, 0.98))]),
+            method="hybr",
+            tol=1e-13,
+        )
+        t2, t3 = math.cos(sol.x[0]), math.cos(sol.x[1])
+        if not sol.success or not (0.0 < t2 < 1.0 and 0.0 < t3 < 1.0):
+            return None
+        return t2, t3
+
+    def negative_success(t1):
+        pair = solve_pair(t1)
+        return 0.0 if pair is None else -float(abs(_heralded_lambdas(t1, *pair)[0]) ** 2)
+
+    best = optimize.minimize_scalar(
+        negative_success, bounds=(0.75, 0.99), method="bounded", options={"xatol": 1e-12}
+    )
+    t1 = float(best.x)
+    pair = solve_pair(t1)
+    assert pair is not None, "root solve failed at the best t1"
+    return -float(best.fun), t1, *pair
+
+
+def test_closed_form_matches_scipy_reference():
+    success, t1, t2, t3 = _scipy_reference_solution()
+    sol = solve_ns_transmittances()
+    assert success <= 0.25 + 1e-9
+    assert abs(t1 - math.cos(math.pi / 8.0)) <= 1e-6
+    assert_allclose((t1, t2, t3), sol.transmittances, atol=1e-6)
+    assert_allclose(success, sol.success_probability, atol=1e-12)
 
 
 def test_solution_splitters_reproduce_network():

@@ -5,12 +5,15 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kerrsim
 from kerrsim.artifacts import write_json
 from kerrsim.cli import main
 from kerrsim.errors import ConfigError, StageError
@@ -50,7 +53,10 @@ def test_config_validation():
     for bad in ({"max_iterations": "5"}, {"eta": "0.5"}, {"seed": 1.5}, {"seed": -1},
                 {"seed": True}, {"n_phases": 6.0}, {"x_max": math.inf}, {"eta": math.nan},
                 {"mode": 1}, {"outdir": 5}, {"alphas": ["0.5", True]}, {"alphas": ["0.5"]},
-                {"alphas": [0.5, True]}):
+                {"alphas": [0.5, True]}, {"custom_a": [math.nan, 0]},
+                {"custom_b": [0, math.inf]}, {"custom_a": True}, {"custom_b": [True, 0]},
+                {"custom_a": "1"}, {"alphas": [0.5, 0.5]}, {"alphas": [0.5, 0.5000001]},
+                {"bin_width": 100.0}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(bad).validate()
@@ -154,7 +160,7 @@ def test_report_contents(tmp_path):
         payload = json.load(fh)
     assert payload["schema_version"] == 1
     assert payload["seed"] == payload["config"]["seed"]
-    assert set(payload["versions"]) == {"kerrsim", "numpy", "scipy"}
+    assert set(payload["versions"]) == {"kerrsim", "numpy"}
     record = payload["records"][0]
     assert record["vacuum_flip_model"] is True
     assert record["vacuum_flip_reconstructed"] is True
@@ -255,6 +261,24 @@ def test_cli_config_setting_dilution_is_unknown_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: invalid configuration: unknown config fields: ['dilution']\n"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_config_rejected_before_any_stage(tmp_path, capsys):
+    # each of these used to fail inside a stage (exit 3) or overwrite an artifact (exit 0)
+    out = str(tmp_path / "out")
+    config = tmp_path / "bad.json"
+    for payload, message in (
+        ({"mode": "custom", "custom_a": [math.nan, 0.0]}, "custom_a must be a finite complex"),
+        ({"mode": "custom", "custom_b": [0.0, math.inf]}, "custom_b must be a finite complex"),
+        ({"bin_width": 100.0}, "bin_width 100 leaves no bin"),
+    ):
+        config.write_text(json.dumps(payload))
+        assert main(["pipeline", "--config", str(config), "--out", out]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["sample", "--alpha", "0.5", "--alpha", "0.5000001", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "alphas 0.5 and 0.5000001 would share the artifact directory" in err
+    assert not os.path.exists(out)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
@@ -425,6 +449,15 @@ def test_atomic_write_json(tmp_path):
     umask = os.umask(0o022)
     os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; the command line must not pull it in
+    env = {**os.environ, "PYTHONPATH": str(Path(kerrsim.__file__).resolve().parents[1])}
+    code = "import sys, kerrsim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_config_accepts_scalar_complex():

@@ -50,6 +50,21 @@ def test_config_validation():
         TomographyConfig(dim=2)
     with pytest.raises(ValueError):
         TomographyConfig(eta=0.0)
+    with pytest.raises(ValueError, match="leaves no bin"):
+        TomographyConfig(bin_width=100.0)  # rounds to zero bins on +-6
+
+
+@pytest.mark.parametrize("bin_width", [0.07, 0.13, 0.3])
+def test_povm_bins_are_the_histogram_bins(bin_width):
+    # a width that does not tile +-x_max is rounded to the grid's spacing, and the
+    # POVM integrates over exactly the bins bin_samples fills
+    cfg = TomographyConfig(eta=1.0, bin_width=bin_width)
+    povm = build_povm(cfg, [0.0])
+    assert np.linalg.norm(povm[0].sum(axis=0) - np.eye(cfg.dim), ord=2) <= TOL.completeness
+    # vacuum: Tr[|0><0| E_b] is the Gaussian mass of bin b, 0.5 (erf(hi) - erf(lo))
+    edges = cfg.bin_edges()
+    mass = [0.5 * (math.erf(hi) - math.erf(lo)) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert_allclose(povm[0, :, 0, 0].real, mass, atol=1e-10)
 
 
 def test_bin_samples_basics():
