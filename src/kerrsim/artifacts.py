@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 
-__all__ = ["atomic_open", "write_json", "write_matrix_table", "alpha_dir"]
+__all__ = ["atomic_open", "write_json", "write_table", "write_matrix_table", "alpha_dir"]
 
 
 @contextlib.contextmanager
@@ -38,15 +38,19 @@ def write_json(path, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_matrix_table(path, rho) -> None:
-    """Plot-ready CSV of a density matrix: rows m, columns n; re and im blocks."""
-    lines = ["part,m," + ",".join(str(n) for n in range(rho.dim))]
-    for part, values in (("re", rho.elems.real), ("im", rho.elems.imag)):
-        for m in range(rho.dim):
-            row = ",".join(repr(float(v)) for v in values[m])
-            lines.append(f"{part},{m},{row}")
+def write_table(path, header, rows) -> None:
+    """CSV of a header and rows: floats as repr, which round-trips; anything else as str."""
+    lines = (",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+             for row in [header, *rows])
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_matrix_table(path, rho) -> None:
+    """Plot-ready CSV of a density matrix: rows m, columns n; re and im blocks."""
+    blocks = (("re", rho.elems.real), ("im", rho.elems.imag))
+    rows = [[part, m, *values[m].tolist()] for part, values in blocks for m in range(rho.dim)]
+    write_table(path, ["part", "m", *range(rho.dim)], rows)
 
 
 def alpha_dir(outdir: str, alpha: float) -> str:

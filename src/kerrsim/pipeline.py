@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import __version__
-from .artifacts import alpha_dir, atomic_open, write_json, write_matrix_table
-from .errors import ConfigError, StageError
+from .artifacts import alpha_dir, write_json, write_matrix_table, write_table
+from .errors import ConfigError, NumericalError, StageError
 from .fock import (
     DensityMatrix,
     FockVector,
@@ -161,9 +161,13 @@ class ExperimentConfig:
         if self.mode == "custom" and self.custom_a == 0 and self.custom_b == 0:
             raise ConfigError("custom mode needs nonzero (a, b)")
         try:
-            self.tomography()
+            build_povm(self.tomography(), [0.0])  # completeness is the same at every phase
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except NumericalError as exc:
+            raise ConfigError(
+                f"x_max {self.x_max:g} is too small for recon_dim {self.recon_dim}: {exc}"
+            ) from exc
 
     def tomography(self) -> TomographyConfig:
         return TomographyConfig(
@@ -351,8 +355,9 @@ def _sample(config: ExperimentConfig, index: int, alpha: float):
     return batch, panels, weight, tail
 
 
-def _reconstruct(alpha: float | None, binned, tomo: TomographyConfig, povm):
-    """The reconstruct stage, then one log line with its convergence."""
+def _reconstruct(alpha: float | None, binned, tomo: TomographyConfig):
+    """The povm stage for the binned phases, the reconstruct stage, a convergence log line."""
+    povm = _stage("povm", alpha, build_povm, tomo, binned.thetas)
     rho_hat, diag = _stage("reconstruct", alpha, reconstruct, binned, tomo, povm)
     _log.info(
         "reconstruct%s: %d iterations, converged=%s, ml_gap_nats=%.3g",
@@ -441,8 +446,7 @@ def reconstruct_file(
         raise ConfigError(
             f"cannot reconstruct from {path}: {len(batch)} samples, none inside +-{tomo.x_max:g}"
         )
-    povm = _stage("povm", None, build_povm, tomo, binned.thetas)
-    rho_hat, diag = _reconstruct(None, binned, tomo, povm)
+    rho_hat, diag = _reconstruct(None, binned, tomo)
     if batch.eta is not None and batch.eta != tomo.eta:
         diag.warnings.append(
             f"samples were recorded at eta={batch.eta:g} but reconstructed with eta={tomo.eta:g}"
@@ -454,14 +458,12 @@ def reconstruct_file(
     return rho_hat, diag
 
 
-def _run_alpha(
-    config: ExperimentConfig, index: int, alpha: float, povm, emit: bool
-) -> AlphaRecord:
+def _run_alpha(config: ExperimentConfig, index: int, alpha: float, emit: bool) -> AlphaRecord:
     batch, panels, weight, tail = _sample(config, index, alpha)
     rho_in, rho_out = panels["input_model"], panels["output_model"]
     tomo = config.tomography()
     binned = _stage("bin", alpha, bin_samples, batch, tomo)
-    rho_hat, diag = _reconstruct(alpha, binned, tomo, povm)
+    rho_hat, diag = _reconstruct(alpha, binned, tomo)
     _stage("validate", alpha, lambda: [m.validate() for m in (rho_in, rho_out, rho_hat)])
     fid = _stage("compare", alpha, fidelity, rho_hat, rho_out)
 
@@ -505,12 +507,9 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
     config.validate()
     if emit:
         os.makedirs(config.outdir, exist_ok=True)
-    thetas = [theta for theta, _ in config.schedule(0).phases]
-    povm = _stage("povm", None, build_povm, config.tomography(), thetas)
-
     report = RunReport(config=config, versions=_versions())
     for index, alpha in enumerate(config.alphas):
-        report.records.append(_run_alpha(config, index, alpha, povm, emit))
+        report.records.append(_run_alpha(config, index, alpha, emit))
     if emit:
         with _timed("emit", None):
             write_json(os.path.join(config.outdir, "report.json"), report.to_dict())
@@ -597,16 +596,8 @@ def klm_table(config: ExperimentConfig) -> list[dict]:
     with _timed("emit", None):
         os.makedirs(config.outdir, exist_ok=True)
         header = ["probe", "scheme", "detector", "eta", "fidelity", "success"]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    repr(float(row[k])) if isinstance(row[k], float) else str(row[k])
-                    for k in header
-                )
-            )
-        with atomic_open(os.path.join(config.outdir, "klm_table.csv")) as fh:
-            fh.write("\n".join(lines) + "\n")
+        table = [[row[k] for k in header] for row in rows]
+        write_table(os.path.join(config.outdir, "klm_table.csv"), header, table)
         write_json(
             os.path.join(config.outdir, "klm_table.json"), {"schema_version": 1, "rows": rows}
         )

@@ -10,13 +10,13 @@ Zhang & Ng, PRA 95, 062336, 2017) on f(rho) = -L(rho)/N, whose gradient is
 Each step moves from a momentum point along R, projects onto density
 matrices (an eigendecomposition with the eigenvalues projected onto the
 simplex) and backtracks the step size on the quadratic upper bound.  An
-iterate that would lower L restarts the momentum instead, so the accepted
-likelihoods are monotone.  The iteration stops on the certified gap
-N (lambda_max(R(rho)) - 1) >= L* - L(rho) (Glancy, Knill & Girard, NJP 14,
-095017, 2012) once it is at most ``TOL.ml_gap_nats``.  POVM elements are
-bin-integrated quadrature projectors pushed through the adjoint loss
-channel, so the reconstruction compensates detector efficiency and
-estimates the pre-detector state.
+iterate that would lower L restarts the momentum instead (or, from the last
+iterate, ends the run as stalled), so the accepted likelihoods are monotone.
+The iteration stops on the certified gap N (lambda_max(R(rho)) - 1) >=
+L* - L(rho) (Glancy, Knill & Girard, NJP 14, 095017, 2012) once it is at
+most ``TOL.ml_gap_nats``.  POVM elements are bin-integrated quadrature
+projectors pushed through the adjoint loss channel, so the reconstruction
+compensates detector efficiency and estimates the pre-detector state.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _MAX_PANEL_WIDTH = 0.1  # subdivide wide bins so the quadrature stays accurate
 
 
-def _bin_integrated_projectors(dim: int, theta: float, config: TomographyConfig) -> np.ndarray:
-    """integral over each bin of |x_theta><x_theta| dx, shape (n_bins, dim, dim)."""
+def _bin_integrated_projectors(config: TomographyConfig) -> np.ndarray:
+    """integral over each bin of |x><x| dx at theta = 0, shape (n_bins, dim, dim)."""
     # the width of the grid's bins; bin_width is rounded to it so n_bins tile +-x_max
     width = 2.0 * config.x_max / config.n_bins
     panels = max(1, int(math.ceil(width / _MAX_PANEL_WIDTH)))
@@ -155,33 +155,27 @@ def _bin_integrated_projectors(dim: int, theta: float, config: TomographyConfig)
     offsets = -0.5 * width + (2 * np.arange(panels) + 1) * half
     nodes = (offsets[:, None] + half * _GL_NODES[None, :]).ravel()
     x = (config.bin_centers()[:, None] + nodes[None, :]).ravel()
-    psi = wavefunction_table(dim, x).reshape(dim, config.n_bins, nodes.size)
-    w = np.exp(-1j * theta * np.arange(dim))[:, None, None] * psi
+    psi = wavefunction_table(config.dim, x).reshape(config.dim, config.n_bins, nodes.size)
     weights = np.tile(_GL_WEIGHTS * half, panels)
-    return np.einsum("mbk,nbk,k->bmn", w, w.conj(), weights, optimize=True)
+    return np.einsum("mbk,nbk,k->bmn", psi, psi, weights, optimize=True)
 
 
 def build_povm(config: TomographyConfig, thetas) -> np.ndarray:
     """Efficiency-compensated POVM, shape (n_phases, n_bins, dim, dim).
 
-    Each element is the bin-integrated quadrature projector pushed through the
-    adjoint loss channel at config.eta, all phases and bins in one call.
-    Raises if any phase's elements fail to resolve the identity within
-    tolerance.
+    The bin-integrated quadrature projectors at theta = 0 go through the
+    adjoint loss channel at config.eta in one call; raises if they fail to
+    resolve the identity within tolerance.  Loss commutes with the rotation
+    U = diag(exp(-i n theta)), so the element at theta is U E(0) U^dag,
+    E(0)_mn exp(-i (m - n) theta), and is complete exactly when E(0) is.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    raw = np.empty((thetas.size, config.n_bins, config.dim, config.dim), dtype=np.complex128)
-    for i, theta in enumerate(thetas):
-        raw[i] = _bin_integrated_projectors(config.dim, float(theta), config)
-    povm = loss_adjoint_on_operator(raw, LossChannel(config.eta))
-    eye = np.eye(config.dim)
-    for i, theta in enumerate(thetas):
-        residual = np.linalg.norm(povm[i].sum(axis=0) - eye, ord=2)
-        if residual > TOL.completeness:
-            raise NumericalError(
-                f"POVM completeness residual {residual:.3e} at theta={theta:.4f}"
-            )
-    return povm
+    povm0 = loss_adjoint_on_operator(_bin_integrated_projectors(config), LossChannel(config.eta))
+    residual = np.linalg.norm(povm0.sum(axis=0) - np.eye(config.dim), ord=2)
+    if residual > TOL.completeness:
+        raise NumericalError(f"POVM completeness residual {residual:.3e}")
+    n = np.arange(config.dim)
+    phase = np.exp(-1j * np.multiply.outer(np.asarray(thetas, dtype=np.float64), n[:, None] - n))
+    return povm0 * phase[:, None, :, :]
 
 
 def _occupied_rows(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,10 +329,10 @@ def reconstruct(
                     break
             step *= 0.5
         else:
-            if sigma is rho:
-                break  # not even a short step from the last iterate helps: stalled
             cand_loglik = -math.inf
         if cand_loglik < loglik:
+            if sigma is rho:
+                break  # no step from the last iterate raises L: stalled
             # the step would lower L: restart the momentum from the last iterate
             sigma, sigma_probs, momentum = rho, probs, 1.0
             continue

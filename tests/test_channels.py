@@ -204,6 +204,23 @@ def test_loss_duality_property(rho, seed, eta):
     assert abs(lhs - rhs) <= 1e-12
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 10),
+    eta=ETA,
+    theta=st.floats(-2.0 * np.pi, 2.0 * np.pi),
+)
+def test_adjoint_commutes_with_phase_rotation(seed, dim, eta, theta):
+    # L+(U E U^dag) = U L+(E) U^dag for U = diag(exp(-i n theta)): loss keeps the
+    # photon-number difference m - n of every element, so one POVM at phase 0 serves all
+    effect = random_effect(np.random.default_rng(seed), dim)
+    u = np.exp(-1j * theta * np.arange(dim))
+    channel = LossChannel(eta)
+    rotated = loss_adjoint_on_operator(u[:, None] * effect * u.conj()[None, :], channel)
+    expected = u[:, None] * loss_adjoint_on_operator(effect, channel) * u.conj()[None, :]
+    assert np.max(np.abs(rotated - expected)) <= 1e-13
+
+
 @given(rho=states(), eta=ETA)
 def test_apply_loss_keeps_a_density_matrix(rho, eta):
     assert_density_matrix(apply_loss(rho, LossChannel(eta)))

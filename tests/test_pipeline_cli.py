@@ -56,7 +56,7 @@ def test_config_validation():
                 {"alphas": [0.5, True]}, {"custom_a": [math.nan, 0]},
                 {"custom_b": [0, math.inf]}, {"custom_a": True}, {"custom_b": [True, 0]},
                 {"custom_a": "1"}, {"alphas": [0.5, 0.5]}, {"alphas": [0.5, 0.5000001]},
-                {"bin_width": 100.0}):
+                {"bin_width": 100.0}, {"x_max": 1.0}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(bad).validate()
@@ -271,6 +271,7 @@ def test_cli_config_rejected_before_any_stage(tmp_path, capsys):
         ({"mode": "custom", "custom_a": [math.nan, 0.0]}, "custom_a must be a finite complex"),
         ({"mode": "custom", "custom_b": [0.0, math.inf]}, "custom_b must be a finite complex"),
         ({"bin_width": 100.0}, "bin_width 100 leaves no bin"),
+        ({"x_max": 1.0}, "x_max 1 is too small for recon_dim 8"),
     ):
         config.write_text(json.dumps(payload))
         assert main(["pipeline", "--config", str(config), "--out", out]) == 2
@@ -496,11 +497,10 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, command):
     assert out in err[0]
 
 
-_PER_ALPHA = ("forward-model", "truncate", "sample", "bin", "reconstruct", "validate",
+_PER_ALPHA = ("forward-model", "truncate", "sample", "bin", "povm", "reconstruct", "validate",
               "compare", "emit")
 VERBOSE_STAGES = {
-    "pipeline": [("povm", None),
-                 *[(stage, alpha) for alpha in ("0.53", "0.23") for stage in _PER_ALPHA],
+    "pipeline": [*[(stage, alpha) for alpha in ("0.53", "0.23") for stage in _PER_ALPHA],
                  ("emit", None)],
     "simulate": [*[(stage, alpha) for alpha in ("0.53", "0.23")
                    for stage in ("forward-model", "truncate", "emit")],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim import tomography
-from kerrsim.channels import LossChannel, apply_loss
+from kerrsim.channels import LossChannel, apply_loss, loss_adjoint_on_operator
 from kerrsim.fock import (
     DensityMatrix,
     basis_state,
@@ -18,7 +18,13 @@ from kerrsim.fock import (
     truncate_density,
 )
 from kerrsim.gates import SuperpositionParams, apply_conditional, build_superposition_operator, solve_superposition
-from kerrsim.homodyne import PhaseSchedule, SampleBatch, default_schedule, sample_quadratures
+from kerrsim.homodyne import (
+    PhaseSchedule,
+    SampleBatch,
+    default_schedule,
+    sample_quadratures,
+    wavefunction_table,
+)
 from kerrsim.tomography import (
     BinnedData,
     TomographyConfig,
@@ -65,6 +71,41 @@ def test_povm_bins_are_the_histogram_bins(bin_width):
     edges = cfg.bin_edges()
     mass = [0.5 * (math.erf(hi) - math.erf(lo)) for lo, hi in zip(edges[:-1], edges[1:])]
     assert_allclose(povm[0, :, 0, 0].real, mass, atol=1e-10)
+
+
+def _reference_povm(cfg, thetas):
+    """Phase by phase: the rotated projectors integrated over every bin on the
+    same Gauss-Legendre panels, pushed through the adjoint loss, then checked
+    for completeness."""
+    width = 2.0 * cfg.x_max / cfg.n_bins
+    panels = max(1, math.ceil(width / tomography._MAX_PANEL_WIDTH))
+    half = 0.5 * width / panels
+    offsets = -0.5 * width + (2 * np.arange(panels) + 1) * half
+    nodes = (offsets[:, None] + half * tomography._GL_NODES[None, :]).ravel()
+    x = (cfg.bin_centers()[:, None] + nodes[None, :]).ravel()
+    psi = wavefunction_table(cfg.dim, x).reshape(cfg.dim, cfg.n_bins, nodes.size)
+    weights = np.tile(tomography._GL_WEIGHTS * half, panels)
+    out = []
+    for theta in thetas:
+        w = np.exp(-1j * theta * np.arange(cfg.dim))[:, None, None] * psi
+        raw = np.einsum("mbk,nbk,k->bmn", w, w.conj(), weights)
+        povm = loss_adjoint_on_operator(raw, LossChannel(cfg.eta))
+        assert np.linalg.norm(povm.sum(axis=0) - np.eye(cfg.dim), ord=2) <= TOL.completeness
+        out.append(povm)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", [3, 8, 10])
+@pytest.mark.parametrize("eta", [0.66, 1.0])
+@pytest.mark.parametrize("bin_width", [0.05, 0.07, 0.3])
+def test_povm_rotation_matches_per_phase_reference(bin_width, eta, dim):
+    # the phase-0 elements rotated to each phase equal the projectors built at that
+    # phase, in any phase order; x_max = 7 leaves dim 10 inside the completeness bound
+    cfg = TomographyConfig(dim=dim, eta=eta, bin_width=bin_width, x_max=7.0)
+    thetas = [2.1, 0.0, -0.7, math.pi, 0.4, 5.5]
+    povm = build_povm(cfg, thetas)
+    assert povm.shape == (len(thetas), cfg.n_bins, dim, dim)
+    assert_allclose(povm, _reference_povm(cfg, thetas), rtol=0, atol=1e-15)
 
 
 def test_bin_samples_basics():
@@ -255,9 +296,10 @@ def test_nonconvergence_flagged():
 
 
 def test_reconstruct_stops_when_no_step_helps(monkeypatch):
-    # a zero gap tolerance is out of float64's reach: the backtracking runs out of
-    # step size from the last iterate, and the run ends flagged well before the cap
-    monkeypatch.setattr(tomography, "TOL", dataclasses.replace(TOL, ml_gap_nats=0.0))
+    # the gap is clamped at 0, so a negative tolerance is out of reach: the
+    # backtracking runs out of step size from the last iterate, and the run ends
+    # flagged well before the cap
+    monkeypatch.setattr(tomography, "TOL", dataclasses.replace(TOL, ml_gap_nats=-1.0))
     cfg = TomographyConfig(eta=1.0, max_iterations=20000)
     rho = ideal_gate_output(0.53)
     batch = sample_quadratures(rho, default_schedule(5, n_phases=4, samples_per_phase=2000), eta=1.0)
@@ -266,6 +308,23 @@ def test_reconstruct_stops_when_no_step_helps(monkeypatch):
     assert not diag.converged
     assert diag.warnings == [f"no convergence after {diag.iterations} iterations; best iterate returned"]
     assert 0.0 <= diag.ml_gap_nats <= 1e-3
+    assert np.all(np.diff(diag.loglik_trace) >= 0.0)
+    rho_hat.validate()
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_reconstruct_stall_ends_the_run(monkeypatch, seed):
+    # from the last iterate the backtracking can accept, through rounding alone, a
+    # step that lowers L; that is a stall as well, and the run ends there rather
+    # than recomputing the same rejected step until the cap
+    monkeypatch.setattr(tomography, "TOL", dataclasses.replace(TOL, ml_gap_nats=-1.0))
+    cfg = TomographyConfig(eta=1.0, max_iterations=20000)
+    rho = ideal_gate_output(0.53)
+    schedule = default_schedule(seed, n_phases=4, samples_per_phase=2000)
+    rho_hat, diag = reconstruct(bin_samples(sample_quadratures(rho, schedule, eta=1.0), cfg), cfg)
+    assert diag.iterations < 1000
+    assert not diag.converged
+    assert 0.0 <= diag.ml_gap_nats <= 0.1
     assert np.all(np.diff(diag.loglik_trace) >= 0.0)
     rho_hat.validate()
 
