@@ -9,7 +9,6 @@ for resource comparison.
 __version__ = "0.1.0"
 
 from .fock import (
-    CoherentParams,
     DensityMatrix,
     FockVector,
     apply_annihilation,

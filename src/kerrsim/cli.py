@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import functools
 import json
 import logging
 import os
@@ -36,21 +38,24 @@ from .pipeline import bin_samples, load_samples, reconstruct, sample_quadratures
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument(
+    # a flag left out sets no attribute, so only the flags given override the config
+    flag = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    flag(
         "--alpha", action="append", type=float, dest="alphas", metavar="A",
         help="input coherent amplitude (repeatable)",
     )
-    parser.add_argument("--mode", choices=("ideal", "bestfit", "custom"))
-    parser.add_argument("--eta", type=float, help="detector efficiency")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--samples-per-phase", type=int, dest="samples_per_phase")
-    parser.add_argument("--phases", type=int, dest="n_phases")
-    parser.add_argument("--out", dest="outdir", help="output directory")
+    flag("--mode", choices=("ideal", "bestfit", "custom"))
+    flag("--eta", type=float, help="detector efficiency")
+    flag("--seed", type=int)
+    flag("--samples-per-phase", type=int, dest="samples_per_phase")
+    flag("--phases", type=int, dest="n_phases")
+    flag("--out", dest="outdir", help="output directory")
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The --config file's fields, overridden by the config flags given; validated."""
     payload: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 payload = json.load(fh)
@@ -58,11 +63,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
-    for key in ("alphas", "mode", "eta", "seed", "samples_per_phase", "n_phases", "outdir"):
-        value = getattr(args, key, None)
-        if value is not None:
-            payload[key] = value
-    return ExperimentConfig.from_dict(payload)  # each entry point validates it
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    payload.update((key, value) for key, value in vars(args).items() if key in names)
+    return ExperimentConfig.from_dict(payload)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -8,6 +8,7 @@ expansion c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ from .errors import TruncationOverflowError
 from .tolerances import TOL
 
 __all__ = [
-    "CoherentParams",
     "FockVector",
     "DensityMatrix",
     "basis_state",
@@ -35,18 +35,6 @@ __all__ = [
 def _lock(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class CoherentParams:
-    """Dimensionless complex amplitude of a coherent state."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        z = complex(self.alpha)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError("coherent amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -120,43 +108,41 @@ def basis_state(n: int, dim: int) -> FockVector:
     return FockVector(dim, amps)
 
 
-def coherent_state(
-    params: CoherentParams | complex,
-    dim: int,
-    tail_tolerance: float = TOL.tail,
-) -> FockVector:
-    """Truncated coherent state.
+def coherent_state(alpha: complex, dim: int) -> FockVector:
+    """Truncated coherent state of the complex amplitude ``alpha``.
 
-    Raises TruncationOverflowError when the truncated tail weight
-    1 - sum_n |c_n|^2 exceeds ``tail_tolerance``, signalling that ``dim`` is
-    too small for this amplitude.
+    Raises ValueError for a non-finite alpha, and TruncationOverflowError
+    when the truncated tail weight 1 - sum_n |c_n|^2 exceeds ``TOL.tail``,
+    signalling that ``dim`` is too small for this amplitude.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    alpha = params.alpha if isinstance(params, CoherentParams) else complex(params)
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     # c_n = e^{-|a|^2/2} a^n / sqrt(n!), built by a stable running product
     ratios = np.ones(dim, dtype=np.complex128)
     if dim > 1:
         ratios[1:] = alpha / np.sqrt(np.arange(1, dim))
     amps = np.cumprod(ratios) * math.exp(-0.5 * abs(alpha) ** 2)
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > tail_tolerance:
+    if tail > TOL.tail:
         raise TruncationOverflowError(
             f"coherent state alpha={alpha} loses tail weight {tail:.3e} at dim={dim}"
         )
     return FockVector(dim, amps)
 
 
-def apply_creation(state: FockVector, overflow_tolerance: float = TOL.overflow) -> FockVector:
+def apply_creation(state: FockVector) -> FockVector:
     """Apply the creation operator: out[n+1] = sqrt(n+1) * in[n].
 
     The top input level would leave the truncated space; if its population
-    exceeds ``overflow_tolerance`` this raises instead of silently clipping.
+    exceeds ``TOL.overflow`` this raises instead of silently clipping.
     """
     top = abs(state.amps[-1]) ** 2
-    if top > overflow_tolerance:
+    if top > TOL.overflow:
         raise TruncationOverflowError(
-            f"top-level population {top:.3e} exceeds {overflow_tolerance:.1e}; "
+            f"top-level population {top:.3e} exceeds {TOL.overflow:.1e}; "
             "increase dim before adding a photon"
         )
     out = np.zeros(state.dim, dtype=np.complex128)

@@ -167,18 +167,17 @@ def sample_quadratures(
     rho: DensityMatrix,
     schedule: PhaseSchedule,
     eta: float,
-    grid_halfwidth: float = GRID_HALFWIDTH,
-    grid_step: float = GRID_STEP,
 ) -> SampleBatch:
     """Draw homodyne samples from the state after detection loss eta.
 
-    Per phase, draws i.i.d. samples by inverse-CDF lookup on a tabulated grid
-    (linear interpolation).  Each phase gets its own Philox stream derived
-    from (seed, phase index), so output is deterministic given the schedule.
+    Per phase, draws i.i.d. samples by inverse-CDF lookup on a grid of step
+    ``GRID_STEP`` over +-``GRID_HALFWIDTH`` (linear interpolation).  Each
+    phase gets its own Philox stream derived from (seed, phase index), so
+    output is deterministic given the schedule.
     """
     lossy = apply_loss(rho, LossChannel(eta))
-    n_points = int(round(2.0 * grid_halfwidth / grid_step)) + 1
-    grid = np.linspace(-grid_halfwidth, grid_halfwidth, n_points)
+    n_points = int(round(2.0 * GRID_HALFWIDTH / GRID_STEP)) + 1
+    grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, n_points)
     thetas_out = []
     xs_out = []
     for index, (theta, count) in enumerate(schedule.phases):

@@ -100,18 +100,15 @@ def transition_amplitude(m: np.ndarray, out: tuple[int, ...], inp: tuple[int, ..
     return complex(permanent) / math.sqrt(norm)
 
 
-def _detector_weight(detector: DetectorModel, outcome, n: int) -> float:
+def _detector_weight(detector: DetectorModel, reading: int, n: int) -> float:
+    """P(reading | n photons); an on-off detector reads 1 for a click, 0 for none."""
     eta = detector.efficiency
     if detector.kind == "pnr":
-        m = int(outcome)
-        if n < m:
+        if n < reading:
             return 0.0
-        return math.comb(n, m) * eta**m * (1.0 - eta) ** (n - m)
-    if outcome == "click":
-        return 1.0 - (1.0 - eta) ** n
-    if outcome == "no_click":
-        return (1.0 - eta) ** n
-    raise ValueError(f"on-off detector outcome must be 'click' or 'no_click', got {outcome!r}")
+        return math.comb(n, reading) * eta**reading * (1.0 - eta) ** (n - reading)
+    miss = (1.0 - eta) ** n
+    return 1.0 - miss if reading else miss
 
 
 @dataclass(frozen=True)
@@ -191,15 +188,13 @@ def run_ns_gate(
 
     signal_in = state.amps[:3] / norm
     network = transfer_matrix(*solve_ns_transmittances().transmittances)
-    outcome_zero = 0 if det_zero.kind == "pnr" else "no_click"
-    outcome_one = 1 if det_one.kind == "pnr" else "click"
 
     branches: list[tuple[float, FockVector]] = []
     phase = np.exp(1j * math.pi * np.arange(state.dim))
     for n_zero in range(MAX_PHOTONS + 1):
         for n_one in range(MAX_PHOTONS + 1 - n_zero):
-            weight = _detector_weight(det_zero, outcome_zero, n_zero)
-            weight *= _detector_weight(det_one, outcome_one, n_one)
+            weight = _detector_weight(det_zero, 0, n_zero)
+            weight *= _detector_weight(det_one, 1, n_one)
             if weight == 0.0:
                 continue
             # both heralds report, so n_one >= 1 and the signal keeps m <= 2 photons

@@ -114,12 +114,11 @@ class ExperimentConfig:
     outdir: str = "out"
 
     def __post_init__(self):
-        # real numbers become floats; anything else is kept for validate to reject
-        object.__setattr__(self, "alphas", tuple(
-            float(a) if _is_real(a) else a for a in self.alphas
-        ))
+        self.validate()
+        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first invalid field; a built config has passed."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
@@ -185,7 +184,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
         def as_complex(v):
-            # a real number or a [re, im] pair of them; anything else is kept for validate
+            # a real number or a [re, im] pair of them; validate rejects anything else
             parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
             return complex(*parts) if all(_is_real(p) for p in parts) else v
 
@@ -393,7 +392,6 @@ def _save_diag(directory: str, binned, diag: ReconstructionDiagnostics) -> None:
 
 def simulate(config: ExperimentConfig) -> list[dict]:
     """Forward model only: per alpha the input and output panels, plus simulate.json."""
-    config.validate()
     summary = []
     for alpha in config.alphas:
         _, panels, weight, tail = _model(config, alpha)
@@ -411,7 +409,6 @@ def simulate(config: ExperimentConfig) -> list[dict]:
 
 def sample(config: ExperimentConfig) -> list[SampleBatch]:
     """Sample every alpha as run_pipeline does and write its samples.csv plus sidecar."""
-    config.validate()
     batches = []
     for index, alpha in enumerate(config.alphas):
         batch = _sample(config, index, alpha)[0]
@@ -438,7 +435,6 @@ def reconstruct_file(
     diagnostics carry a warning.  A file that cannot be read, or holds no
     sample inside the binning range, is a ConfigError.
     """
-    config.validate()
     tomo = config.tomography()
     batch = _stage("load", None, _load, path)
     binned = _stage("bin", None, bin_samples, batch, tomo) if len(batch) else None
@@ -504,7 +500,6 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
     vacuum sign signature is asserted on model and reconstruction for every
     nonzero alpha; a violation aborts with a structured stage error.
     """
-    config.validate()
     if emit:
         os.makedirs(config.outdir, exist_ok=True)
     report = RunReport(config=config, versions=_versions())
@@ -591,7 +586,6 @@ def klm_compare(eta_heralds: float = 0.66) -> list[dict]:
 
 def klm_table(config: ExperimentConfig) -> list[dict]:
     """klm_compare at the config's eta as the klm stage; writes klm_table.csv and .json."""
-    config.validate()
     rows = _stage("klm", None, klm_compare, eta_heralds=config.eta)
     with _timed("emit", None):
         os.makedirs(config.outdir, exist_ok=True)

@@ -94,19 +94,17 @@ class BinnedData:
     """
 
     thetas: np.ndarray            # (n_phases,)
-    centers: np.ndarray           # (n_bins,)
     counts: np.ndarray            # (n_phases, n_bins) nonnegative
     out_of_range: int = 0
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=np.float64)
-        centers = np.asarray(self.centers, dtype=np.float64)
         counts = np.asarray(self.counts, dtype=np.float64)
-        if counts.shape != (thetas.size, centers.size):
+        if counts.ndim != 2 or counts.shape[0] != thetas.size:
             raise ValueError("counts must have shape (n_phases, n_bins)")
         if np.any(counts < 0) or not np.all(np.isfinite(counts)):
             raise ValueError("counts must be nonnegative and finite")
-        for name, arr in (("thetas", thetas), ("centers", centers), ("counts", counts)):
+        for name, arr in (("thetas", thetas), ("counts", counts)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -139,7 +137,7 @@ def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
     slots = np.bincount(slot, minlength=thetas.size * (n_bins + 2)).reshape(thetas.size, n_bins + 2)
     out_of_range = int(slots[:, 0].sum() + slots[:, -1].sum())
     counts = slots[:, 1:-1].astype(np.float64)
-    return BinnedData(thetas, config.bin_centers(), counts, out_of_range)
+    return BinnedData(thetas, counts, out_of_range)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -184,7 +182,12 @@ def _occupied_rows(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.n
     Row j is E_j flattened and viewed as float64, shape (J, 2 dim^2), so for
     Hermitian rho the Born probability Tr[rho E_j] is a real dot product of
     the row with the float64 view of vec(rho): sum Re E Re rho + Im E Im rho.
+    Raises ValueError unless the POVM has one element per (phase, bin) count.
     """
+    if povm.shape[:2] != data.counts.shape:
+        raise ValueError(
+            f"POVM of shape {povm.shape} does not match counts of shape {data.counts.shape}"
+        )
     counts = data.counts.reshape(-1)
     occupied = counts > 0
     dim = povm.shape[-1]
@@ -252,22 +255,26 @@ def _project_density(mat: np.ndarray) -> np.ndarray:
 def reconstruct(
     data: BinnedData,
     config: TomographyConfig,
-    povm: np.ndarray | None = None,
+    povm: np.ndarray,
     initial: np.ndarray | None = None,
 ) -> tuple[DensityMatrix, ReconstructionDiagnostics]:
     """Maximum-likelihood estimate by accelerated projected gradient.
 
-    Starts from the maximally mixed state unless ``initial`` is given, and
-    stops once the certified gap ``ml_gap_nats`` is at most
-    ``TOL.ml_gap_nats``; ``converged`` means exactly that.  Accepted
+    ``povm`` holds one element per count, as ``build_povm(config,
+    data.thetas)`` gives; a mismatched shape raises ValueError.  Starts from
+    the maximally mixed state unless ``initial`` is given, and stops once the
+    certified gap ``ml_gap_nats`` is at most ``TOL.ml_gap_nats``;
+    ``converged`` means exactly that.  Accepted
     iterations never decrease the log-likelihood (``loglik_trace``).  Returns
     the estimate plus diagnostics; a run that reaches max_iterations returns
     its best iterate flagged, it does not raise.
     """
     if data.total <= 0:
         raise ValueError("no counts to reconstruct from")
-    if povm is None:
-        povm = build_povm(config, data.thetas)
+    if povm.shape[2:] != (config.dim, config.dim):
+        raise ValueError(
+            f"POVM of shape {povm.shape} needs elements of shape ({config.dim}, {config.dim})"
+        )
 
     diag = ReconstructionDiagnostics()
     if data.thetas.size < 2:

@@ -6,7 +6,6 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from kerrsim.fock import (
-    CoherentParams,
     DensityMatrix,
     FockVector,
     apply_annihilation,
@@ -43,12 +42,17 @@ def test_coherent_vacuum():
 
 
 def test_coherent_closed_form():
-    v = coherent_state(CoherentParams(0.23), 8)
+    v = coherent_state(0.23, 8)
     assert_allclose(v.amps[0].real, C0_023, rtol=1e-14)
     assert_allclose(v.amps[1].real, C1_023, rtol=1e-14)
     assert abs(v.amps[1] - 0.23 * v.amps[0]) < 1e-15
-    with pytest.raises(ValueError):
-        CoherentParams(complex("inf"))
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, complex("inf"),
+                                   complex(0.5, math.inf), complex(math.nan, 0.0)])
+def test_coherent_rejects_non_finite_amplitude(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        coherent_state(alpha, 8)
 
 
 def test_coherent_tail_bound():

@@ -185,10 +185,8 @@ def test_sampling_split_schedule(seed, dim, counts, eta):
 
 def test_sampling_grid_deficit():
     rho = density_from_pure(coherent_state(0.79, 16))
-    with pytest.raises(NumericalError):
-        sample_quadratures(
-            rho, PhaseSchedule(((0.0, 10),), seed=1), eta=1.0, grid_halfwidth=0.5
-        )
+    with mock.patch.object(homodyne, "GRID_HALFWIDTH", 0.5), pytest.raises(NumericalError):
+        sample_quadratures(rho, PhaseSchedule(((0.0, 10),), seed=1), eta=1.0)
 
 
 def test_load_samples_rejects_foreign_csv(tmp_path):

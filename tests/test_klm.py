@@ -138,8 +138,9 @@ def test_herald_pnr_exact():
 
 
 def test_herald_on_off_examples():
-    assert _detector_weight(DetectorModel("on_off", 1.0), "click", 0) == 0.0
-    two = _detector_weight(DetectorModel("on_off", 0.66), "click", 2)
+    # an on-off reading of 1 is a click
+    assert _detector_weight(DetectorModel("on_off", 1.0), 1, 0) == 0.0
+    two = _detector_weight(DetectorModel("on_off", 0.66), 1, 2)
     assert_allclose(two, 1.0 - 0.34**2, rtol=1e-12)
 
 
@@ -154,8 +155,6 @@ def test_herald_and_phase_invalid_modes():
         beam_splitter(0, 7, 0.5)
     with pytest.raises(ValueError):
         beam_splitter(-1, 1, 0.5)
-    with pytest.raises(ValueError):
-        _detector_weight(DetectorModel("on_off", 1.0), "maybe", 1)
 
 
 def test_herald_partition_sums_to_one():
@@ -164,7 +163,7 @@ def test_herald_partition_sums_to_one():
         for n in range(4):
             total = sum(_detector_weight(pnr, k, n) for k in range(4))
             assert_allclose(total, 1.0, atol=1e-10)
-            total = _detector_weight(onoff, "click", n) + _detector_weight(onoff, "no_click", n)
+            total = _detector_weight(onoff, 1, n) + _detector_weight(onoff, 0, n)
             assert_allclose(total, 1.0, atol=1e-10)
 
 

@@ -436,6 +436,17 @@ def test_cli_steps_write_the_pipeline_artifacts(tmp_path, capsys):
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
 
 
+def test_public_names_resolve():
+    # a stale __all__ entry would only surface in a star import; the package's
+    # own re-exports are named imports, which fail when kerrsim is imported
+    package = Path(kerrsim.__file__).parent
+    modules = [kerrsim] + [importlib.import_module(f"kerrsim.{path.stem}")
+                           for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
 def test_atomic_write_json(tmp_path):
     path = tmp_path / "artifact.json"
     write_json(path, {"value": 1})

@@ -48,6 +48,11 @@ def ideal_gate_output(alpha, dim=16):
     return density_from_pure(out)
 
 
+def _reconstruct(data, cfg):
+    """reconstruct with the POVM for the data's own phases."""
+    return reconstruct(data, cfg, build_povm(cfg, data.thetas))
+
+
 def test_config_validation():
     cfg = TomographyConfig()
     assert cfg.n_bins == 240
@@ -172,7 +177,7 @@ def test_povm_elements_remain_valid_with_loss():
 def test_loglikelihood_identity_element():
     rho = density_from_pure(basis_state(0, 8))
     povm = np.eye(8, dtype=complex).reshape(1, 1, 8, 8)
-    data = BinnedData(np.array([0.0]), np.array([0.0]), np.array([[250.0]]))
+    data = BinnedData(np.array([0.0]), np.array([[250.0]]))
     assert_allclose(loglikelihood(rho, data, povm), 0.0, atol=1e-10)
 
 
@@ -189,7 +194,7 @@ def test_loglikelihood_order_invariance_and_comparison():
 
     # reordering bins leaves the likelihood unchanged
     perm = np.random.default_rng(0).permutation(cfg.n_bins)
-    data_perm = BinnedData(data.thetas, data.centers[perm], data.counts[:, perm])
+    data_perm = BinnedData(data.thetas, data.counts[:, perm])
     povm_perm = povm[:, perm]
     assert_allclose(
         loglikelihood(rho8, data_perm, povm_perm), loglikelihood(rho8, data, povm), rtol=1e-12
@@ -201,7 +206,7 @@ def test_reconstruct_vacuum_closed_loop():
     rho = density_from_pure(basis_state(0, 16))
     sched = PhaseSchedule(tuple((float(t), 8334) for t in THETAS_12), seed=7)
     batch = sample_quadratures(rho, sched, eta=1.0)
-    rho_hat, diag = reconstruct(bin_samples(batch, cfg), cfg)
+    rho_hat, diag = _reconstruct(bin_samples(batch, cfg), cfg)
     assert fidelity(rho_hat, density_from_pure(basis_state(0, 8))) >= 0.999
     gains = np.diff(diag.loglik_trace)
     assert np.all(gains >= 0.0)
@@ -213,7 +218,7 @@ def test_reconstruct_gate_output_with_efficiency_compensation():
     rho16 = ideal_gate_output(0.53)
     sched = PhaseSchedule(tuple((float(t), 16667) for t in THETAS_12), seed=42)
     batch = sample_quadratures(rho16, sched, eta=0.66)
-    rho_hat, diag = reconstruct(bin_samples(batch, cfg), cfg)
+    rho_hat, diag = _reconstruct(bin_samples(batch, cfg), cfg)
 
     pre_loss, _ = truncate_density(rho16, 8)
     lossy, _ = truncate_density(apply_loss(rho16, LossChannel(0.66)), 8)
@@ -233,8 +238,8 @@ def test_reconstruct_output_always_physical():
     counts[0, 3] = 17
     counts[1, 200] = 5
     counts[0, 120] = 1
-    data = BinnedData(np.array([0.0, 1.0]), cfg.bin_centers(), counts)
-    rho_hat, _ = reconstruct(data, cfg)
+    data = BinnedData(np.array([0.0, 1.0]), counts)
+    rho_hat, _ = _reconstruct(data, cfg)
     rho_hat.validate()
 
 
@@ -244,7 +249,7 @@ def test_reconstruct_single_bin_concentrates():
     j = int(np.argmin(np.abs(centers - 1.0)))
     counts = np.zeros((1, cfg.n_bins))
     counts[0, j] = 1000.0
-    data = BinnedData(np.array([0.0]), centers, counts)
+    data = BinnedData(np.array([0.0]), counts)
     povm = build_povm(cfg, data.thetas)
     rho_hat, diag = reconstruct(data, cfg, povm)
     assert any("single-phase" in w for w in diag.warnings)
@@ -266,7 +271,7 @@ def test_reconstruct_fixed_point():
 
     born = np.einsum("pbmn,nm->pb", povm, rho_star, optimize=True).real
     counts = 1e5 * born
-    data = BinnedData(THETAS_12, cfg.bin_centers(), counts)
+    data = BinnedData(THETAS_12, counts)
 
     # R(rho*) == I within the POVM tail, so R rho* R == rho* ...
     c = counts.reshape(-1)
@@ -281,16 +286,34 @@ def test_reconstruct_fixed_point():
 
 def test_reconstruct_requires_counts():
     cfg = TomographyConfig()
-    data = BinnedData(np.array([0.0]), cfg.bin_centers(), np.zeros((1, cfg.n_bins)))
+    data = BinnedData(np.array([0.0]), np.zeros((1, cfg.n_bins)))
     with pytest.raises(ValueError):
-        reconstruct(data, cfg)
+        _reconstruct(data, cfg)
+
+
+def test_reconstruct_rejects_mismatched_povm():
+    # same total size, 2 x 240 counts against 4 x 120 elements: not one element per count
+    cfg = TomographyConfig(eta=1.0)
+    rho = ideal_gate_output(0.53)
+    data = bin_samples(sample_quadratures(rho, default_schedule(5, 2, 2000), eta=1.0), cfg)
+    assert data.counts.shape == (2, 240)
+    povm = build_povm(TomographyConfig(eta=1.0, bin_width=0.1), np.arange(4) * math.pi / 4)
+    assert povm.shape == (4, 120, 8, 8)
+    rho8, _ = truncate_density(rho, 8)
+    for call in (lambda: reconstruct(data, cfg, povm), lambda: loglikelihood(rho8, data, povm)):
+        with pytest.raises(ValueError, match=r"\(4, 120, 8, 8\).*\(2, 240\)"):
+            call()
+    # the right shape of counts with elements of the wrong dimension
+    small = build_povm(TomographyConfig(dim=6, eta=1.0), data.thetas)
+    with pytest.raises(ValueError, match=r"\(2, 240, 6, 6\).*\(8, 8\)"):
+        reconstruct(data, cfg, small)
 
 
 def test_nonconvergence_flagged():
     cfg = TomographyConfig(eta=1.0, max_iterations=3)
     rho = ideal_gate_output(0.53)
     batch = sample_quadratures(rho, default_schedule(5, n_phases=4, samples_per_phase=2000), eta=1.0)
-    _, diag = reconstruct(bin_samples(batch, cfg), cfg)
+    _, diag = _reconstruct(bin_samples(batch, cfg), cfg)
     assert not diag.converged
     assert any("no convergence" in w for w in diag.warnings)
 
@@ -303,7 +326,7 @@ def test_reconstruct_stops_when_no_step_helps(monkeypatch):
     cfg = TomographyConfig(eta=1.0, max_iterations=20000)
     rho = ideal_gate_output(0.53)
     batch = sample_quadratures(rho, default_schedule(5, n_phases=4, samples_per_phase=2000), eta=1.0)
-    rho_hat, diag = reconstruct(bin_samples(batch, cfg), cfg)
+    rho_hat, diag = _reconstruct(bin_samples(batch, cfg), cfg)
     assert diag.iterations < 1000
     assert not diag.converged
     assert diag.warnings == [f"no convergence after {diag.iterations} iterations; best iterate returned"]
@@ -321,7 +344,7 @@ def test_reconstruct_stall_ends_the_run(monkeypatch, seed):
     cfg = TomographyConfig(eta=1.0, max_iterations=20000)
     rho = ideal_gate_output(0.53)
     schedule = default_schedule(seed, n_phases=4, samples_per_phase=2000)
-    rho_hat, diag = reconstruct(bin_samples(sample_quadratures(rho, schedule, eta=1.0), cfg), cfg)
+    rho_hat, diag = _reconstruct(bin_samples(sample_quadratures(rho, schedule, eta=1.0), cfg), cfg)
     assert diag.iterations < 1000
     assert not diag.converged
     assert 0.0 <= diag.ml_gap_nats <= 0.1
@@ -494,7 +517,7 @@ def test_reconstruct_properties_on_random_binned_data(seed, dim, n_phases, eta, 
     counts = rng.poisson(means).astype(float)
     counts[0, rng.integers(cfg.n_bins)] += 1.0  # never empty
     thetas = np.sort(rng.choice(12, size=n_phases, replace=False)) * math.pi / 12
-    data = BinnedData(thetas, cfg.bin_centers(), counts)
+    data = BinnedData(thetas, counts)
     povm = build_povm(cfg, thetas)
 
     rho_hat, diag = reconstruct(data, cfg, povm)
