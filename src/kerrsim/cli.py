@@ -25,6 +25,7 @@ from .errors import ConfigError, KerrsimError, StageError
 from .gates import solve_superposition
 from .klm import solve_ns_transmittances
 from .pipeline import (
+    MODES,
     ExperimentConfig,
     klm_table,
     reconstruct_file,
@@ -44,7 +45,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--alpha", action="append", type=float, dest="alphas", metavar="A",
         help="input coherent amplitude (repeatable)",
     )
-    flag("--mode", choices=("ideal", "bestfit", "custom"))
+    flag("--mode", choices=MODES)
     flag("--eta", type=float, help="detector efficiency")
     flag("--seed", type=int)
     flag("--samples-per-phase", type=int, dest="samples_per_phase")

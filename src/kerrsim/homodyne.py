@@ -94,7 +94,7 @@ class SampleBatch:
         return self.thetas.size
 
 
-def default_schedule(seed: int, n_phases: int = 12, samples_per_phase: int = 16667) -> PhaseSchedule:
+def default_schedule(seed: int, n_phases: int, samples_per_phase: int) -> PhaseSchedule:
     """Uniform phases in [0, pi) with equal counts."""
     thetas = np.arange(n_phases) * math.pi / n_phases
     return PhaseSchedule(tuple((float(t), samples_per_phase) for t in thetas), seed)

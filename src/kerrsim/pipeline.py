@@ -64,6 +64,7 @@ from .tomography import (
 
 __all__ = [
     "ExperimentConfig",
+    "MODES",
     "AlphaRecord",
     "RunReport",
     "run_pipeline",
@@ -84,7 +85,7 @@ __all__ = [
 BESTFIT_RATIO_MAGNITUDE = 5.97
 BESTFIT_RATIO_PHASE = math.pi - math.pi / 7.0
 
-_MODES = ("ideal", "bestfit", "custom")
+MODES = ("ideal", "bestfit", "custom")
 
 _log = logging.getLogger("kerrsim")
 
@@ -102,15 +103,15 @@ class ExperimentConfig:
     mode: str = "ideal"
     custom_a: complex = 1.0 + 0.0j
     custom_b: complex = 0.0 + 0.0j
-    eta: float = 0.66
+    eta: float = TomographyConfig.eta
     n_phases: int = 12
     samples_per_phase: int = 16667
     seed: int = 20230
     sim_dim: int = 16
-    recon_dim: int = 8
-    bin_width: float = 0.05
-    x_max: float = 6.0
-    max_iterations: int = 2000
+    recon_dim: int = TomographyConfig.dim
+    bin_width: float = TomographyConfig.bin_width
+    x_max: float = TomographyConfig.x_max
+    max_iterations: int = TomographyConfig.max_iterations
     outdir: str = "out"
 
     def __post_init__(self):
@@ -137,10 +138,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not all(_is_real(a) and a >= 0 and math.isfinite(a) for a in self.alphas):
-            raise ConfigError(f"alphas must be nonnegative finite reals, got {list(self.alphas)!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.alphas, (list, tuple)) or not all(
+            _is_real(a) and a >= 0 and math.isfinite(a) for a in self.alphas
+        ):
+            raise ConfigError(f"alphas must be a list of nonnegative finite reals, got {self.alphas!r}")
         if not self.alphas:
             raise ConfigError("at least one alpha is required")
         owners = {}
@@ -151,18 +154,23 @@ class ExperimentConfig:
                     f"alphas {owners[adir]!r} and {a!r} would share the artifact directory {adir}"
                 )
             owners[adir] = a
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError("eta must lie in (0, 1]")
-        if self.n_phases < 1 or self.samples_per_phase < 1:
-            raise ConfigError("phase count and samples per phase must be positive")
+        for name in ("n_phases", "samples_per_phase"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 3 <= self.recon_dim <= self.sim_dim:
             raise ConfigError("need 3 <= recon_dim <= sim_dim")
         if self.mode == "custom" and self.custom_a == 0 and self.custom_b == 0:
-            raise ConfigError("custom mode needs nonzero (a, b)")
+            raise ConfigError("mode 'custom' needs a nonzero custom_a or custom_b")
         try:
-            build_povm(self.tomography(), [0.0])  # completeness is the same at every phase
+            # checks the tomography fields; completeness is the same at every phase
+            build_povm(self.tomography(), [0.0])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except MemoryError as exc:
+            raise ConfigError(
+                f"bin_width {self.bin_width:g} and x_max {self.x_max:g} give a POVM too large "
+                f"to hold at recon_dim {self.recon_dim}: {exc}"
+            ) from exc
         except NumericalError as exc:
             raise ConfigError(
                 f"x_max {self.x_max:g} is too small for recon_dim {self.recon_dim}: {exc}"
@@ -518,14 +526,19 @@ _KLM_PROBES = (
 )
 
 
-def klm_compare(eta_heralds: float = 0.66) -> list[dict]:
+_KLM_COLUMNS = ("probe", "scheme", "detector", "eta", "fidelity", "success")
+
+
+def klm_compare(eta_heralds: float = ExperimentConfig.eta) -> list[dict]:
     """Resource-comparison table: heralded sign gate vs conditional v(n) scheme.
 
     For each probe state supported on {0, 1, 2}: gate fidelity and success
     probability under PNR/on-off detectors at unit and reduced efficiency, and
     the addition/subtraction scheme's fidelity to the amplified target (its
     herald efficiency only rescales the success weight, so the fidelity column
-    is detector independent).
+    is detector independent).  Each row maps ``_KLM_COLUMNS`` to its values.
+    The last row is the ``ns_gate_settings`` row: the sign-gate solution's
+    success probability, with NaN eta and fidelity.
     """
     solution = solve_ns_transmittances()
     gain = solve_superposition()
@@ -544,44 +557,16 @@ def klm_compare(eta_heralds: float = 0.66) -> list[dict]:
         probe3 = FockVector(3, amps)
         for kind, eta in detectors:
             result = run_ns_gate(probe3, DetectorModel(kind, eta))
-            rows.append(
-                {
-                    "probe": name,
-                    "scheme": "ns_gate",
-                    "detector": kind,
-                    "eta": eta,
-                    "fidelity": result.fidelity,
-                    "success": result.probability,
-                }
-            )
+            rows.append((name, "ns_gate", kind, eta, result.fidelity, result.probability))
         probe8 = FockVector(operator_dim, np.concatenate([amps, np.zeros(operator_dim - 3)]))
         conditional, weight = apply_conditional(operator, probe8)
         target = density_from_pure(amplified_sign_target(probe8, gain.gain))
         fid = fidelity(density_from_pure(conditional), target)
         for kind, eta in (("on_off", 1.0), ("on_off", eta_heralds)):
-            rows.append(
-                {
-                    "probe": name,
-                    "scheme": "addition_subtraction",
-                    "detector": kind,
-                    "eta": eta,
-                    "fidelity": fid,
-                    # two herald detections, each scaling the weight by eta
-                    "success": weight * eta * eta,
-                }
-            )
-    # side metadata rows are not mixed into the table; expose the solution once
-    rows.append(
-        {
-            "probe": "-",
-            "scheme": "ns_gate_settings",
-            "detector": "-",
-            "eta": math.nan,
-            "fidelity": math.nan,
-            "success": solution.success_probability,
-        }
-    )
-    return rows
+            # two herald detections, each scaling the weight by eta
+            rows.append((name, "addition_subtraction", kind, eta, fid, weight * eta * eta))
+    rows.append(("-", "ns_gate_settings", "-", math.nan, math.nan, solution.success_probability))
+    return [dict(zip(_KLM_COLUMNS, values)) for values in rows]
 
 
 def klm_table(config: ExperimentConfig) -> list[dict]:
@@ -589,9 +574,8 @@ def klm_table(config: ExperimentConfig) -> list[dict]:
     rows = _stage("klm", None, klm_compare, eta_heralds=config.eta)
     with _timed("emit", None):
         os.makedirs(config.outdir, exist_ok=True)
-        header = ["probe", "scheme", "detector", "eta", "fidelity", "success"]
-        table = [[row[k] for k in header] for row in rows]
-        write_table(os.path.join(config.outdir, "klm_table.csv"), header, table)
+        table = [[row[k] for k in _KLM_COLUMNS] for row in rows]
+        write_table(os.path.join(config.outdir, "klm_table.csv"), _KLM_COLUMNS, table)
         write_json(
             os.path.join(config.outdir, "klm_table.json"), {"schema_version": 1, "rows": rows}
         )

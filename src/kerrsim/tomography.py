@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,8 +64,10 @@ class TomographyConfig:
             raise ValueError("dim must be >= 3")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if self.bin_width <= 0 or self.x_max <= 0:
-            raise ValueError("bin width and range must be positive")
+        if self.bin_width <= 0:
+            raise ValueError(f"bin_width must be positive, got {self.bin_width:g}")
+        if self.x_max <= 0:
+            raise ValueError(f"x_max must be positive, got {self.x_max:g}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         if self.n_bins < 1:
@@ -225,16 +227,10 @@ class ReconstructionDiagnostics:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The reported fields (the log-likelihood trace stays in memory)."""
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_loglik": self.final_loglik,
-            "loglik_per_sample": self.loglik_per_sample,
-            "completeness_residual": self.completeness_residual,
-            "ml_gap_nats": self.ml_gap_nats,
-            "warnings": self.warnings,
-        }
+        """Every field but the log-likelihood trace, which stays in memory."""
+        payload = asdict(self)
+        del payload["loglik_trace"]
+        return payload
 
 
 def _project_density(mat: np.ndarray) -> np.ndarray:

@@ -306,7 +306,8 @@ def test_save_samples_edge_rows(thetas, xs, tmp_path):
 
 def test_save_samples_default_batch_bytes(tmp_path):
     rho = density_from_pure(coherent_state(0.53, 16))
-    batch = sample_quadratures(rho, default_schedule(seed=20230), eta=0.66)
+    schedule = default_schedule(seed=20230, n_phases=12, samples_per_phase=16667)
+    batch = sample_quadratures(rho, schedule, eta=0.66)
     assert len(batch) == 12 * 16667
     assert _saved_bytes(batch, tmp_path / "samples.csv") == _reference_csv(batch)
 

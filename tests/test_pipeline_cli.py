@@ -40,13 +40,16 @@ def test_config_validation():
         ExperimentConfig(mode="nope").validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(alphas=(-0.1,)).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="eta"):
         ExperimentConfig(eta=0.0).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(recon_dim=20).validate()
-    for bad in ({"bin_width": -1.0}, {"x_max": 0.0}, {"max_iterations": 0}):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(**bad).validate()
+    with pytest.raises(ConfigError, match="alphas"):
+        ExperimentConfig(alphas=5)
+    with pytest.raises(ConfigError, match="got '05'"):  # not read one character at a time
+        ExperimentConfig(alphas="05")
+    with pytest.raises(ConfigError, match="custom_a or custom_b"):
+        ExperimentConfig(mode="custom", custom_a=0.0, custom_b=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"bogus_field": 1})
     # wrongly-typed fields and a negative seed name the field, not a traceback
@@ -56,7 +59,10 @@ def test_config_validation():
                 {"alphas": [0.5, True]}, {"custom_a": [math.nan, 0]},
                 {"custom_b": [0, math.inf]}, {"custom_a": True}, {"custom_b": [True, 0]},
                 {"custom_a": "1"}, {"alphas": [0.5, 0.5]}, {"alphas": [0.5, 0.5000001]},
-                {"bin_width": 100.0}, {"x_max": 1.0}):
+                {"bin_width": 100.0}, {"x_max": 1.0}, {"bin_width": -1.0}, {"x_max": 0.0},
+                {"max_iterations": 0}, {"n_phases": 0}, {"samples_per_phase": 0},
+                # grids whose POVM cannot be allocated fail at the first request
+                {"bin_width": 1e-12}, {"x_max": 1e12}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(bad).validate()
@@ -272,6 +278,11 @@ def test_cli_config_rejected_before_any_stage(tmp_path, capsys):
         ({"mode": "custom", "custom_b": [0.0, math.inf]}, "custom_b must be a finite complex"),
         ({"bin_width": 100.0}, "bin_width 100 leaves no bin"),
         ({"x_max": 1.0}, "x_max 1 is too small for recon_dim 8"),
+        ({"alphas": 5}, "alphas must be a list"),
+        ({"n_phases": 0}, "n_phases must be positive"),
+        ({"mode": "custom", "custom_a": 0.0}, "needs a nonzero custom_a or custom_b"),
+        ({"bin_width": 1e-12}, "bin_width 1e-12 and x_max 6 give a POVM too large"),
+        ({"x_max": 1e12}, "at recon_dim 8"),
     ):
         config.write_text(json.dumps(payload))
         assert main(["pipeline", "--config", str(config), "--out", out]) == 2
@@ -487,6 +498,18 @@ def test_cli_klm(tmp_path, capsys):
     assert payload["schema_version"] == 1
     stdout = capsys.readouterr().out
     assert "ns_gate" in stdout
+    # the CSV and the JSON hold the same table: one header, the same cells in column order
+    with open(os.path.join(out, "klm_table.csv")) as fh:
+        header, *lines = fh.read().splitlines()
+    columns = header.split(",")
+    assert columns == ["probe", "scheme", "detector", "eta", "fidelity", "success"]
+    assert len(lines) == len(payload["rows"])
+    for line, row in zip(lines, payload["rows"]):
+        assert sorted(row) == sorted(columns)
+        values = [row[k] for k in columns]
+        assert line.split(",") == [repr(v) if isinstance(v, float) else v for v in values]
+    assert payload["rows"][-1]["scheme"] == "ns_gate_settings"
+    assert lines[-1].split(",")[3:5] == ["nan", "nan"]
 
 
 SMALL = ["--alpha", "0.53", "--phases", "3", "--samples-per-phase", "200"]
