@@ -61,8 +61,9 @@ def test_config_validation():
                 {"custom_a": "1"}, {"alphas": [0.5, 0.5]}, {"alphas": [0.5, 0.5000001]},
                 {"bin_width": 100.0}, {"x_max": 1.0}, {"bin_width": -1.0}, {"x_max": 0.0},
                 {"max_iterations": 0}, {"n_phases": 0}, {"samples_per_phase": 0},
-                # grids whose POVM cannot be allocated fail at the first request
-                {"bin_width": 1e-12}, {"x_max": 1e12}):
+                # the first array of these grids (8.5 PiB, 291 TiB) exceeds the 128 TiB
+                # user address space, so its allocation fails under any overcommit policy
+                {"bin_width": 1e-14}, {"x_max": 1e12}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(bad).validate()
@@ -281,7 +282,7 @@ def test_cli_config_rejected_before_any_stage(tmp_path, capsys):
         ({"alphas": 5}, "alphas must be a list"),
         ({"n_phases": 0}, "n_phases must be positive"),
         ({"mode": "custom", "custom_a": 0.0}, "needs a nonzero custom_a or custom_b"),
-        ({"bin_width": 1e-12}, "bin_width 1e-12 and x_max 6 give a POVM too large"),
+        ({"bin_width": 1e-14}, "bin_width 1e-14 and x_max 6 give a POVM too large"),
         ({"x_max": 1e12}, "at recon_dim 8"),
     ):
         config.write_text(json.dumps(payload))
