@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``pipeline`` (full run), ``simulate`` (forward model only),
-``sample`` (quadrature data), ``reconstruct`` (from a sample CSV), ``klm``
-(detector comparison table), ``solve`` (print gate algebra).  Exit codes:
+``sample`` (quadrature data CSV), ``reconstruct`` (from a sample file,
+``.csv`` or ``.npy``), ``klm`` (detector comparison table), ``solve``
+(print gate algebra).  Exit codes:
 0 success, 2 invalid configuration, unusable sample file or an output that
 cannot be written (path named on stderr), 3 numerical failure (stage named
 on stderr); reconstruction warnings go to stderr.  Each subcommand but
@@ -163,14 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, text in (
         ("pipeline", _cmd_pipeline, "full run: model, sampling, reconstruction"),
         ("simulate", _cmd_simulate, "forward model only"),
-        ("sample", _cmd_sample, "generate quadrature data"),
-        ("reconstruct", _cmd_reconstruct, "reconstruct from a sample CSV"),
+        ("sample", _cmd_sample, "generate quadrature data as CSV"),
+        ("reconstruct", _cmd_reconstruct, "reconstruct from a sample file (.csv or .npy)"),
         ("klm", _cmd_klm, "detector comparison table for the NS gate"),
     ):
         p = sub.add_parser(name, help=text)
         _add_config_flags(p)
         if name == "reconstruct":
-            p.add_argument("--samples", required=True, help="sample CSV written by 'sample'")
+            p.add_argument("--samples", required=True,
+                           help="sample file (.csv or .npy) written by 'sample' or 'pipeline'")
         p.set_defaults(fn=fn)
 
     return parser

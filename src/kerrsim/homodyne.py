@@ -191,26 +191,45 @@ def sample_quadratures(
     return SampleBatch(np.concatenate(thetas_out), np.concatenate(xs_out), schedule.seed)
 
 
-def _sidecar_path(csv_path: str) -> str:
-    """``samples.csv`` -> ``samples_meta.json``, beside the CSV."""
-    return os.path.splitext(csv_path)[0] + "_meta.json"
+def _sidecar_path(path: str) -> str:
+    """``samples.csv`` or ``samples.npy`` -> ``samples_meta.json``, beside the data file."""
+    return os.path.splitext(path)[0] + "_meta.json"
 
 
-def save_samples(batch: SampleBatch, csv_path, meta: dict | None = None) -> None:
-    """Write samples as CSV (header theta,x) plus a seed-recording sidecar JSON.
+def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
+    """Write samples plus a sidecar JSON that records the file's name, the seed and the count.
 
-    Each row is ``repr(theta),repr(x)`` with CRLF line ends, the bytes
-    ``csv.writer`` gives.  The sampler writes each phase as one run of rows,
-    so a run's ``repr(theta) + ","`` is formatted once and joined in front of
-    every x of the run.
+    A ``.npy`` path gets an ``(N, 2)`` float64 array with columns theta and
+    x, which holds every value exactly.  Any other path gets a CSV (header
+    theta,x): each row is ``repr(theta),repr(x)`` with CRLF line ends, the
+    bytes ``csv.writer`` gives.
     """
-    csv_path = str(csv_path)
+    path = str(path)
+    if path.endswith(".npy"):
+        with atomic_open(path, binary=True) as fh:
+            np.save(fh, np.column_stack((batch.thetas, batch.xs)), allow_pickle=False)
+    else:
+        _write_csv(batch, path)
+    sidecar = {"schema_version": 1, "file": os.path.basename(path), "seed": batch.seed,
+               "count": len(batch)}
+    if meta:
+        sidecar.update(meta)
+    write_json(_sidecar_path(path), sidecar)
+
+
+def _write_csv(batch: SampleBatch, path: str) -> None:
+    """Write the sample CSV.
+
+    The sampler writes each phase as one run of rows, so a run's
+    ``repr(theta) + ","`` is formatted once and joined in front of every x of
+    the run.
+    """
     n = len(batch)
     bits = batch.thetas.view(np.int64)
     # runs split on the bit pattern, not on !=, so 0.0 and -0.0 keep their own repr
     heads = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
     edges = [0, *heads, n] if n else []
-    with atomic_open(csv_path, newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("theta,x\r\n")
         for start, stop in zip(edges, edges[1:]):
             prefix = repr(float(batch.thetas[start])) + ","
@@ -219,38 +238,68 @@ def save_samples(batch: SampleBatch, csv_path, meta: dict | None = None) -> None
             for lo in range(start, stop, _CSV_CHUNK_ROWS):
                 xs = batch.xs[lo:min(lo + _CSV_CHUNK_ROWS, stop)].tolist()
                 fh.write(prefix + sep.join(map(repr, xs)) + "\r\n")
-    sidecar = {"schema_version": 1, "seed": batch.seed, "count": n}
-    if meta:
-        sidecar.update(meta)
-    write_json(_sidecar_path(csv_path), sidecar)
 
 
-def load_samples(csv_path) -> SampleBatch:
-    """Read a sample CSV written by save_samples; seed and eta come from the sidecar.
+def load_samples(path) -> SampleBatch:
+    """Read a sample file written by save_samples; seed and eta come from its sidecar.
 
-    The body is parsed by NumPy's C reader, which rounds each decimal exactly
-    as ``float()`` does, so a reloaded batch is bit-identical to the saved one.
-    A NaN or infinite theta or x raises ValueError; the sampler writes none.
+    A ``.npy`` file must hold an ``(N, 2)`` float64 array.  Any other file is
+    a CSV, parsed by NumPy's C reader, which rounds each decimal exactly as
+    ``float()`` does.  Either way a reloaded batch is bit-identical to the
+    saved one.  A file that cannot be parsed, or that holds a NaN or infinite
+    theta or x, raises ValueError; the sampler writes none.  A sidecar that
+    names another file counts as missing: the seed is recorded as 0, with a
+    warning, and eta as None.
     """
-    csv_path = str(csv_path)
-    with open(csv_path, newline="") as fh:
+    path = str(path)
+    body = _read_npy(path) if path.endswith(".npy") else _read_csv(path)
+    finite = np.isfinite(body).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite theta or x in data row {int(np.argmin(finite)) + 1}")
+    meta = _sidecar_for(path)
+    eta = meta.get("eta")
+    return SampleBatch(body[:, 0], body[:, 1], int(meta.get("seed", 0)),
+                       None if eta is None else float(eta))
+
+
+def _read_npy(path: str) -> np.ndarray:
+    with open(path, "rb") as fh:
+        # the .npy reader alone: np.load would also open a zip archive or a pickle
+        body = np.lib.format.read_array(fh, allow_pickle=False)
+    if body.dtype != np.float64 or body.ndim != 2 or body.shape[1] != 2:
+        raise ValueError(
+            f"expected an (N, 2) float64 array, got {body.dtype} of shape {body.shape}"
+        )
+    return body
+
+
+def _read_csv(path: str) -> np.ndarray:
+    with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
         if header[:2] != ["theta", "x"]:
             raise ValueError(f"unexpected sample CSV header: {header}")
         with warnings.catch_warnings():
             # a header-only file is an empty batch; the caller decides what that means
             warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-            body = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
-    finite = np.isfinite(body).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite theta or x in data row {int(np.argmin(finite)) + 1}")
-    meta = {}
-    meta_path = _sidecar_path(csv_path)
+            return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
+
+
+def _sidecar_for(path: str) -> dict:
+    """The sidecar's fields if it describes ``path``, else {} and a seed-unknown warning."""
+    meta_path = _sidecar_path(path)
+    name = os.path.basename(path)
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
     except FileNotFoundError:
-        warnings.warn(f"no sidecar {meta_path}: sampling seed unknown, recorded as 0", stacklevel=2)
-    eta = meta.get("eta")
-    return SampleBatch(body[:, 0], body[:, 1], int(meta.get("seed", 0)),
-                       None if eta is None else float(eta))
+        problem = f"no sidecar {meta_path}"
+    else:
+        if not isinstance(meta, dict):
+            raise ValueError(f"sidecar {meta_path} does not hold a JSON object")
+        # a sidecar written before sidecars named their file describes the file beside it
+        owner = meta.get("file", name)
+        if owner == name:
+            return meta
+        problem = f"sidecar {meta_path} describes {owner}, not {name}"
+    warnings.warn(f"{problem}: sampling seed unknown, recorded as 0", stacklevel=3)
+    return {}

@@ -1,5 +1,5 @@
 """End-to-end experiment reproduction: prepare -> gate -> loss -> sample ->
-reconstruct -> compare, with seeded configs and JSON/CSV artifacts.
+reconstruct -> compare, with seeded configs and JSON, CSV and .npy artifacts.
 
 ``run_pipeline`` runs the whole chain; ``simulate``, ``sample``,
 ``reconstruct_file`` and ``klm_table`` run its parts through the same stages
@@ -383,12 +383,12 @@ def _save_panels(config: ExperimentConfig, alpha: float, panels: dict) -> str:
     return adir
 
 
-def _save_batch(config: ExperimentConfig, alpha: float, batch: SampleBatch) -> None:
-    """Write <alpha dir>/samples.csv and its sidecar, which records alpha, eta and mode."""
+def _save_batch(config: ExperimentConfig, alpha: float, batch: SampleBatch, name: str) -> None:
+    """Write <alpha dir>/<name> and its sidecar, which records alpha, eta and mode."""
     adir = alpha_dir(config.outdir, alpha)
     os.makedirs(adir, exist_ok=True)
     meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
-    save_samples(batch, os.path.join(adir, "samples.csv"), meta=meta)
+    save_samples(batch, os.path.join(adir, name), meta=meta)
 
 
 def _save_diag(directory: str, binned, diag: ReconstructionDiagnostics) -> None:
@@ -416,12 +416,12 @@ def simulate(config: ExperimentConfig) -> list[dict]:
 
 
 def sample(config: ExperimentConfig) -> list[SampleBatch]:
-    """Sample every alpha as run_pipeline does and write its samples.csv plus sidecar."""
+    """Sample every alpha as run_pipeline does and export each batch as samples.csv plus sidecar."""
     batches = []
     for index, alpha in enumerate(config.alphas):
         batch = _sample(config, index, alpha)[0]
         with _timed("emit", alpha):
-            _save_batch(config, alpha, batch)
+            _save_batch(config, alpha, batch, "samples.csv")
         batches.append(batch)
     return batches
 
@@ -436,12 +436,13 @@ def _load(path: str) -> SampleBatch:
 def reconstruct_file(
     config: ExperimentConfig, path: str
 ) -> tuple[DensityMatrix, ReconstructionDiagnostics]:
-    """Reconstruct from a sample CSV; writes reconstructed.json and reconstruction_diag.json.
+    """Reconstruct from a sample file, ``.csv`` or ``.npy``.
 
-    The POVM is built for the phases found in the file and compensates
-    ``config.eta``; if the file's sidecar records another eta, the
-    diagnostics carry a warning.  A file that cannot be read, or holds no
-    sample inside the binning range, is a ConfigError.
+    Writes reconstructed.json and reconstruction_diag.json.  The POVM is
+    built for the phases found in the file and compensates ``config.eta``; if
+    the file's sidecar records another eta, the diagnostics carry a warning.
+    A file that cannot be read, or holds no sample inside the binning range,
+    is a ConfigError.
     """
     tomo = config.tomography()
     batch = _stage("load", None, _load, path)
@@ -496,7 +497,7 @@ def _run_alpha(config: ExperimentConfig, index: int, alpha: float, emit: bool) -
         # not a _stage: a failed write is an OSError, not a numerical failure
         with _timed("emit", alpha):
             adir = _save_panels(config, alpha, {**panels, "output_reconstructed": rho_hat})
-            _save_batch(config, alpha, batch)
+            _save_batch(config, alpha, batch, "samples.npy")
             _save_diag(adir, binned, diag)
     return record
 

@@ -30,7 +30,8 @@ class Tolerances:
     # POVM per-phase completeness residual
     completeness: float = 1e-6
     # ML reconstruction stops once its certified gap N (lambda_max(R(rho)) - 1),
-    # an upper bound on L* - L(rho) in nats, is this small; float64 stalls near 0.01
+    # an upper bound on L* - L(rho) in nats, is this small; the gap float64 can reach
+    # grows with the shot count N: 0.1 nats at N = 2e6 needs lambda_max - 1 <= 5e-8
     ml_gap_nats: float = 0.1
     # fidelity treats a state with 1 - Tr[rho^2] / Tr[rho]^2 below this as pure
     pure: float = 1e-12

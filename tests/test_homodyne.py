@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import warnings
@@ -205,7 +206,19 @@ def test_sample_roundtrip(tmp_path):
     assert np.array_equal(loaded.xs, batch.xs)
     assert np.array_equal(loaded.thetas, batch.thetas)
     assert loaded.seed == 9
-    os.remove(tmp_path / "samples_meta.json")
+    meta_path = tmp_path / "samples_meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["file"] == "samples.csv"
+    del meta["file"]  # as written before sidecars named their file: still describes this one
+    meta_path.write_text(json.dumps({**meta, "eta": 0.9}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (load_samples(path).seed, load_samples(path).eta) == (9, 0.9)
+    meta_path.write_text(json.dumps({**meta, "eta": 0.9, "file": "samples.npy"}))
+    with pytest.warns(UserWarning, match="describes samples.npy, not samples.csv: .*seed unknown"):
+        foreign = load_samples(path)
+    assert (foreign.seed, foreign.eta) == (0, None)
+    os.remove(meta_path)
     with pytest.warns(UserWarning, match="seed unknown"):
         unseeded = load_samples(path)
     assert unseeded.seed == 0 and np.array_equal(unseeded.xs, batch.xs)
@@ -233,6 +246,27 @@ def test_load_samples_bit_identical_to_float_parsing(tmp_path):
     assert np.array_equal(loaded.thetas.view(np.int64), expected_t.view(np.int64))
     assert np.array_equal(loaded.xs.view(np.int64), expected_x.view(np.int64))
     assert np.array_equal(loaded.xs[: xs.size].view(np.int64), xs.view(np.int64))
+
+
+def test_npy_samples_round_trip_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(45)
+    xs = np.concatenate([
+        rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, size=2000),
+        [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3],
+    ])
+    thetas = np.repeat([0.0, -0.0, math.pi / 3], xs.size // 3 + 1)[: xs.size]
+    path = tmp_path / "samples.npy"
+    save_samples(SampleBatch(thetas, xs, seed=4), path, meta={"eta": 0.7})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_samples(path)
+    assert (loaded.seed, loaded.eta) == (4, 0.7)
+    assert np.array_equal(loaded.thetas.view(np.int64), thetas.view(np.int64))
+    assert np.array_equal(loaded.xs.view(np.int64), xs.view(np.int64))
+    stored = np.load(path, allow_pickle=False)
+    assert stored.dtype == np.float64 and stored.shape == (xs.size, 2)
+    meta = json.loads((tmp_path / "samples_meta.json").read_text())
+    assert (meta["file"], meta["count"]) == ("samples.npy", xs.size)
 
 
 def test_load_samples_header_only(tmp_path):

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kerrsim
-from kerrsim.artifacts import write_json
+from kerrsim.artifacts import atomic_open, write_json
 from kerrsim.cli import main
 from kerrsim.errors import ConfigError, StageError
 from kerrsim.fock import basis_state, density_from_pure, fidelity
@@ -120,7 +121,7 @@ def test_pipeline_alpha_zero(tmp_path):
 def test_pipeline_deterministic_artifacts(tmp_path):
     files = [
         "report.json",
-        os.path.join("alpha_0.53", "samples.csv"),
+        os.path.join("alpha_0.53", "samples.npy"),
         os.path.join("alpha_0.53", "samples_meta.json"),
         os.path.join("alpha_0.53", "output_reconstructed.json"),
         os.path.join("alpha_0.53", "tables", "output_model.csv"),
@@ -366,6 +367,53 @@ def test_cli_reconstruct_missing_samples(tmp_path, capsys):
         assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path)]) == 2
         assert f"cannot read samples from {path}: non-finite" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "reconstructed.json")
+    # an unusable .npy: unreadable, not the (N, 2) float64 array, or holding NaN or inf
+    def saved(array, save=np.save):
+        buf = io.BytesIO()
+        save(buf, array, allow_pickle=True)
+        return buf.getvalue()
+
+    good = tmp_path / "good.npy"
+    good.write_bytes(saved(np.array([[0.0, 0.2], [0.5, -0.1]])))
+    raw = good.read_bytes()
+    bad = {"empty.npy": b"", "header.npy": raw[:20], "body.npy": raw[:-8],
+           "object.npy": saved(np.array([[0.0, "x"]], dtype=object)),
+           "int32.npy": saved(np.array([[0, 1], [1, 2]], dtype=np.int32)),
+           "three.npy": saved(np.zeros((2, 3))), "flat.npy": saved(np.zeros(4)),
+           "zip.npy": saved(np.zeros((2, 2)), save=np.savez),
+           "nan.npy": saved(np.array([[0.0, 0.2], [math.nan, 0.1]])),
+           "inf.npy": saved(np.array([[0.0, 0.2], [0.5, -math.inf]]))}
+    for name, data in bad.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path)]) == 2, name
+        assert f"cannot read samples from {path}: " in capsys.readouterr().err, name
+        assert not os.path.exists(tmp_path / "reconstructed.json")
+    # a usable file whose sidecar is not a JSON object
+    (tmp_path / "good_meta.json").write_text("[1, 2]")
+    assert main(["reconstruct", "--samples", str(good), "--out", str(tmp_path)]) == 2
+    assert "sidecar" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "reconstructed.json")
+
+
+def test_cli_npy_ignores_the_sidecar_of_a_later_csv(tmp_path, capsys):
+    # pipeline's samples.npy and sample's samples.csv share samples_meta.json
+    out = str(tmp_path / "run")
+    assert main(["pipeline", *SMALL, "--out", out]) == 0
+    assert main(["sample", *SMALL, "--eta", "0.95", "--samples-per-phase", "100",
+                 "--out", out]) == 0
+    meta = json.loads(Path(out, "alpha_0.53", "samples_meta.json").read_text())
+    assert (meta["file"], meta["count"], meta["eta"]) == ("samples.csv", 300, 0.95)
+    capsys.readouterr()
+    recon = str(tmp_path / "recon")
+    samples = os.path.join(out, "alpha_0.53", "samples.npy")
+    with pytest.warns(UserWarning, match="describes samples.csv, not samples.npy: "
+                                         "sampling seed unknown"):
+        assert main(["reconstruct", *SMALL, "--samples", samples, "--out", recon]) == 0
+    assert "recorded at eta" not in capsys.readouterr().err
+    for mine, theirs in (("reconstructed.json", "output_reconstructed.json"),
+                         ("reconstruction_diag.json", "reconstruction_diag.json")):
+        assert Path(recon, mine).read_bytes() == Path(out, "alpha_0.53", theirs).read_bytes()
 
 
 def test_cli_prints_reconstruction_warnings(tmp_path, capsys):
@@ -376,7 +424,7 @@ def test_cli_prints_reconstruction_warnings(tmp_path, capsys):
     capped = "no convergence after 5 iterations; best iterate returned"
     assert main(["pipeline", "--config", str(config), "--out", out]) == 0
     assert capsys.readouterr().err.splitlines() == [f"warning: alpha=0.53: {capped}"]
-    samples = os.path.join(out, "alpha_0.53", "samples.csv")
+    samples = os.path.join(out, "alpha_0.53", "samples.npy")
     assert main(["reconstruct", "--config", str(config), "--samples", samples,
                  "--out", out]) == 0
     assert capsys.readouterr().err.splitlines() == [f"warning: {samples}: {capped}"]
@@ -416,19 +464,29 @@ def test_cli_steps_write_the_pipeline_artifacts(tmp_path, capsys):
         assert main([command, "--config", str(config), "--out", steps]) == 0
     capsys.readouterr()
     for alpha in ("alpha_0.53", "alpha_0"):
-        for name in ("output_model.json", os.path.join("tables", "output_model.csv"),
-                     "samples.csv", "samples_meta.json"):
+        for name in ("output_model.json", os.path.join("tables", "output_model.csv")):
             rel = os.path.join(alpha, name)
             assert Path(full, rel).read_bytes() == Path(steps, rel).read_bytes(), rel
+        # the pipeline keeps its samples as .npy, sample exports CSV: the same float64 bits
+        kept = np.load(Path(full, alpha, "samples.npy"), allow_pickle=False)
+        exported = np.loadtxt(Path(steps, alpha, "samples.csv"), delimiter=",", skiprows=1,
+                              ndmin=2)
+        assert kept.dtype == np.float64 and kept.shape == exported.shape
+        assert np.array_equal(kept.view(np.int64), exported.view(np.int64)), alpha
+        kept_meta, exported_meta = (json.loads(Path(root, alpha, "samples_meta.json").read_text())
+                                    for root in (full, steps))
+        assert (kept_meta.pop("file"), exported_meta.pop("file")) == ("samples.npy", "samples.csv")
+        assert kept_meta == exported_meta
 
-    # reconstructing the pipeline's samples gives the pipeline's reconstruction files
+    # reconstructing either file gives the pipeline's reconstruction files
     for alpha in ("alpha_0.53", "alpha_0"):
-        recon = str(tmp_path / "recon" / alpha)
-        assert main(["reconstruct", "--config", str(config), "--out", recon,
-                     "--samples", str(Path(full, alpha, "samples.csv"))]) == 0
-        for mine, theirs in (("reconstructed.json", "output_reconstructed.json"),
-                             ("reconstruction_diag.json", "reconstruction_diag.json")):
-            assert Path(recon, mine).read_bytes() == Path(full, alpha, theirs).read_bytes()
+        for samples in (Path(full, alpha, "samples.npy"), Path(steps, alpha, "samples.csv")):
+            recon = str(tmp_path / "recon" / alpha / samples.suffix[1:])
+            assert main(["reconstruct", "--config", str(config), "--out", recon,
+                         "--samples", str(samples)]) == 0
+            for mine, theirs in (("reconstructed.json", "output_reconstructed.json"),
+                                 ("reconstruction_diag.json", "reconstruction_diag.json")):
+                assert Path(recon, mine).read_bytes() == Path(full, alpha, theirs).read_bytes()
     capsys.readouterr()
 
     # one serializer for the reconstruction diagnostics
@@ -473,6 +531,17 @@ def test_atomic_write_json(tmp_path):
     umask = os.umask(0o022)
     os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_atomic_open_binary(tmp_path):
+    path = tmp_path / "artifact.bin"
+    with atomic_open(path, binary=True) as fh:
+        fh.write(b"\x93first")
+    with pytest.raises(RuntimeError), atomic_open(path, binary=True) as fh:
+        fh.write(b"partial")
+        raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"\x93first"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cli_import_leaves_scipy_unloaded():
