@@ -4,9 +4,9 @@ Subcommands: ``pipeline`` (full run), ``simulate`` (forward model only),
 ``sample`` (quadrature data CSV), ``reconstruct`` (from a sample file,
 ``.csv`` or ``.npy``), ``klm`` (detector comparison table), ``solve``
 (print gate algebra).  Exit codes:
-0 success, 2 invalid configuration, unusable sample file or an output that
-cannot be written (path named on stderr), 3 numerical failure (stage named
-on stderr); reconstruction warnings go to stderr.  Each subcommand but
+0 success, 2 invalid configuration, unusable sample file or sidecar, or an
+output that cannot be written (path named on stderr), 3 numerical failure
+(stage named on stderr); reconstruction warnings go to stderr.  Each subcommand but
 ``solve`` is one ``pipeline`` entry point; ``kerrsim --verbose`` logs its
 stages' wall times and each reconstruction's convergence to stderr.
 """

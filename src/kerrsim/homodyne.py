@@ -69,16 +69,10 @@ class PhaseSchedule:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Batch of samples as parallel arrays; carries the seed that produced it.
-
-    ``eta`` is the detector efficiency recorded beside a loaded sample file,
-    None when no record says.
-    """
+    """Batch of samples as parallel arrays; its provenance lives in the sidecar."""
 
     thetas: np.ndarray
     xs: np.ndarray
-    seed: int
-    eta: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.thetas, dtype=np.float64)
@@ -188,7 +182,7 @@ def sample_quadratures(
         u = rng.random(count)
         xs_out.append(np.interp(u, cdf, grid))
         thetas_out.append(np.full(count, theta))
-    return SampleBatch(np.concatenate(thetas_out), np.concatenate(xs_out), schedule.seed)
+    return SampleBatch(np.concatenate(thetas_out), np.concatenate(xs_out))
 
 
 def _sidecar_path(path: str) -> str:
@@ -197,7 +191,7 @@ def _sidecar_path(path: str) -> str:
 
 
 def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
-    """Write samples plus a sidecar JSON that records the file's name, the seed and the count.
+    """Write samples plus a sidecar JSON: the file's name, the count and ``meta``.
 
     A ``.npy`` path gets an ``(N, 2)`` float64 array with columns theta and
     x, which holds every value exactly.  Any other path gets a CSV (header
@@ -210,11 +204,8 @@ def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
             np.save(fh, np.column_stack((batch.thetas, batch.xs)), allow_pickle=False)
     else:
         _write_csv(batch, path)
-    sidecar = {"schema_version": 1, "file": os.path.basename(path), "seed": batch.seed,
-               "count": len(batch)}
-    if meta:
-        sidecar.update(meta)
-    write_json(_sidecar_path(path), sidecar)
+    sidecar = {"schema_version": 1, "file": os.path.basename(path), "count": len(batch)}
+    write_json(_sidecar_path(path), {**sidecar, **(meta or {})})
 
 
 def _write_csv(batch: SampleBatch, path: str) -> None:
@@ -240,26 +231,24 @@ def _write_csv(batch: SampleBatch, path: str) -> None:
                 fh.write(prefix + sep.join(map(repr, xs)) + "\r\n")
 
 
-def load_samples(path) -> SampleBatch:
-    """Read a sample file written by save_samples; seed and eta come from its sidecar.
+def load_samples(path) -> tuple[SampleBatch, dict]:
+    """Read a sample file written by save_samples, and the fields of its sidecar.
 
     A ``.npy`` file must hold an ``(N, 2)`` float64 array.  Any other file is
     a CSV, parsed by NumPy's C reader, which rounds each decimal exactly as
     ``float()`` does.  Either way a reloaded batch is bit-identical to the
     saved one.  A file that cannot be parsed, or that holds a NaN or infinite
-    theta or x, raises ValueError; the sampler writes none.  A sidecar that
-    names another file counts as missing: the seed is recorded as 0, with a
-    warning, and eta as None.
+    theta or x, raises ValueError; the sampler writes none.  The fields are {}
+    when no sidecar describes the file (there is none, or it names another
+    file); a sidecar that is not a JSON object, or whose ``eta`` is not a
+    number in (0, 1], raises ValueError naming it.
     """
     path = str(path)
     body = _read_npy(path) if path.endswith(".npy") else _read_csv(path)
     finite = np.isfinite(body).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite theta or x in data row {int(np.argmin(finite)) + 1}")
-    meta = _sidecar_for(path)
-    eta = meta.get("eta")
-    return SampleBatch(body[:, 0], body[:, 1], int(meta.get("seed", 0)),
-                       None if eta is None else float(eta))
+    return SampleBatch(body[:, 0], body[:, 1]), _sidecar_for(path)
 
 
 def _read_npy(path: str) -> np.ndarray:
@@ -285,21 +274,23 @@ def _read_csv(path: str) -> np.ndarray:
 
 
 def _sidecar_for(path: str) -> dict:
-    """The sidecar's fields if it describes ``path``, else {} and a seed-unknown warning."""
+    """The sidecar's fields if it describes ``path``, else {}; ValueError if it is unusable."""
     meta_path = _sidecar_path(path)
     name = os.path.basename(path)
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
     except FileNotFoundError:
-        problem = f"no sidecar {meta_path}"
-    else:
-        if not isinstance(meta, dict):
-            raise ValueError(f"sidecar {meta_path} does not hold a JSON object")
-        # a sidecar written before sidecars named their file describes the file beside it
-        owner = meta.get("file", name)
-        if owner == name:
-            return meta
-        problem = f"sidecar {meta_path} describes {owner}, not {name}"
-    warnings.warn(f"{problem}: sampling seed unknown, recorded as 0", stacklevel=3)
-    return {}
+        return {}
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"sidecar {meta_path} is not readable JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {meta_path} does not hold a JSON object")
+    # a sidecar written before sidecars named their file describes the file beside it
+    if meta.get("file", name) != name:
+        return {}
+    eta = meta.get("eta")
+    # JSON numbers load as int or float; a bool is not one
+    if "eta" in meta and not (type(eta) in (int, float) and 0.0 < eta <= 1.0):
+        raise ValueError(f"sidecar {meta_path} records eta {eta!r}, not a number in (0, 1]")
+    return meta

@@ -144,7 +144,7 @@ def solve_ns_transmittances() -> NsGateSolution:
         float(abs(lam[1] / lam[0] - 1.0)),
         float(abs(lam[2] / lam[0] + 1.0)),
     )
-    if max(residuals) > 1e-10:
+    if max(residuals) > TOL.ns_ratio_residual:
         raise RuntimeError(f"ratio conditions not met: residuals {residuals}")
     return NsGateSolution(
         transmittances=(t1, t2, t3),

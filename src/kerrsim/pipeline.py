@@ -52,6 +52,7 @@ from .homodyne import (
     save_samples,
 )
 from .klm import DetectorModel, run_ns_gate, solve_ns_transmittances
+from .tolerances import TOL
 from .tomography import (
     ReconstructionDiagnostics,
     TomographyConfig,
@@ -145,7 +146,7 @@ class ExperimentConfig:
         ):
             raise ConfigError(f"alphas must be a list of nonnegative finite reals, got {self.alphas!r}")
         if not self.alphas:
-            raise ConfigError("at least one alpha is required")
+            raise ConfigError(f"at least one alpha is required, got {self.alphas!r}")
         owners = {}
         for a in self.alphas:
             adir = alpha_dir(self.outdir, a)
@@ -158,7 +159,8 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 3 <= self.recon_dim <= self.sim_dim:
-            raise ConfigError("need 3 <= recon_dim <= sim_dim")
+            raise ConfigError(f"need 3 <= recon_dim <= sim_dim, got recon_dim {self.recon_dim} "
+                              f"and sim_dim {self.sim_dim}")
         if self.mode == "custom" and self.custom_a == 0 and self.custom_b == 0:
             raise ConfigError("mode 'custom' needs a nonzero custom_a or custom_b")
         try:
@@ -232,7 +234,7 @@ def superposition_for_mode(config: ExperimentConfig) -> SuperpositionParams:
 def fix_global_phase(state: FockVector) -> FockVector:
     """Rotate so the single-photon amplitude is real nonnegative (display convention)."""
     a1 = state.amps[1] if state.dim > 1 else 0.0
-    if abs(a1) < 1e-14:
+    if abs(a1) < TOL.phase_amplitude:
         return state
     return FockVector(state.dim, state.amps * np.exp(-1j * np.angle(a1)))
 
@@ -383,11 +385,12 @@ def _save_panels(config: ExperimentConfig, alpha: float, panels: dict) -> str:
     return adir
 
 
-def _save_batch(config: ExperimentConfig, alpha: float, batch: SampleBatch, name: str) -> None:
-    """Write <alpha dir>/<name> and its sidecar, which records alpha, eta and mode."""
-    adir = alpha_dir(config.outdir, alpha)
+def _save_batch(config: ExperimentConfig, index: int, batch: SampleBatch, name: str) -> None:
+    """Write <alpha dir>/<name> and its sidecar, which records alpha, eta, mode and seed."""
+    adir = alpha_dir(config.outdir, config.alphas[index])
     os.makedirs(adir, exist_ok=True)
-    meta = {"alpha": alpha, "eta": config.eta, "mode": config.mode}
+    meta = {"alpha": config.alphas[index], "eta": config.eta, "mode": config.mode,
+            "seed": config.schedule(index).seed}
     save_samples(batch, os.path.join(adir, name), meta=meta)
 
 
@@ -421,12 +424,12 @@ def sample(config: ExperimentConfig) -> list[SampleBatch]:
     for index, alpha in enumerate(config.alphas):
         batch = _sample(config, index, alpha)[0]
         with _timed("emit", alpha):
-            _save_batch(config, alpha, batch, "samples.csv")
+            _save_batch(config, index, batch, "samples.csv")
         batches.append(batch)
     return batches
 
 
-def _load(path: str) -> SampleBatch:
+def _load(path: str) -> tuple[SampleBatch, dict]:
     try:
         return load_samples(path)
     except (OSError, ValueError) as exc:
@@ -440,22 +443,23 @@ def reconstruct_file(
 
     Writes reconstructed.json and reconstruction_diag.json.  The POVM is
     built for the phases found in the file and compensates ``config.eta``; if
-    the file's sidecar records another eta, the diagnostics carry a warning.
-    A file that cannot be read, or holds no sample inside the binning range,
-    is a ConfigError.
+    no sidecar records the file's eta, or it records another, the diagnostics
+    carry a warning.  A file or sidecar that cannot be read, or a file with no
+    sample inside the binning range, is a ConfigError.
     """
     tomo = config.tomography()
-    batch = _stage("load", None, _load, path)
+    batch, fields = _stage("load", None, _load, path)
     binned = _stage("bin", None, bin_samples, batch, tomo) if len(batch) else None
     if binned is None or binned.total <= 0:
         raise ConfigError(
             f"cannot reconstruct from {path}: {len(batch)} samples, none inside +-{tomo.x_max:g}"
         )
     rho_hat, diag = _reconstruct(None, binned, tomo)
-    if batch.eta is not None and batch.eta != tomo.eta:
+    eta = fields.get("eta")
+    if eta != tomo.eta:
+        recorded = "an unknown eta (no sidecar records it)" if eta is None else f"eta={eta:g}"
         diag.warnings.append(
-            f"samples were recorded at eta={batch.eta:g} but reconstructed with eta={tomo.eta:g}"
-        )
+            f"samples were recorded at {recorded} but reconstructed with eta={tomo.eta:g}")
     with _timed("emit", None):
         os.makedirs(config.outdir, exist_ok=True)
         save_density_matrix(rho_hat, os.path.join(config.outdir, "reconstructed.json"))
@@ -497,7 +501,7 @@ def _run_alpha(config: ExperimentConfig, index: int, alpha: float, emit: bool) -
         # not a _stage: a failed write is an OSError, not a numerical failure
         with _timed("emit", alpha):
             adir = _save_panels(config, alpha, {**panels, "output_reconstructed": rho_hat})
-            _save_batch(config, alpha, batch, "samples.npy")
+            _save_batch(config, index, batch, "samples.npy")
             _save_diag(adir, binned, diag)
     return record
 

@@ -35,6 +35,10 @@ class Tolerances:
     ml_gap_nats: float = 0.1
     # fidelity treats a state with 1 - Tr[rho^2] / Tr[rho]^2 below this as pure
     pure: float = 1e-12
+    # NS gate: largest residual of lambda_1/lambda_0 = 1 and lambda_2/lambda_0 = -1
+    ns_ratio_residual: float = 1e-10
+    # global-phase fix: a single-photon amplitude below this sets no phase reference
+    phase_amplitude: float = 1e-14
 
 
 TOL = Tolerances()

@@ -61,15 +61,15 @@ class TomographyConfig:
 
     def __post_init__(self):
         if self.dim < 3:
-            raise ValueError("dim must be >= 3")
+            raise ValueError(f"dim must be >= 3, got {self.dim}")
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
+            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.bin_width <= 0:
             raise ValueError(f"bin_width must be positive, got {self.bin_width:g}")
         if self.x_max <= 0:
             raise ValueError(f"x_max must be positive, got {self.x_max:g}")
         if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if self.n_bins < 1:
             raise ValueError(
                 f"bin_width {self.bin_width:g} leaves no bin on [-{self.x_max:g}, {self.x_max:g}]"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -200,28 +201,29 @@ def test_load_samples_rejects_foreign_csv(tmp_path):
 def test_sample_roundtrip(tmp_path):
     rho = density_from_pure(coherent_state(0.3, 8))
     batch = sample_quadratures(rho, default_schedule(seed=9, n_phases=3, samples_per_phase=40), eta=1.0)
+    assert [f.name for f in dataclasses.fields(SampleBatch)] == ["thetas", "xs"]
     path = tmp_path / "samples.csv"
-    save_samples(batch, path, meta={"alpha": 0.3})
-    loaded = load_samples(path)
-    assert np.array_equal(loaded.xs, batch.xs)
-    assert np.array_equal(loaded.thetas, batch.thetas)
-    assert loaded.seed == 9
-    meta_path = tmp_path / "samples_meta.json"
-    meta = json.loads(meta_path.read_text())
-    assert meta["file"] == "samples.csv"
-    del meta["file"]  # as written before sidecars named their file: still describes this one
-    meta_path.write_text(json.dumps({**meta, "eta": 0.9}))
+    save_samples(batch, path, meta={"alpha": 0.3, "seed": 9})
+    # loading never warns: what the sidecar says, or that none describes the file, is the
+    # caller's to report
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert (load_samples(path).seed, load_samples(path).eta) == (9, 0.9)
-    meta_path.write_text(json.dumps({**meta, "eta": 0.9, "file": "samples.npy"}))
-    with pytest.warns(UserWarning, match="describes samples.npy, not samples.csv: .*seed unknown"):
-        foreign = load_samples(path)
-    assert (foreign.seed, foreign.eta) == (0, None)
-    os.remove(meta_path)
-    with pytest.warns(UserWarning, match="seed unknown"):
-        unseeded = load_samples(path)
-    assert unseeded.seed == 0 and np.array_equal(unseeded.xs, batch.xs)
+        loaded, fields = load_samples(path)
+        assert np.array_equal(loaded.xs, batch.xs)
+        assert np.array_equal(loaded.thetas, batch.thetas)
+        assert fields == {"schema_version": 1, "file": "samples.csv", "count": 120,
+                          "alpha": 0.3, "seed": 9}
+        meta_path = tmp_path / "samples_meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta == fields
+        del meta["file"]  # as written before sidecars named their file: still describes this one
+        meta_path.write_text(json.dumps({**meta, "eta": 0.9}))
+        assert load_samples(path)[1] == {**meta, "eta": 0.9}
+        meta_path.write_text(json.dumps({**meta, "eta": 0.9, "file": "samples.npy"}))
+        assert load_samples(path)[1] == {}
+        os.remove(meta_path)
+        unrecorded, fields = load_samples(path)
+        assert fields == {} and np.array_equal(unrecorded.xs, batch.xs)
 
 
 def test_load_samples_bit_identical_to_float_parsing(tmp_path):
@@ -232,7 +234,7 @@ def test_load_samples_bit_identical_to_float_parsing(tmp_path):
     ])
     thetas = np.repeat(np.arange(3) * math.pi / 3, xs.size // 3 + 1)[: xs.size]
     path = tmp_path / "samples.csv"
-    save_samples(SampleBatch(thetas, xs, seed=4), path)
+    save_samples(SampleBatch(thetas, xs), path, meta={"seed": 4})
     # rows typed by hand, not by repr: short decimals, exponents, 17+ digits
     with open(path, "a", newline="") as fh:
         fh.write("0.5,1e-5\r\n2.0943951023931957,-3.14159265358979323846264\r\n1,7E+2\r\n")
@@ -241,8 +243,8 @@ def test_load_samples_bit_identical_to_float_parsing(tmp_path):
         rows = list(csv.reader(fh))[1:]
     expected_t = np.array([float(r[0]) for r in rows])
     expected_x = np.array([float(r[1]) for r in rows])
-    loaded = load_samples(path)
-    assert loaded.seed == 4
+    loaded, fields = load_samples(path)
+    assert fields["seed"] == 4
     assert np.array_equal(loaded.thetas.view(np.int64), expected_t.view(np.int64))
     assert np.array_equal(loaded.xs.view(np.int64), expected_x.view(np.int64))
     assert np.array_equal(loaded.xs[: xs.size].view(np.int64), xs.view(np.int64))
@@ -256,11 +258,11 @@ def test_npy_samples_round_trip_bit_for_bit(tmp_path):
     ])
     thetas = np.repeat([0.0, -0.0, math.pi / 3], xs.size // 3 + 1)[: xs.size]
     path = tmp_path / "samples.npy"
-    save_samples(SampleBatch(thetas, xs, seed=4), path, meta={"eta": 0.7})
+    save_samples(SampleBatch(thetas, xs), path, meta={"seed": 4, "eta": 0.7})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loaded = load_samples(path)
-    assert (loaded.seed, loaded.eta) == (4, 0.7)
+        loaded, fields = load_samples(path)
+    assert (fields["seed"], fields["eta"]) == (4, 0.7)
     assert np.array_equal(loaded.thetas.view(np.int64), thetas.view(np.int64))
     assert np.array_equal(loaded.xs.view(np.int64), xs.view(np.int64))
     stored = np.load(path, allow_pickle=False)
@@ -271,12 +273,12 @@ def test_npy_samples_round_trip_bit_for_bit(tmp_path):
 
 def test_load_samples_header_only(tmp_path):
     path = tmp_path / "samples.csv"
-    save_samples(SampleBatch(np.array([0.0]), np.array([0.1]), seed=2), path)
-    path.write_text("theta,x\r\n")  # the sidecar stays, so no warning is due
+    save_samples(SampleBatch(np.array([0.0]), np.array([0.1])), path, meta={"seed": 2})
+    path.write_text("theta,x\r\n")  # the sidecar stays and still describes the file
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loaded = load_samples(path)
-    assert len(loaded) == 0 and loaded.seed == 2
+        loaded, fields = load_samples(path)
+    assert len(loaded) == 0 and fields["seed"] == 2
     path.write_text("")
     with pytest.raises(ValueError, match="header"):
         load_samples(path)
@@ -313,7 +315,7 @@ def test_save_samples_bytes_match_row_writer(runs, xs_pool, chunk, tmp_path_fact
     # differ only in sign of zero; small chunks put chunk edges inside runs
     thetas = np.array([t for t, count in runs for _ in range(count)], dtype=np.float64)
     xs = np.resize(np.array(xs_pool), thetas.size)
-    batch = SampleBatch(thetas, xs, seed=3)
+    batch = SampleBatch(thetas, xs)
     path = tmp_path_factory.mktemp("csv") / "samples.csv"
     with mock.patch.object(homodyne, "_CSV_CHUNK_ROWS", chunk):
         assert _saved_bytes(batch, path) == _reference_csv(batch)
@@ -334,7 +336,7 @@ def test_save_samples_bytes_match_row_writer(runs, xs_pool, chunk, tmp_path_fact
          "interleaved"],
 )
 def test_save_samples_edge_rows(thetas, xs, tmp_path):
-    batch = SampleBatch(np.array(thetas, dtype=np.float64), np.array(xs, dtype=np.float64), 1)
+    batch = SampleBatch(np.array(thetas, dtype=np.float64), np.array(xs, dtype=np.float64))
     assert _saved_bytes(batch, tmp_path / "samples.csv") == _reference_csv(batch)
 
 
@@ -347,7 +349,7 @@ def test_save_samples_default_batch_bytes(tmp_path):
 
 
 def test_sidecar_beside_extensionless_path_in_dotted_dir(tmp_path):
-    batch = SampleBatch(np.array([0.0, 0.5]), np.array([0.1, -0.2]), seed=6)
+    batch = SampleBatch(np.array([0.0, 0.5]), np.array([0.1, -0.2]))
     rundir = tmp_path / "run.v2"
     rundir.mkdir()
     save_samples(batch, rundir / "samples", meta={"alpha": 0.53})
@@ -355,6 +357,6 @@ def test_sidecar_beside_extensionless_path_in_dotted_dir(tmp_path):
     assert sorted(os.listdir(rundir)) == ["samples", "samples_meta.json"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert load_samples(rundir / "samples").seed == 6
+        assert load_samples(rundir / "samples")[1]["alpha"] == 0.53
     save_samples(batch, rundir / "samples.csv")  # a .csv path keeps its sidecar name
     assert sorted(os.listdir(rundir)) == ["samples", "samples.csv", "samples_meta.json"]

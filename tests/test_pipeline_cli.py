@@ -33,6 +33,9 @@ from kerrsim.tolerances import TOL
 from kerrsim.tomography import load_density_matrix
 
 FAST = dict(n_phases=6, samples_per_phase=2000, max_iterations=300)
+# the warning of a reconstruction from a file whose eta no sidecar records, at the default eta
+UNKNOWN_ETA = ("samples were recorded at an unknown eta (no sidecar records it) "
+               "but reconstructed with eta=0.66")
 
 
 def test_config_validation():
@@ -45,6 +48,22 @@ def test_config_validation():
         ExperimentConfig(eta=0.0).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(recon_dim=20).validate()
+    # a range error shows the value it rejected
+    for kwargs, message in (
+        ({"eta": 1.5}, "eta must be in (0, 1], got 1.5"),
+        ({"eta": 0.0}, "eta must be in (0, 1], got 0.0"),
+        ({"recon_dim": 20}, "need 3 <= recon_dim <= sim_dim, got recon_dim 20 and sim_dim 16"),
+        ({"recon_dim": 2}, "got recon_dim 2 and sim_dim 16"),
+        ({"max_iterations": 0}, "max_iterations must be positive, got 0"),
+        ({"bin_width": -1.0}, "bin_width must be positive, got -1"),
+        ({"x_max": 0.0}, "x_max must be positive, got 0"),
+        ({"seed": -3}, "seed must be non-negative, got -3"),
+        ({"n_phases": 0}, "n_phases must be positive, got 0"),
+        ({"alphas": ()}, "at least one alpha is required, got ()"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**kwargs)
+        assert message in str(info.value)
     with pytest.raises(ConfigError, match="alphas"):
         ExperimentConfig(alphas=5)
     with pytest.raises(ConfigError, match="got '05'"):  # not read one character at a time
@@ -246,7 +265,7 @@ def test_cli_solve(capsys):
 
 def test_cli_invalid_config_exit_code(tmp_path, capsys):
     assert main(["pipeline", "--mode", "ideal", "--eta", "2.0", "--out", str(tmp_path)]) == 2
-    assert "invalid configuration" in capsys.readouterr().err
+    assert "invalid configuration: eta must be in (0, 1], got 2.0" in capsys.readouterr().err
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"max_iterations": 0}))
     assert main(["pipeline", "--config", str(config), "--out", str(tmp_path)]) == 2
@@ -355,9 +374,7 @@ def test_cli_reconstruct_missing_samples(tmp_path, capsys):
     for name, rows in (("empty.csv", ""), ("far.csv", "0.0,9.0\r\n0.5,-7.5\r\n")):
         path = tmp_path / name
         path.write_text("theta,x\r\n" + rows)
-        with pytest.warns(UserWarning, match="seed unknown"):
-            code = main(["reconstruct", "--samples", str(path), "--out", str(tmp_path)])
-        assert code == 2
+        assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path)]) == 2
         assert f"cannot reconstruct from {path}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "reconstructed.json")
     # a NaN or infinite value makes the file unusable, not an out-of-range sample
@@ -389,11 +406,19 @@ def test_cli_reconstruct_missing_samples(tmp_path, capsys):
         assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path)]) == 2, name
         assert f"cannot read samples from {path}: " in capsys.readouterr().err, name
         assert not os.path.exists(tmp_path / "reconstructed.json")
-    # a usable file whose sidecar is not a JSON object
-    (tmp_path / "good_meta.json").write_text("[1, 2]")
-    assert main(["reconstruct", "--samples", str(good), "--out", str(tmp_path)]) == 2
-    assert "sidecar" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "reconstructed.json")
+    # a usable file whose sidecar is unusable: not a JSON object, not JSON, not UTF-8,
+    # nested too deep to parse, or an eta that is not a number in (0, 1]
+    sidecar = tmp_path / "good_meta.json"
+    etas = ("0.66", True, False, [0.66], 0, 1.5, -0.5, None, math.nan, math.inf)
+    for text in (b"[1, 2]", b'{"eta": 0.66', b"\xff\xfe", b"[" * 100000,
+                 *(json.dumps({"eta": eta}).encode() for eta in etas)):
+        sidecar.write_bytes(text)
+        assert main(["reconstruct", "--samples", str(good), "--out", str(tmp_path)]) == 2, text[:40]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid configuration: cannot read samples from {good}: "
+                              f"sidecar {sidecar} "), text[:40]
+        assert len(err.splitlines()) == 1, text[:40]
+        assert not os.path.exists(tmp_path / "reconstructed.json")
 
 
 def test_cli_npy_ignores_the_sidecar_of_a_later_csv(tmp_path, capsys):
@@ -407,13 +432,55 @@ def test_cli_npy_ignores_the_sidecar_of_a_later_csv(tmp_path, capsys):
     capsys.readouterr()
     recon = str(tmp_path / "recon")
     samples = os.path.join(out, "alpha_0.53", "samples.npy")
-    with pytest.warns(UserWarning, match="describes samples.csv, not samples.npy: "
-                                         "sampling seed unknown"):
-        assert main(["reconstruct", *SMALL, "--samples", samples, "--out", recon]) == 0
-    assert "recorded at eta" not in capsys.readouterr().err
-    for mine, theirs in (("reconstructed.json", "output_reconstructed.json"),
-                         ("reconstruction_diag.json", "reconstruction_diag.json")):
-        assert Path(recon, mine).read_bytes() == Path(out, "alpha_0.53", theirs).read_bytes()
+    assert main(["reconstruct", *SMALL, "--samples", samples, "--out", recon]) == 0
+    # no false eta=0.95 warning: the .npy's efficiency is unknown, said once
+    assert capsys.readouterr().err.splitlines() == [f"warning: {samples}: {UNKNOWN_ETA}"]
+    assert (Path(recon, "reconstructed.json").read_bytes()
+            == Path(out, "alpha_0.53", "output_reconstructed.json").read_bytes())
+    mine, theirs = (json.loads(Path(root, "reconstruction_diag.json").read_text())
+                    for root in (recon, os.path.join(out, "alpha_0.53")))
+    assert mine.pop("warnings") == theirs.pop("warnings") + [UNKNOWN_ETA]
+    assert mine == theirs
+
+
+def test_cli_reconstruct_takes_eta_only_from_its_own_sidecar(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    assert main(["sample", *SMALL, "--out", data]) == 0
+    samples = os.path.join(data, "alpha_0.53", "samples.csv")
+    meta_path = Path(data, "alpha_0.53", "samples_meta.json")
+    meta = json.loads(meta_path.read_text())
+    capsys.readouterr()
+    # the seed is provenance that reconstruction does not read, so a null one is no problem;
+    # a sidecar that names another file describes nothing here, whatever its eta
+    for case, sidecar, warned in (
+        ("recorded", meta, False),
+        ("null-seed", {**meta, "seed": None}, False),
+        ("no-eta", {k: v for k, v in meta.items() if k != "eta"}, True),
+        ("foreign", {**meta, "file": "samples.npy", "eta": "0.66"}, True),
+        ("missing", None, True),
+    ):
+        if sidecar is None:
+            meta_path.unlink()
+        else:
+            meta_path.write_text(json.dumps(sidecar))
+        out = str(tmp_path / case)
+        assert main(["reconstruct", *SMALL, "--samples", samples, "--out", out]) == 0, case
+        expected = [UNKNOWN_ETA] if warned else []
+        assert capsys.readouterr().err.splitlines() == [f"warning: {samples}: {w}" for w in expected]
+        assert json.loads(Path(out, "reconstruction_diag.json").read_text())["warnings"] == expected
+
+
+def test_sidecar_seed_is_the_schedule_seed(tmp_path, capsys):
+    # each alpha's sidecar records the seed its schedule drew from: config.seed + index
+    flags = ["--alpha", "0.53", "--alpha", "0", "--alpha", "0.23", "--phases", "6",
+             "--samples-per-phase", "2000", "--seed", "7"]
+    for command, name in (("pipeline", "samples.npy"), ("sample", "samples.csv")):
+        out = tmp_path / command
+        assert main([command, *flags, "--out", str(out)]) == 0
+        for index, alpha in enumerate(("0.53", "0", "0.23")):
+            meta = json.loads((out / f"alpha_{alpha}" / "samples_meta.json").read_text())
+            assert (meta["file"], meta["seed"]) == (name, 7 + index), (command, alpha)
+    capsys.readouterr()
 
 
 def test_cli_prints_reconstruction_warnings(tmp_path, capsys):

@@ -57,10 +57,15 @@ def test_config_validation():
     cfg = TomographyConfig()
     assert cfg.n_bins == 240
     assert cfg.bin_edges()[0] == -6.0 and cfg.bin_edges()[-1] == 6.0
-    with pytest.raises(ValueError):
+    # each range error shows the value it rejected
+    with pytest.raises(ValueError, match=r"dim must be >= 3, got 2$"):
         TomographyConfig(dim=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"eta must be in \(0, 1\], got 0.0$"):
         TomographyConfig(eta=0.0)
+    with pytest.raises(ValueError, match=r"eta must be in \(0, 1\], got 1.5$"):
+        TomographyConfig(eta=1.5)
+    with pytest.raises(ValueError, match=r"max_iterations must be positive, got 0$"):
+        TomographyConfig(max_iterations=0)
     with pytest.raises(ValueError, match="leaves no bin"):
         TomographyConfig(bin_width=100.0)  # rounds to zero bins on +-6
 
@@ -116,7 +121,7 @@ def test_povm_rotation_matches_per_phase_reference(bin_width, eta, dim):
 def test_bin_samples_basics():
     cfg = TomographyConfig()
     centers = cfg.bin_centers()
-    batch = SampleBatch(np.array([0.0]), np.array([centers[10]]), seed=0)
+    batch = SampleBatch(np.array([0.0]), np.array([centers[10]]))
     data = bin_samples(batch, cfg)
     assert data.counts[0, 10] == 1.0
     assert data.total == 1.0
@@ -127,7 +132,7 @@ def test_bin_samples_totals_and_out_of_range():
     rng = np.random.default_rng(41)
     xs = rng.normal(size=500)
     xs[0] = 7.5  # outside the range
-    batch = SampleBatch(np.zeros(500), xs, seed=0)
+    batch = SampleBatch(np.zeros(500), xs)
     cfg = TomographyConfig()
     data = bin_samples(batch, cfg)
     assert data.total + data.out_of_range == 500
@@ -137,7 +142,7 @@ def test_bin_samples_totals_and_out_of_range():
 def test_bin_edge_goes_to_upper_bin():
     cfg = TomographyConfig()
     edge = cfg.bin_edges()[5]  # interior edge between bins 4 and 5
-    batch = SampleBatch(np.array([0.0]), np.array([float(edge)]), seed=0)
+    batch = SampleBatch(np.array([0.0]), np.array([float(edge)]))
     data = bin_samples(batch, cfg)
     assert data.counts[0, 5] == 1.0
     assert data.counts[0, 4] == 0.0
@@ -145,7 +150,7 @@ def test_bin_edge_goes_to_upper_bin():
 
 def test_bin_samples_empty_errors():
     with pytest.raises(ValueError):
-        bin_samples(SampleBatch(np.array([]), np.array([]), seed=0), TomographyConfig())
+        bin_samples(SampleBatch(np.array([]), np.array([])), TomographyConfig())
 
 
 def test_povm_completeness_unit_efficiency():
@@ -484,7 +489,7 @@ def test_bin_samples_matches_per_phase_reference():
     thetas = np.concatenate([thetas, np.repeat([0.0, 0.7, 1.9, 3.0], special.size)])
     xs = np.concatenate([xs, np.tile(special, 4)])
     order = rng.permutation(xs.size)  # phases interleaved, not in blocks
-    batch = SampleBatch(thetas[order], xs[order], seed=0)
+    batch = SampleBatch(thetas[order], xs[order])
 
     data = bin_samples(batch, cfg)
     ref_thetas, ref_counts, ref_out = _reference_bin_counts(batch, cfg)
@@ -499,6 +504,37 @@ def _random_density(rng, dim, rank):
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ g.conj().T
     return DensityMatrix(dim, rho / np.trace(rho).real)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    scale=st.floats(0.01, 10.0),
+    shift=st.floats(-5.0, 5.0),
+)
+def test_project_density_is_the_nearest_density_matrix(seed, dim, scale, shift):
+    # a Hermitian input of any trace and sign, as a gradient step can leave
+    rng = np.random.default_rng(seed)
+    g = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    mat = 0.5 * (g + g.conj().T) + shift * np.eye(dim)
+    out = tomography._project_density(mat)
+    assert np.max(np.abs(out - out.conj().T)) <= TOL.hermitian
+    assert abs(np.trace(out).real - 1.0) <= TOL.norm_unit
+    assert np.linalg.eigvalsh(out)[0] >= -TOL.psd_floor
+
+    # a density matrix is its own projection
+    for rank in range(1, dim + 1):
+        rho = _random_density(rng, dim, rank).elems
+        assert_allclose(tomography._project_density(rho), rho, rtol=0.0, atol=1e-12)
+
+    # no density matrix is closer to the input: neither random states of every rank
+    # nor states a small step from the output towards them
+    distance = np.linalg.norm(out - mat)
+    slack = 1e-12 * (1.0 + np.linalg.norm(mat))
+    for rank in range(1, dim + 1):
+        sigma = _random_density(rng, dim, rank).elems
+        for rival in (sigma, out + 1e-3 * (sigma - out)):
+            assert distance <= np.linalg.norm(rival - mat) + slack
 
 
 @settings(max_examples=25)
