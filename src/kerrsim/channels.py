@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +34,9 @@ class LossChannel:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
 
-@lru_cache(maxsize=None)
-def _kraus(eta: float, dim: int) -> np.ndarray:
+def loss_kraus(channel: LossChannel, dim: int) -> np.ndarray:
+    """Stack of Kraus operators, shape (dim, dim, dim); A_k = result[k]."""
+    eta = float(channel.eta)
     n = np.arange(dim, dtype=np.float64)
     ops = np.zeros((dim, dim, dim))
     for k in range(dim):
@@ -47,14 +47,9 @@ def _kraus(eta: float, dim: int) -> np.ndarray:
     return ops
 
 
-def loss_kraus(channel: LossChannel, dim: int) -> np.ndarray:
-    """Stack of Kraus operators, shape (dim, dim, dim); A_k = result[k]."""
-    return _kraus(float(channel.eta), dim).copy()
-
-
 def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
     """rho' = sum_k A_k rho A_k^T; trace preserving and positivity preserving."""
-    ops = _kraus(float(channel.eta), rho.dim)
+    ops = loss_kraus(channel, rho.dim)
     out = np.einsum("kab,bc,kdc->ad", ops, rho.elems, ops, optimize=True)
     return DensityMatrix(rho.dim, out)
 
@@ -78,5 +73,5 @@ def loss_adjoint_on_operator(e: np.ndarray, channel: LossChannel) -> np.ndarray:
         lo, hi = w[..., 0].min(), w[..., -1].max()
         if lo < -TOL.psd_floor or hi > 1.0 + TOL.psd_floor:
             raise ValueError(f"operator bounds violated: eigenvalues in [{lo:.3e}, {hi:.3e}]")
-    ops = _kraus(float(channel.eta), e.shape[-1])
+    ops = loss_kraus(channel, e.shape[-1])
     return np.einsum("kba,...bc,kcd->...ad", ops, e, ops, optimize=True)

@@ -61,7 +61,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config) as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # also not UTF-8, or an int too long to parse
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -113,13 +113,19 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
 
     Raises ValueError for a non-finite alpha, and TruncationOverflowError
     when the truncated tail weight 1 - sum_n |c_n|^2 exceeds ``TOL.tail``,
-    signalling that ``dim`` is too small for this amplitude.
+    signalling that ``dim`` is too small for this amplitude.  It raises at once
+    for |alpha|^2 >= min(dim, 1400): at least half the weight then lies above the
+    top level, or the running product (peak e^(|alpha|^2 / 2)) would overflow.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha}")
+    limit = min(dim, 1400)
+    if math.hypot(alpha.real, alpha.imag) >= math.sqrt(limit):
+        raise TruncationOverflowError(
+            f"coherent state alpha={alpha} needs |alpha|^2 < {limit} at dim={dim}")
     # c_n = e^{-|a|^2/2} a^n / sqrt(n!), built by a stable running product
     ratios = np.ones(dim, dtype=np.complex128)
     if dim > 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SubspaceSupportError
-from .fock import FockVector
+from .fock import FockVector, apply_diagonal
 from .tolerances import TOL
 
 __all__ = [
@@ -117,19 +117,17 @@ def apply_conditional(op: DiagonalOperator, state: FockVector) -> tuple[FockVect
     absolute heralding probability: the absolute value depends on source and
     tap parameters outside this model.
     """
-    if op.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
+    out = apply_diagonal(op, state)  # checks the dimensions first
     n2 = float(np.sum(np.abs(state.amps) ** 2))
     if n2 == 0.0:
         raise ValueError("conditional operation on a zero state")
-    out = np.asarray(op.values) * state.amps
-    weight = float(np.sum(np.abs(out) ** 2)) / n2
+    weight = float(np.sum(np.abs(out.amps) ** 2)) / n2
     if weight < TOL.zero_weight:
         warnings.warn(
             f"conditional output weight {weight:.3e} is numerically zero",
             stacklevel=2,
         )
-    return FockVector(state.dim, out), weight
+    return out, weight
 
 
 def nonlinear_sign_target(state: FockVector) -> FockVector:

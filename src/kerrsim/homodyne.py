@@ -110,13 +110,11 @@ def wavefunction_table(dim: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def quadrature_wavefunction(n: int, x) -> np.ndarray | float:
-    """Real oscillator eigenfunction psi_n evaluated at x (scalar or array)."""
+def quadrature_wavefunction(n: int, x) -> np.ndarray:
+    """Real oscillator eigenfunction psi_n at the points x, as a 1-d array."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    val = wavefunction_table(n + 1, arr)[n]
-    return float(val[0]) if np.ndim(x) == 0 else val
+    return wavefunction_table(n + 1, np.atleast_1d(x))[n]
 
 
 def _phased_vectors(dim: int, theta: float, x: np.ndarray) -> np.ndarray:
@@ -125,16 +123,13 @@ def _phased_vectors(dim: int, theta: float, x: np.ndarray) -> np.ndarray:
     return np.exp(-1j * theta * np.arange(dim))[:, None] * psi
 
 
-def quadrature_pdf(rho: DensityMatrix, theta: float, x) -> np.ndarray | float:
-    """p(x | theta) = sum_{mn} rho_mn e^{i(m-n)theta} psi_m(x) psi_n(x)."""
+def quadrature_pdf(rho: DensityMatrix, theta: float, x) -> np.ndarray:
+    """p(x | theta) = sum_{mn} rho_mn e^{i(m-n)theta} psi_m(x) psi_n(x), a 1-d array over x."""
     herm = np.max(np.abs(rho.elems - rho.elems.conj().T))
     if herm > TOL.hermitian:
         raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    w = _phased_vectors(rho.dim, theta, arr)
-    p = np.einsum("mg,mn,ng->g", w.conj(), rho.elems, w, optimize=True)
-    vals = p.real
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    w = _phased_vectors(rho.dim, theta, np.atleast_1d(x))
+    return np.einsum("mg,mn,ng->g", w.conj(), rho.elems, w, optimize=True).real
 
 
 def projector_matrix(theta: float, x: float, dim: int) -> np.ndarray:
@@ -239,16 +234,17 @@ def load_samples(path) -> tuple[SampleBatch, dict]:
     ``float()`` does.  Either way a reloaded batch is bit-identical to the
     saved one.  A file that cannot be parsed, or that holds a NaN or infinite
     theta or x, raises ValueError; the sampler writes none.  The fields are {}
-    when no sidecar describes the file (there is none, or it names another
-    file); a sidecar that is not a JSON object, or whose ``eta`` is not a
-    number in (0, 1], raises ValueError naming it.
+    when no sidecar describes the file (there is none, it names another file,
+    or its count is not the number of rows read); a sidecar that is not a
+    JSON object, or whose ``eta`` is not a number in (0, 1], raises
+    ValueError naming it.
     """
     path = str(path)
     body = _read_npy(path) if path.endswith(".npy") else _read_csv(path)
     finite = np.isfinite(body).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite theta or x in data row {int(np.argmin(finite)) + 1}")
-    return SampleBatch(body[:, 0], body[:, 1]), _sidecar_for(path)
+    return SampleBatch(body[:, 0], body[:, 1]), _sidecar_for(path, len(body))
 
 
 def _read_npy(path: str) -> np.ndarray:
@@ -273,8 +269,8 @@ def _read_csv(path: str) -> np.ndarray:
             return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
 
 
-def _sidecar_for(path: str) -> dict:
-    """The sidecar's fields if it describes ``path``, else {}; ValueError if it is unusable."""
+def _sidecar_for(path: str, rows: int) -> dict:
+    """The sidecar's fields if it describes ``path`` and its ``rows``; else {}, or ValueError."""
     meta_path = _sidecar_path(path)
     name = os.path.basename(path)
     try:
@@ -286,8 +282,9 @@ def _sidecar_for(path: str) -> dict:
         raise ValueError(f"sidecar {meta_path} is not readable JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar {meta_path} does not hold a JSON object")
-    # a sidecar written before sidecars named their file describes the file beside it
-    if meta.get("file", name) != name:
+    # a sidecar written before sidecars named their file describes the file beside it;
+    # one whose count differs was written for an earlier version of the file
+    if meta.get("file", name) != name or meta.get("count", rows) != rows:
         return {}
     eta = meta.get("eta")
     # JSON numbers load as int or float; a bool is not one

@@ -91,8 +91,12 @@ MODES = ("ideal", "bestfit", "custom")
 _log = logging.getLogger("kerrsim")
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_number(value, kind=numbers.Complex) -> bool:
+    """A finite number of ``kind`` but not a bool; an int too large for a float is not finite."""
+    try:
+        return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
+    except OverflowError:
+        return False
 
 
 _KINDS = {"float": "a finite real number", "complex": "a finite complex number"}
@@ -126,10 +130,9 @@ class ExperimentConfig:
             if f.type == "int":
                 ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             elif f.type == "float":
-                ok = _is_real(value) and math.isfinite(value)
+                ok = _is_number(value, numbers.Real)
             elif f.type == "complex":
-                ok = (isinstance(value, numbers.Complex) and not isinstance(value, bool)
-                      and cmath.isfinite(value))
+                ok = _is_number(value)
             elif f.type == "str":
                 ok = isinstance(value, str)
             else:
@@ -142,7 +145,7 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.alphas, (list, tuple)) or not all(
-            _is_real(a) and a >= 0 and math.isfinite(a) for a in self.alphas
+            _is_number(a, numbers.Real) and a >= 0 for a in self.alphas
         ):
             raise ConfigError(f"alphas must be a list of nonnegative finite reals, got {self.alphas!r}")
         if not self.alphas:
@@ -164,11 +167,12 @@ class ExperimentConfig:
         if self.mode == "custom" and self.custom_a == 0 and self.custom_b == 0:
             raise ConfigError("mode 'custom' needs a nonzero custom_a or custom_b")
         try:
-            # checks the tomography fields; completeness is the same at every phase
-            build_povm(self.tomography(), [0.0])
+            tomo = self.tomography()  # checks the tomography fields
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        except MemoryError as exc:
+        try:
+            build_povm(tomo, [0.0])  # completeness is the same at every phase
+        except (MemoryError, ValueError) as exc:  # ValueError: too large even to describe
             raise ConfigError(
                 f"bin_width {self.bin_width:g} and x_max {self.x_max:g} give a POVM too large "
                 f"to hold at recon_dim {self.recon_dim}: {exc}"
@@ -196,19 +200,16 @@ class ExperimentConfig:
         def as_complex(v):
             # a real number or a [re, im] pair of them; validate rejects anything else
             parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
-            return complex(*parts) if all(_is_real(p) for p in parts) else v
+            return complex(*parts) if all(_is_number(p, numbers.Real) for p in parts) else v
 
         unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         known = dict(payload)
-        try:
-            for key in ("custom_a", "custom_b"):
-                if key in known:
-                    known[key] = as_complex(known[key])
-            return ExperimentConfig(**known)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        for key in ("custom_a", "custom_b"):
+            if key in known:
+                known[key] = as_complex(known[key])
+        return ExperimentConfig(**known)
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -356,10 +357,11 @@ def _model(config: ExperimentConfig, alpha: float):
 
 
 def _sample(config: ExperimentConfig, index: int, alpha: float):
-    """The model stages, then the sample stage: the batch, model panels, weight and tail."""
+    """The model stages, then the sample stage, schedule included: batch, panels, weight, tail."""
     rho_out_full, panels, weight, tail = _model(config, alpha)
     batch = _stage(
-        "sample", alpha, sample_quadratures, rho_out_full, config.schedule(index), config.eta
+        "sample", alpha,
+        lambda: sample_quadratures(rho_out_full, config.schedule(index), config.eta),
     )
     return batch, panels, weight, tail
 
@@ -547,10 +549,7 @@ def klm_compare(eta_heralds: float = ExperimentConfig.eta) -> list[dict]:
     """
     solution = solve_ns_transmittances()
     gain = solve_superposition()
-    operator_dim = 8
-    operator = build_superposition_operator(
-        SuperpositionParams(1.0, gain.ratio), operator_dim
-    )
+    operator = build_superposition_operator(SuperpositionParams(1.0, gain.ratio), 3)
     detectors = (
         ("pnr", 1.0),
         ("pnr", eta_heralds),
@@ -559,13 +558,12 @@ def klm_compare(eta_heralds: float = ExperimentConfig.eta) -> list[dict]:
     )
     rows = []
     for name, amps in _KLM_PROBES:
-        probe3 = FockVector(3, amps)
+        probe = FockVector(3, amps)
         for kind, eta in detectors:
-            result = run_ns_gate(probe3, DetectorModel(kind, eta))
+            result = run_ns_gate(probe, DetectorModel(kind, eta))
             rows.append((name, "ns_gate", kind, eta, result.fidelity, result.probability))
-        probe8 = FockVector(operator_dim, np.concatenate([amps, np.zeros(operator_dim - 3)]))
-        conditional, weight = apply_conditional(operator, probe8)
-        target = density_from_pure(amplified_sign_target(probe8, gain.gain))
+        conditional, weight = apply_conditional(operator, probe)
+        target = density_from_pure(amplified_sign_target(probe, gain.gain))
         fid = fidelity(density_from_pure(conditional), target)
         for kind, eta in (("on_off", 1.0), ("on_off", eta_heralds)):
             # two herald detections, each scaling the weight by eta

@@ -21,7 +21,7 @@ class Tolerances:
     hermitian: float = 1e-10
     # most negative eigenvalue tolerated in a "positive semidefinite" matrix
     psd_floor: float = 1e-9
-    # |norm - 1| for a vector labeled normalized
+    # slack above 1 that DensityMatrix.validate allows in a trace
     norm_unit: float = 1e-10
     # conditional-operation weight below which a zero-output warning is raised
     zero_weight: float = 1e-15

@@ -70,6 +70,10 @@ class TomographyConfig:
             raise ValueError(f"x_max must be positive, got {self.x_max:g}")
         if self.max_iterations <= 0:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
+        if not math.isfinite(2.0 * self.x_max / self.bin_width):
+            raise ValueError(
+                f"bin_width {self.bin_width:g} and x_max {self.x_max:g} give no finite bin count"
+            )
         if self.n_bins < 1:
             raise ValueError(
                 f"bin_width {self.bin_width:g} leaves no bin on [-{self.x_max:g}, {self.x_max:g}]"

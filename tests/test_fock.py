@@ -1,8 +1,12 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim.fock import (
@@ -20,6 +24,7 @@ from kerrsim.fock import (
 )
 from kerrsim.gates import DiagonalOperator, SuperpositionParams, build_superposition_operator
 from kerrsim.errors import TruncationOverflowError
+from kerrsim.tolerances import TOL
 
 # frozen from the closed form c_n = exp(-|a|^2/2) a^n / sqrt(n!) at 40 digits
 C0_023 = 0.97389673745505716401
@@ -53,6 +58,42 @@ def test_coherent_closed_form():
 def test_coherent_rejects_non_finite_amplitude(alpha):
     with pytest.raises(ValueError, match="finite"):
         coherent_state(alpha, 8)
+
+
+@given(
+    magnitude=st.one_of(st.floats(0.0, 6.0), st.floats(0.0, 1e300)),
+    kind=st.sampled_from(("real", "imaginary", "complex")),
+    angle=st.floats(-math.pi, math.pi),
+    dim=st.integers(1, 32),
+)
+def test_coherent_state_is_finite_or_raises(magnitude, kind, angle, dim):
+    # every finite alpha gives finite amplitudes within the tail bound or a
+    # TruncationOverflowError, and neither path warns
+    sign = 1.0 if angle >= 0 else -1.0
+    alpha = {"real": sign * magnitude, "imaginary": 1j * sign * magnitude,
+             "complex": cmath.rect(magnitude, angle)}[kind]
+    # the Poisson weight above level dim - 1 is 1 - Q(dim, |alpha|^2)
+    exact_tail = 1.0 - scipy.special.gammaincc(dim, magnitude**2) if magnitude < 1e100 else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            v = coherent_state(alpha, dim)
+        except TruncationOverflowError:
+            assert exact_tail > TOL.tail - 1e-12
+            return
+    assert np.all(np.isfinite(v.amps))
+    assert 1.0 - np.sum(np.abs(v.amps) ** 2) <= TOL.tail
+    assert exact_tail <= TOL.tail + 1e-12
+
+
+@pytest.mark.parametrize("alpha, dim", [(1e25, 16), (1e200, 16), (complex(1.7e308, 1.7e308), 16),
+                                        (38.0, 3000)])
+def test_coherent_large_amplitude_raises_without_warning(alpha, dim):
+    # these gave NaN amplitudes, an overflow warning or a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationOverflowError, match=f"at dim={dim}"):
+            coherent_state(alpha, dim)
 
 
 def test_coherent_tail_bound():

@@ -134,6 +134,14 @@ def test_apply_conditional_zero_warning():
     assert weight == 0.0
 
 
+def test_apply_conditional_checks_dimensions_first():
+    # a mismatched operator is reported before the zero state it meets
+    with pytest.raises(ValueError, match="dimension mismatch: operator 4, state 3"):
+        apply_conditional(DiagonalOperator(4, np.ones(4)), FockVector(3, np.zeros(3)))
+    with pytest.raises(ValueError, match="zero state"):
+        apply_conditional(DiagonalOperator(3, np.ones(3)), FockVector(3, np.zeros(3)))
+
+
 def test_nonlinear_sign_target():
     assert_allclose(nonlinear_sign_target(basis_state(0, 3)).amps[0], -1.0, atol=0)
     assert_allclose(nonlinear_sign_target(basis_state(1, 3)).amps[1], 1.0, atol=0)

@@ -61,6 +61,13 @@ def test_wavefunction_high_order_stable():
     assert np.max(np.abs(vals)) < 2.0
 
 
+def test_quadrature_helpers_return_1d_arrays():
+    vac = density_from_pure(basis_state(0, 4))
+    for x, shape in ((0.0, (1,)), ([0.0], (1,)), (np.linspace(-1.0, 1.0, 5), (5,))):
+        for value in (quadrature_pdf(vac, 0.3, x), quadrature_wavefunction(2, x)):
+            assert isinstance(value, np.ndarray) and value.shape == shape
+
+
 def test_pdf_vacuum_and_single_photon():
     vac = density_from_pure(basis_state(0, 8))
     assert_allclose(quadrature_pdf(vac, 0.3, 0.0), INV_SQRT_PI, rtol=1e-13)
@@ -244,7 +251,7 @@ def test_load_samples_bit_identical_to_float_parsing(tmp_path):
     expected_t = np.array([float(r[0]) for r in rows])
     expected_x = np.array([float(r[1]) for r in rows])
     loaded, fields = load_samples(path)
-    assert fields["seed"] == 4
+    assert fields == {}  # the appended rows leave the sidecar's count stale
     assert np.array_equal(loaded.thetas.view(np.int64), expected_t.view(np.int64))
     assert np.array_equal(loaded.xs.view(np.int64), expected_x.view(np.int64))
     assert np.array_equal(loaded.xs[: xs.size].view(np.int64), xs.view(np.int64))
@@ -274,11 +281,11 @@ def test_npy_samples_round_trip_bit_for_bit(tmp_path):
 def test_load_samples_header_only(tmp_path):
     path = tmp_path / "samples.csv"
     save_samples(SampleBatch(np.array([0.0]), np.array([0.1])), path, meta={"seed": 2})
-    path.write_text("theta,x\r\n")  # the sidecar stays and still describes the file
+    path.write_text("theta,x\r\n")  # the sidecar stays, but its count of 1 is stale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loaded, fields = load_samples(path)
-    assert len(loaded) == 0 and fields["seed"] == 2
+    assert len(loaded) == 0 and fields == {}
     path.write_text("")
     with pytest.raises(ValueError, match="header"):
         load_samples(path)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import kerrsim
@@ -22,6 +23,7 @@ from kerrsim.fock import basis_state, density_from_pure, fidelity
 from kerrsim.pipeline import (
     BESTFIT_RATIO_MAGNITUDE,
     BESTFIT_RATIO_PHASE,
+    MODES,
     ExperimentConfig,
     fix_global_phase,
     klm_compare,
@@ -88,6 +90,72 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(bad).validate()
     ExperimentConfig(eta=1, x_max=6).validate()  # an int is a real number
+
+
+# values of every JSON type; a huge int overflows a float and some floats are subnormal
+_HUGE_INTS = st.integers(-10**400, 10**400)
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), _HUGE_INTS, st.floats(), st.text(max_size=6))
+_JSON = st.recursive(_JSON_SCALAR, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                          st.lists(_JSON, max_size=3))
+_NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.integers(-10**400, 0),
+                          st.sampled_from((math.nan, math.inf)), st.integers(2**1024, 10**400))
+# a grid is either small (at most 400 bins) or has over 1e14 bins, whose first array
+# (800 TB or more) exceeds the 128 TiB user address space, so no example reserves memory
+_X_MAX = st.one_of(_NOT_POSITIVE, st.floats(0.5, 10.0), st.integers(1, 10),
+                   st.floats(min_value=1e16), st.integers(10**16, 10**400))
+_BIN_WIDTH = st.one_of(_NOT_POSITIVE, st.floats(0.05, 100.0), st.integers(1, 100),
+                       st.floats(0.0, 1e-14, exclude_min=True))
+_DIM = st.one_of(st.integers(3, 32), st.integers(-10**400, 32))
+# per field, values of its JSON type, mostly in range, so that most examples reach the
+# later checks; any int of up to 400 digits where an int goes
+_REAL = st.one_of(st.floats(-2.0, 2.0), st.integers(-1, 2))
+_COUNT = st.integers(-1, 10**400)
+_TYPED = {
+    "alphas": st.lists(_REAL, max_size=4),
+    "mode": st.sampled_from(MODES),
+    "custom_a": st.one_of(_REAL, st.lists(_REAL, min_size=2, max_size=2)),
+    "custom_b": st.one_of(_REAL, st.lists(_REAL, min_size=2, max_size=2)),
+    "eta": _REAL,
+    "n_phases": _COUNT,
+    "samples_per_phase": _COUNT,
+    "seed": _COUNT,
+    "sim_dim": _DIM,
+    "recon_dim": _DIM,
+    "bin_width": _BIN_WIDTH,
+    "x_max": _X_MAX,
+    "max_iterations": _COUNT,
+    "outdir": st.text(max_size=6),
+}
+# per field, any JSON value; dims and grids only those that reserve no memory
+_ANY = {name: _JSON for name in _TYPED} | {
+    "sim_dim": st.one_of(_NOT_A_NUMBER, st.floats(), _DIM),
+    "recon_dim": st.one_of(_NOT_A_NUMBER, st.floats(), _DIM),
+    "bin_width": st.one_of(_NOT_A_NUMBER, _BIN_WIDTH),
+    "x_max": st.one_of(_NOT_A_NUMBER, _X_MAX),
+}
+
+
+@st.composite
+def _config_payloads(draw):
+    """Values of the field's type in some fields and any JSON value in up to two."""
+    names = st.sampled_from(sorted(_TYPED))
+    payload = {name: draw(_TYPED[name]) for name in draw(st.lists(names, unique=True))}
+    for name in draw(st.one_of(st.just([]), st.lists(names, unique=True, max_size=2))):
+        payload[name] = draw(_ANY[name])
+    return payload
+
+
+@given(_config_payloads())
+def test_from_dict_raises_only_config_error(payload):
+    # any JSON value in any field builds a valid config or raises ConfigError naming
+    # a field (alphas as "alpha" in "at least one alpha"), never another exception
+    try:
+        config = ExperimentConfig.from_dict(payload)
+    except ConfigError as exc:
+        assert any(name.rstrip("s") in str(exc) for name in _TYPED), str(exc)
+    else:
+        config.validate()
 
 
 def test_config_roundtrip():
@@ -314,6 +382,55 @@ def test_cli_config_rejected_before_any_stage(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_cli_overflowing_config_values_exit_2(tmp_path, capsys):
+    # each of these but the last grid ended in an OverflowError traceback (exit 1)
+    out = str(tmp_path / "out")
+    config = tmp_path / "bad.json"
+    huge = 10**400  # no float holds it
+    for payload, message in (
+        ({"eta": huge}, f"eta must be a finite real number, got {huge}"),
+        ({"bin_width": huge}, f"bin_width must be a finite real number, got {huge}"),
+        ({"alphas": [0.5, huge]}, "alphas must be a list of nonnegative finite reals"),
+        ({"custom_a": huge}, f"custom_a must be a finite complex number, got {huge}"),
+        ({"custom_b": [0.0, -huge]}, "custom_b must be a finite complex number, got [0.0, -1000"),
+        ({"x_max": 1e308}, "bin_width 0.05 and x_max 1e+308 give no finite bin count"),
+        ({"bin_width": 1e-320}, "bin_width 9.99989e-321 and x_max 6 give no finite bin count"),
+        ({"x_max": 1e200, "bin_width": 1e-200},
+         "bin_width 1e-200 and x_max 1e+200 give no finite bin count"),
+        # a finite count too large for numpy even to describe its array named no field
+        ({"x_max": 1e300}, "bin_width 0.05 and x_max 1e+300 give a POVM too large to hold"),
+    ):
+        config.write_text(json.dumps(payload))
+        assert main(["simulate", "--config", str(config), "--out", out]) == 2, payload
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid configuration: "), payload
+        assert message in err[0], payload
+    # an integer too long for Python to parse, and a file that is not UTF-8
+    for text in (b'{"eta": 1' + b"0" * 5000 + b"}", b"\xff\xfe"):
+        config.write_bytes(text)
+        assert main(["simulate", "--config", str(config), "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: invalid configuration: cannot read "
+                                                   f"config file {config}: ")
+    assert not os.path.exists(out)
+    # a phase count whose schedule (8 PB) cannot be held fails in the sample stage
+    code = main(["sample", "--alpha", "0.53", "--phases", "1000000000000000", "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: stage 'sample': ")
+    assert not os.path.exists(os.path.join(out, "alpha_0.53", "samples.csv"))
+
+
+def test_cli_huge_amplitude_fails_in_forward_model(tmp_path, capsys):
+    # alpha 1e25 gave NaN matrices and exit 0 (simulate) or blamed reconstruct (pipeline)
+    for command in ("simulate", "pipeline"):
+        out = tmp_path / command
+        assert main([command, "--alpha", "1e25", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stage 'forward-model': "), err
+        assert not list(tmp_path.rglob("*.json")) and not list(tmp_path.rglob("*.csv"))
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     code = main(
         ["simulate", "--alpha", "9.0", "--out", str(tmp_path / "x"), "--mode", "ideal"]
@@ -468,6 +585,21 @@ def test_cli_reconstruct_takes_eta_only_from_its_own_sidecar(tmp_path, capsys):
         expected = [UNKNOWN_ETA] if warned else []
         assert capsys.readouterr().err.splitlines() == [f"warning: {samples}: {w}" for w in expected]
         assert json.loads(Path(out, "reconstruction_diag.json").read_text())["warnings"] == expected
+
+
+def test_cli_reconstruct_ignores_a_sidecar_whose_count_is_stale(tmp_path, capsys):
+    # rows appended after sample wrote the sidecar: its count, and so its eta, are stale
+    data = str(tmp_path / "data")
+    assert main(["sample", *SMALL, "--out", data]) == 0
+    samples = os.path.join(data, "alpha_0.53", "samples.csv")
+    with open(samples, "a", newline="") as fh:
+        fh.write("0.0,0.25\r\n1.0471975511965976,-0.5\r\n")
+    capsys.readouterr()
+    out = str(tmp_path / "recon")
+    assert main(["reconstruct", *SMALL, "--samples", samples, "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: {samples}: {UNKNOWN_ETA}"]
+    assert json.loads(Path(out, "reconstruction_diag.json").read_text())["warnings"] == [
+        UNKNOWN_ETA]
 
 
 def test_sidecar_seed_is_the_schedule_seed(tmp_path, capsys):
