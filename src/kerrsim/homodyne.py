@@ -8,7 +8,11 @@ Conventions (used consistently by the tomography module):
 
 Sampling is inverse-CDF on a tabulated grid with a counter-based (Philox)
 generator keyed per phase, so per-phase blocks are independent and the whole
-batch is bit-reproducible for a fixed seed and schedule order.
+batch is bit-reproducible for a fixed seed and schedule order.  Each uniform
+draw finds its CDF knot through a guide table (Chen & Asau 1974; Devroye,
+Non-Uniform Random Variate Generation, 1986, sec. III.2.4) in O(1), then
+interpolates with ``np.interp``'s formula, so every sample equals
+``np.interp(u, cdf, grid)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ __all__ = [
 GRID_HALFWIDTH = 6.0
 GRID_STEP = 0.01
 _CSV_CHUNK_ROWS = 4096
+# a power of two, so that u * _GUIDE_SIZE and k / _GUIDE_SIZE are exact
+_GUIDE_SIZE = 2**12
+# shots per pass of the inverse-CDF lookup and of the binning, which bounds their temporaries
+_CHUNK_SHOTS = 2**16
+_PDF_SUBSCRIPTS = "mg,mn,ng->g"
 
 
 @dataclass(frozen=True)
@@ -117,19 +126,27 @@ def quadrature_wavefunction(n: int, x) -> np.ndarray:
     return wavefunction_table(n + 1, np.atleast_1d(x))[n]
 
 
-def _phased_vectors(dim: int, theta: float, x: np.ndarray) -> np.ndarray:
-    """Columns w(x) with w_m = e^{-i m theta} psi_m(x); p = <w|rho|w>."""
-    psi = wavefunction_table(dim, x)
-    return np.exp(-1j * theta * np.arange(dim))[:, None] * psi
+def _phased_vectors(theta: float, psi: np.ndarray) -> np.ndarray:
+    """Columns w(x) with w_m = e^{-i m theta} psi_m(x), from psi = wavefunction_table(...)."""
+    return np.exp(-1j * theta * np.arange(len(psi)))[:, None] * psi
+
+
+def _check_hermitian(rho: DensityMatrix) -> None:
+    herm = np.max(np.abs(rho.elems - rho.elems.conj().T))
+    if herm > TOL.hermitian:
+        raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
+
+
+def _pdf(rho: DensityMatrix, theta: float, psi: np.ndarray, path) -> np.ndarray:
+    """p = <w|rho|w> at the points psi was tabulated on; ``path`` is einsum's ``optimize``."""
+    w = _phased_vectors(theta, psi)
+    return np.einsum(_PDF_SUBSCRIPTS, w.conj(), rho.elems, w, optimize=path).real
 
 
 def quadrature_pdf(rho: DensityMatrix, theta: float, x) -> np.ndarray:
     """p(x | theta) = sum_{mn} rho_mn e^{i(m-n)theta} psi_m(x) psi_n(x), a 1-d array over x."""
-    herm = np.max(np.abs(rho.elems - rho.elems.conj().T))
-    if herm > TOL.hermitian:
-        raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
-    w = _phased_vectors(rho.dim, theta, np.atleast_1d(x))
-    return np.einsum("mg,mn,ng->g", w.conj(), rho.elems, w, optimize=True).real
+    _check_hermitian(rho)
+    return _pdf(rho, theta, wavefunction_table(rho.dim, np.atleast_1d(x)), True)
 
 
 def projector_matrix(theta: float, x: float, dim: int) -> np.ndarray:
@@ -137,12 +154,12 @@ def projector_matrix(theta: float, x: float, dim: int) -> np.ndarray:
 
     Defined so that Tr[rho * projector] == quadrature_pdf(rho, theta, x).
     """
-    w = _phased_vectors(dim, theta, np.atleast_1d(float(x)))[:, 0]
+    w = _phased_vectors(theta, wavefunction_table(dim, np.atleast_1d(float(x))))[:, 0]
     return np.outer(w, w.conj())
 
 
-def _tabulated_cdf(rho: DensityMatrix, theta: float, grid: np.ndarray) -> np.ndarray:
-    pdf = np.clip(quadrature_pdf(rho, theta, grid), 0.0, None)
+def _tabulated_cdf(rho: DensityMatrix, pdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    pdf = np.clip(pdf, 0.0, None)
     cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))))
     mass = cdf[-1]
     if rho.trace - mass > TOL.grid_deficit:
@@ -150,6 +167,48 @@ def _tabulated_cdf(rho: DensityMatrix, theta: float, grid: np.ndarray) -> np.nda
             f"quadrature grid covers mass {mass:.9f} of trace {rho.trace:.9f}"
         )
     return cdf / mass
+
+
+def _last_knot_at_or_below(knots: np.ndarray, values: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Index of the last of the non-decreasing ``knots`` <= each value.
+
+    ``lower`` is that index or the one before it, and ``knots[lower + 1]``
+    must exist; one comparison settles which.  A NaN value counts as above
+    every knot.
+    """
+    return lower + ~(values < knots[lower + 1])
+
+
+def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray, out: np.ndarray) -> None:
+    """Write ``np.interp(u, cdf, grid)`` into ``out``, bit for bit, in O(1) per value.
+
+    ``cdf`` rises from cdf[0] = 0 to cdf[-1] = 1, and every u lies in [0, 1),
+    so the last knot j <= u is never the last knot, where np.interp returns
+    grid[-1].  Bucket k of the guide table holds the last knot <= k / K; a
+    u in that bucket has that knot or the next, unless more knots than one
+    fall in the bucket (the flat tails of the CDF), where u is searched.
+    Between knots the value is np.interp's slope * (u - cdf[j]) + grid[j],
+    and grid[j] when u is on the knot.
+    """
+    levels = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
+    guide = np.searchsorted(cdf, levels, side="right") - 1
+    wide_bucket = np.diff(guide) > 1
+    # like np.interp, warn of nothing: a flat stretch has an infinite slope, which no u uses
+    with np.errstate(all="ignore"):
+        slope = np.diff(grid) / np.diff(cdf)
+        for lo in range(0, u.size, _CHUNK_SHOTS):
+            v = u[lo:lo + _CHUNK_SHOTS]
+            bucket = (v * _GUIDE_SIZE).astype(np.intp)
+            j = _last_knot_at_or_below(cdf, v, guide[bucket])
+            wide = np.flatnonzero(wide_bucket[bucket])
+            if wide.size:
+                j[wide] = np.searchsorted(cdf, v[wide], side="right") - 1
+            at, base = cdf[j], grid[j]
+            x = out[lo:lo + _CHUNK_SHOTS]
+            np.subtract(v, at, out=x)
+            x *= slope[j]
+            x += base
+            np.copyto(x, base, where=v == at)
 
 
 def sample_quadratures(
@@ -162,22 +221,30 @@ def sample_quadratures(
     Per phase, draws i.i.d. samples by inverse-CDF lookup on a grid of step
     ``GRID_STEP`` over +-``GRID_HALFWIDTH`` (linear interpolation).  Each
     phase gets its own Philox stream derived from (seed, phase index), so
-    output is deterministic given the schedule.
+    output is deterministic given the schedule.  A guide table finds each
+    draw's grid interval in O(1); the samples equal ``np.interp`` on the
+    tabulated CDF bit for bit.
     """
     lossy = apply_loss(rho, LossChannel(eta))
+    _check_hermitian(lossy)
     n_points = int(round(2.0 * GRID_HALFWIDTH / GRID_STEP)) + 1
     grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, n_points)
-    thetas_out = []
-    xs_out = []
+    psi = wavefunction_table(lossy.dim, grid)
+    # the contraction order depends only on the shapes, which every phase shares
+    path = np.einsum_path(_PDF_SUBSCRIPTS, psi, lossy.elems, psi, optimize=True)[0]
+    thetas = np.empty(schedule.total)
+    xs = np.empty(schedule.total)
+    start = 0
     for index, (theta, count) in enumerate(schedule.phases):
-        cdf = _tabulated_cdf(lossy, theta, grid)
+        cdf = _tabulated_cdf(lossy, _pdf(lossy, theta, psi, path), grid)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=schedule.seed, spawn_key=(index,)))
         )
-        u = rng.random(count)
-        xs_out.append(np.interp(u, cdf, grid))
-        thetas_out.append(np.full(count, theta))
-    return SampleBatch(np.concatenate(thetas_out), np.concatenate(xs_out))
+        stop = start + count
+        _inverse_cdf(rng.random(count), cdf, grid, xs[start:stop])
+        thetas[start:stop] = theta
+        start = stop
+    return SampleBatch(thetas, xs)
 
 
 def _sidecar_path(path: str) -> str:

@@ -149,7 +149,7 @@ class ExperimentConfig:
         ):
             raise ConfigError(f"alphas must be a list of nonnegative finite reals, got {self.alphas!r}")
         if not self.alphas:
-            raise ConfigError(f"at least one alpha is required, got {self.alphas!r}")
+            raise ConfigError(f"alphas must hold at least one amplitude, got {self.alphas!r}")
         owners = {}
         for a in self.alphas:
             adir = alpha_dir(self.outdir, a)

@@ -31,7 +31,7 @@ from .artifacts import atomic_open
 from .channels import LossChannel, loss_adjoint_on_operator
 from .errors import NumericalError
 from .fock import DensityMatrix
-from .homodyne import SampleBatch, wavefunction_table
+from .homodyne import _CHUNK_SHOTS, SampleBatch, _last_knot_at_or_below, wavefunction_table
 from .tolerances import TOL
 
 __all__ = [
@@ -119,6 +119,23 @@ class BinnedData:
         return float(self.counts.sum())
 
 
+def _lower_bin(x: np.ndarray, config: TomographyConfig) -> np.ndarray:
+    """The last bin edge <= each x, or the edge before it, in [-1, n_bins - 1].
+
+    The guess (x + x_max) / width sits half a bin below the exact position.
+    bin_edges() steps by the same rounded width, so the guess errs by about
+    n_bins * 2**-50 bins, far below half a bin for any grid that fits in
+    memory; and it is monotone in x.  A NaN gets n_bins - 1.
+    """
+    n_bins = config.n_bins
+    with np.errstate(over="ignore"):  # a huge x overflows to inf, which the clip takes
+        guess = (x + config.x_max) / (2.0 * config.x_max / n_bins) - 0.5
+    np.floor(guess, out=guess)
+    np.fmin(guess, n_bins - 1, out=guess)  # fmin, not minimum: NaN becomes n_bins - 1
+    np.fmax(guess, -1, out=guess)
+    return guess.astype(np.intp)
+
+
 def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
     """Histogram a sample batch on the config grid.
 
@@ -129,18 +146,33 @@ def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
     if len(samples) == 0:
         raise ValueError("empty sample batch")
     n_bins = config.n_bins
+    edges = config.bin_edges()
     t = samples.thetas
     # every distinct phase begins at least one run of equal values, so the run
     # heads hold them all and only those few values are sorted
     starts = np.ones(t.size, dtype=bool)
     np.not_equal(t[1:], t[:-1], out=starts[1:])
-    thetas = np.unique(t[starts])
-    # digitize puts x < -x_max in slot 0 and x >= x_max in slot n_bins + 1, so
-    # each phase owns n_bins + 2 slots and one bincount histograms every sample
-    slot = np.searchsorted(thetas, t)
-    slot *= n_bins + 2
-    slot += np.digitize(samples.xs, config.bin_edges(), right=False)
-    slots = np.bincount(slot, minlength=thetas.size * (n_bins + 2)).reshape(thetas.size, n_bins + 2)
+    heads = t[starts]
+    thetas = np.unique(heads)
+    # each phase owns n_bins + 2 slots: slot 0 below -x_max, slots 1..n_bins the
+    # bins and slot n_bins + 1 at or above x_max (or NaN), as np.digitize numbers
+    # them; a sample's slot is its run's first bin slot plus the last edge <= x
+    run_bin1 = np.searchsorted(thetas, heads) * (n_bins + 2) + 1
+    slots = np.zeros(thetas.size * (n_bins + 2), dtype=np.intp)
+    begun = 0  # runs begun before the chunk
+    # in bounded chunks: one guess from (x + x_max) / width and one comparison
+    # with the exact edge above it give each sample's edge without a search
+    for lo in range(0, t.size, _CHUNK_SHOTS):
+        x = samples.xs[lo:lo + _CHUNK_SHOTS]
+        begins = np.flatnonzero(starts[lo:lo + _CHUNK_SHOTS])
+        # the run carried over from the chunk before, then one per run begun in
+        # this one; at lo = 0 there is none, its length is 0 and its index -1 unused
+        lengths = np.diff(begins, prepend=0, append=x.size)
+        slot = np.repeat(run_bin1[np.arange(begun - 1, begun + begins.size)], lengths)
+        begun += begins.size
+        slot += _last_knot_at_or_below(edges, x, _lower_bin(x, config))
+        slots += np.bincount(slot, minlength=slots.size)
+    slots = slots.reshape(thetas.size, n_bins + 2)
     out_of_range = int(slots[:, 0].sum() + slots[:, -1].sum())
     counts = slots[:, 1:-1].astype(np.float64)
     return BinnedData(thetas, counts, out_of_range)

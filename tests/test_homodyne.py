@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim import homodyne
+from kerrsim.channels import LossChannel, apply_loss
 from kerrsim.errors import NumericalError
 from kerrsim.fock import DensityMatrix, basis_state, coherent_state, density_from_pure
 from kerrsim.homodyne import (
@@ -196,6 +198,103 @@ def test_sampling_grid_deficit():
     rho = density_from_pure(coherent_state(0.79, 16))
     with mock.patch.object(homodyne, "GRID_HALFWIDTH", 0.5), pytest.raises(NumericalError):
         sample_quadratures(rho, PhaseSchedule(((0.0, 10),), seed=1), eta=1.0)
+
+
+def _reference_samples(rho, schedule, eta):
+    """Per phase, quadrature_pdf on the grid and np.interp of the uniforms: the plain sampler."""
+    lossy = apply_loss(rho, LossChannel(eta))
+    n_points = int(round(2.0 * homodyne.GRID_HALFWIDTH / homodyne.GRID_STEP)) + 1
+    grid = np.linspace(-homodyne.GRID_HALFWIDTH, homodyne.GRID_HALFWIDTH, n_points)
+    xs = []
+    for index, (theta, count) in enumerate(schedule.phases):
+        pdf = np.clip(quadrature_pdf(lossy, theta, grid), 0.0, None)
+        cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))))
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=schedule.seed, spawn_key=(index,)))
+        )
+        xs.append(np.interp(rng.random(count), cdf / cdf[-1], grid))
+    return np.concatenate(xs)
+
+
+_CHUNK = homodyne._CHUNK_SHOTS
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 12),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+    counts=st.lists(
+        st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]), min_size=1, max_size=3
+    ),
+)
+def test_sampler_bit_identical_to_interp_reference(seed, dim, eta, counts):
+    rng = np.random.default_rng(seed)
+    # amplitudes falling off with n keep the state's mass inside the grid at every dim
+    a = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * 0.6 ** np.arange(dim)[:, None]
+    rho = DensityMatrix(dim, a @ a.conj().T / np.sum(np.abs(a) ** 2))
+    thetas = rng.uniform(0.0, math.pi, size=len(counts))
+    schedule = PhaseSchedule(tuple(zip(thetas.tolist(), counts)), seed)
+    batch = sample_quadratures(rho, schedule, eta)
+    assert np.array_equal(batch.xs.view(np.int64), _reference_samples(rho, schedule, eta).view(np.int64))
+    assert np.array_equal(batch.thetas, np.repeat(thetas, counts))
+
+
+def _hand_built_cdfs():
+    """(cdf, grid) pairs with flat runs, knots closer than a guide bucket and awkward grids."""
+    k = homodyne._GUIDE_SIZE
+    cdf = np.array([
+        0.0, 0.0, 0.0,                           # flat head: u = 0 sits on three knots
+        1e-9, 2e-9, 3e-9,                        # several knots in the first bucket
+        0.25, 0.25, 0.25,                        # a plateau in the middle
+        0.5, 0.5 + 2**-52,                       # a step far below the grid spacing
+        0.75, 1.0 - 1.0 / k, 1.0 - 2**-40,       # knots inside the last bucket
+        1.0, 1.0, 1.0,                           # flat tail
+    ])
+    even = np.linspace(-3.0, 3.0, cdf.size)
+    # -0.0 on a knot: np.interp returns it, while slope * 0 + grid[j] would give +0.0
+    signed = even.copy()
+    signed[6] = -0.0
+    # a huge step over a tiny rise overflows the slope to inf; on the knot, inf * 0 is NaN
+    steep = even.copy()
+    steep[10:] += 1e300
+    return [(cdf, even), (cdf, signed), (cdf, steep)]
+
+
+def test_inverse_cdf_lookup_matches_interp_on_hand_built_cdfs():
+    k = homodyne._GUIDE_SIZE
+    rng = np.random.default_rng(3)
+    for cdf, grid in _hand_built_cdfs():
+        knots = cdf[cdf < 1.0]
+        buckets = np.arange(k) / k
+        u = np.concatenate([
+            knots,                                        # exactly on knots
+            np.nextafter(knots, 1.0),
+            np.nextafter(knots[knots > 0], 0.0),
+            buckets, np.nextafter(buckets[1:], 0.0),      # bucket boundaries
+            1.0 - rng.random(50) / k, [np.nextafter(1.0, 0.0)],   # the last bucket
+            rng.random(2000),
+        ])
+        out = np.empty_like(u)
+        homodyne._inverse_cdf(u, cdf, grid, out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the plain formula would warn; np.interp does not
+            expected = np.interp(u, cdf, grid)
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+def test_sampler_memory_is_bounded():
+    # one 2 M-shot phase holds the batch (thetas and xs) and the phase's uniforms at
+    # full length; the lookup's temporaries stay within a few chunks
+    n = 2_000_004
+    rho = density_from_pure(coherent_state(0.53, 16))
+    tracemalloc.start()
+    try:
+        sample_quadratures(rho, PhaseSchedule(((0.4, n),), seed=3), eta=0.66)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n + 8 * 2**20
 
 
 def test_load_samples_rejects_foreign_csv(tmp_path):

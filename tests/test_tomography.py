@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -478,26 +480,78 @@ def _reference_bin_counts(samples, cfg):
     return thetas, counts, out_of_range
 
 
-def test_bin_samples_matches_per_phase_reference():
-    cfg = TomographyConfig(bin_width=0.25)
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bin_width=st.one_of(
+        st.sampled_from([0.05, 0.03, 0.07, 0.1 / 3, 0.1, 1.0 / 7, 0.25, 0.3]), st.floats(0.01, 2.0)
+    ),
+    x_max=st.one_of(st.sampled_from([6.0, 5.0, 0.7, 3.3]), st.floats(0.5, 12.0)),
+    n_phases=st.integers(1, 4),
+    interleaved=st.booleans(),
+    chunk=st.sampled_from([7, 64, tomography._CHUNK_SHOTS]),
+)
+def test_bin_samples_matches_per_phase_reference(seed, bin_width, x_max, n_phases, interleaved, chunk):
+    cfg = TomographyConfig(bin_width=bin_width, x_max=x_max)
+    rng = np.random.default_rng(seed)
     edges = cfg.bin_edges()
-    rng = np.random.default_rng(43)
-    thetas = rng.choice([0.0, 0.7, 1.9, 3.0], size=3000)
-    xs = 2.5 * rng.normal(size=3000)
-    # every edge, both ends of the range and values outside it, on every phase
-    special = np.concatenate([edges, [-6.0, 6.0, -6.000001, 6.000001, -1e9, 1e9, np.nextafter(6.0, 0)]])
-    thetas = np.concatenate([thetas, np.repeat([0.0, 0.7, 1.9, 3.0], special.size)])
-    xs = np.concatenate([xs, np.tile(special, 4)])
-    order = rng.permutation(xs.size)  # phases interleaved, not in blocks
+    # every edge and its neighbours on both sides, the range ends, far values and NaN
+    special = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [-x_max, x_max, -1e300, 1e300, -np.inf, np.inf, np.nan, -0.0],
+    ])
+    phases = rng.uniform(0.0, math.pi, size=n_phases)
+    xs = np.concatenate([np.tile(special, n_phases), x_max * rng.normal(size=300 * n_phases)])
+    thetas = np.concatenate([np.repeat(phases, special.size), np.repeat(phases, 300)])
+    if interleaved:
+        order = rng.permutation(xs.size)
+    else:  # one run per phase, and a rotation splits one of them in two
+        order = np.roll(np.argsort(thetas, kind="stable"), rng.integers(xs.size))
     batch = SampleBatch(thetas[order], xs[order])
 
-    data = bin_samples(batch, cfg)
+    with mock.patch.object(tomography, "_CHUNK_SHOTS", chunk):
+        data = bin_samples(batch, cfg)
     ref_thetas, ref_counts, ref_out = _reference_bin_counts(batch, cfg)
     assert np.array_equal(data.thetas, ref_thetas)
     assert np.array_equal(data.counts, ref_counts)
     assert data.out_of_range == ref_out
-    assert data.out_of_range >= 4 * 5  # x_max itself and beyond, each phase
+    # per phase: x_max twice, the values just outside both ends, +-1e300, +-inf and NaN
+    assert data.out_of_range >= 9 * n_phases
     assert data.total + data.out_of_range == xs.size
+
+
+@settings(max_examples=200)
+@given(
+    log_x_max=st.floats(-322.0, 300.0),
+    n_bins=st.integers(1, 200_000),
+    jitter=st.floats(-0.4, 0.4),
+)
+def test_lower_bin_is_within_one_edge_on_any_grid(log_x_max, n_bins, jitter):
+    # the guess is monotone in x, so it is the last edge <= x or the one before
+    # for every x once that holds at each edge e_i and just below it
+    x_max = 10.0**log_x_max
+    bin_width = 2.0 * x_max / (n_bins + jitter)
+    assume(bin_width > 0.0)
+    cfg = TomographyConfig(bin_width=bin_width, x_max=x_max)
+    edges = cfg.bin_edges()
+    below = np.arange(edges.size) - 1
+    assert np.all(tomography._lower_bin(edges, cfg) >= below)
+    assert np.all(tomography._lower_bin(np.nextafter(edges, -np.inf), cfg) <= below)
+
+
+def test_bin_samples_memory_is_bounded():
+    # 2,000,004 samples in runs of 12 phases: the binning keeps no full-length
+    # index array, only one bool per sample and bounded chunks
+    n = 2_000_004
+    rng = np.random.default_rng(8)
+    batch = SampleBatch(np.repeat(THETAS_12, n // 12), rng.normal(size=n))
+    tracemalloc.start()
+    try:
+        bin_samples(batch, TomographyConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
 
 
 def _random_density(rng, dim, rank):
