@@ -74,4 +74,8 @@ def loss_adjoint_on_operator(e: np.ndarray, channel: LossChannel) -> np.ndarray:
         if lo < -TOL.psd_floor or hi > 1.0 + TOL.psd_floor:
             raise ValueError(f"operator bounds violated: eigenvalues in [{lo:.3e}, {hi:.3e}]")
     ops = loss_kraus(channel, e.shape[-1])
-    return np.einsum("kba,...bc,kcd->...ad", ops, e, ops, optimize=True)
+    # the Kraus pair first, as the real dim^4 superoperator, then the stack: a
+    # pinned path, as optimize=True caps intermediates at the largest input and
+    # so falls back to the naive loop once dim^2 exceeds the stack length (7 s
+    # for 360 bins at dim 20, against 0.02 s)
+    return np.einsum("kba,...bc,kcd->...ad", ops, e, ops, optimize=["einsum_path", (0, 2), (0, 1)])

@@ -366,9 +366,8 @@ def _sample(config: ExperimentConfig, index: int, alpha: float):
     return batch, panels, weight, tail
 
 
-def _reconstruct(alpha: float | None, binned, tomo: TomographyConfig):
-    """The povm stage for the binned phases, the reconstruct stage, a convergence log line."""
-    povm = _stage("povm", alpha, build_povm, tomo, binned.thetas)
+def _reconstruct(alpha: float | None, binned, tomo: TomographyConfig, povm: np.ndarray):
+    """The reconstruct stage on the POVM for the binned phases, then a convergence log line."""
     rho_hat, diag = _stage("reconstruct", alpha, reconstruct, binned, tomo, povm)
     _log.info(
         "reconstruct%s: %d iterations, converged=%s, ml_gap_nats=%.3g",
@@ -456,7 +455,8 @@ def reconstruct_file(
         raise ConfigError(
             f"cannot reconstruct from {path}: {len(batch)} samples, none inside +-{tomo.x_max:g}"
         )
-    rho_hat, diag = _reconstruct(None, binned, tomo)
+    povm = _stage("povm", None, build_povm, tomo, binned.thetas)
+    rho_hat, diag = _reconstruct(None, binned, tomo, povm)
     eta = fields.get("eta")
     if eta != tomo.eta:
         recorded = "an unknown eta (no sidecar records it)" if eta is None else f"eta={eta:g}"
@@ -469,12 +469,21 @@ def reconstruct_file(
     return rho_hat, diag
 
 
-def _run_alpha(config: ExperimentConfig, index: int, alpha: float, emit: bool) -> AlphaRecord:
+def _run_alpha(
+    config: ExperimentConfig, index: int, alpha: float, emit: bool, povm: np.ndarray,
+    thetas: np.ndarray,
+) -> AlphaRecord:
+    """One amplitude of run_pipeline, reconstructed on ``povm``, built for the phases ``thetas``."""
     batch, panels, weight, tail = _sample(config, index, alpha)
     rho_in, rho_out = panels["input_model"], panels["output_model"]
     tomo = config.tomography()
     binned = _stage("bin", alpha, bin_samples, batch, tomo)
-    rho_hat, diag = _reconstruct(alpha, binned, tomo)
+    if not np.array_equal(binned.thetas, thetas):
+        raise StageError(
+            "povm", f"binned phases {binned.thetas.tolist()} at alpha={alpha} are not the "
+            f"schedule's {thetas.tolist()}, for which the POVM was built"
+        )
+    rho_hat, diag = _reconstruct(alpha, binned, tomo, povm)
     _stage("validate", alpha, lambda: [m.validate() for m in (rho_in, rho_out, rho_hat)])
     fid = _stage("compare", alpha, fidelity, rho_hat, rho_out)
 
@@ -511,15 +520,21 @@ def _run_alpha(config: ExperimentConfig, index: int, alpha: float, emit: bool) -
 def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
     """Run the full chain for every alpha and emit all artifacts.
 
-    Deterministic for a fixed config and seed.  In ideal and bestfit modes the
-    vacuum sign signature is asserted on model and reconstruction for every
-    nonzero alpha; a violation aborts with a structured stage error.
+    Deterministic for a fixed config and seed.  The POVM is built once, for
+    the schedule's phases, and every alpha is reconstructed on it.  In ideal
+    and bestfit modes the vacuum sign signature is asserted on model and
+    reconstruction for every nonzero alpha; a violation aborts with a
+    structured stage error.
     """
     if emit:
         os.makedirs(config.outdir, exist_ok=True)
     report = RunReport(config=config, versions=_versions())
+    # every amplitude samples the same phases (only the schedule's seed differs),
+    # in increasing order as bin_samples returns them, so one POVM serves them all
+    thetas = np.array([theta for theta, _ in config.schedule(0).phases])
+    povm = _stage("povm", None, build_povm, config.tomography(), thetas)
     for index, alpha in enumerate(config.alphas):
-        report.records.append(_run_alpha(config, index, alpha, emit))
+        report.records.append(_run_alpha(config, index, alpha, emit, povm, thetas))
     if emit:
         with _timed("emit", None):
             write_json(os.path.join(config.outdir, "report.json"), report.to_dict())

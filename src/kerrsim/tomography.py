@@ -17,6 +17,13 @@ L* - L(rho) (Glancy, Knill & Girard, NJP 14, 095017, 2012) once it is at
 most ``TOL.ml_gap_nats``.  POVM elements are bin-integrated quadrature
 projectors pushed through the adjoint loss channel, so the reconstruction
 compensates detector efficiency and estimates the pre-detector state.
+
+The likelihood works in Hermitian coordinates: a Hermitian rho is the d^2
+reals x(rho) = [rho_ii, Re rho_ij, Im rho_ij] (i < j), and the occupied POVM
+elements are the rows [E_ii, 2 Re E_ij, 2 Im E_ij] of one real (J, d^2)
+design matrix A, built once per reconstruction.  Then the Born
+probabilities are A x(rho), and sum_j w_j E_j is the Hermitian matrix whose
+coordinates are w A with the off-diagonal entries halved.
 """
 
 from __future__ import annotations
@@ -136,6 +143,21 @@ def _lower_bin(x: np.ndarray, config: TomographyConfig) -> np.ndarray:
     return guess.astype(np.intp)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values), bit for bit, for a 1-d float array.
+
+    The same sort, then one comparison of neighbours: of equal values (-0.0
+    and 0.0) the first in sorted order stays, and the NaNs, sorted last, merge
+    into their first.  np.unique would import numpy.ma on its first call in a
+    process, which costs more than the binning it serves.
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    keep[1:] &= ~np.isnan(values[:-1])  # a value after a NaN is a NaN too
+    return values[keep]
+
+
 def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
     """Histogram a sample batch on the config grid.
 
@@ -153,7 +175,7 @@ def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
     starts = np.ones(t.size, dtype=bool)
     np.not_equal(t[1:], t[:-1], out=starts[1:])
     heads = t[starts]
-    thetas = np.unique(heads)
+    thetas = _sorted_distinct(heads)
     # each phase owns n_bins + 2 slots: slot 0 below -x_max, slots 1..n_bins the
     # bins and slot n_bins + 1 at or above x_max (or NaN), as np.digitize numbers
     # them; a sample's slot is its run's first bin slot plus the last edge <= x
@@ -214,13 +236,15 @@ def build_povm(config: TomographyConfig, thetas) -> np.ndarray:
     return povm0 * phase[:, None, :, :]
 
 
-def _occupied_rows(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of the occupied bins and their POVM elements as real rows.
+def _design_matrix(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Counts of the occupied bins, the real design matrix A of their POVM elements, its index.
 
-    Row j is E_j flattened and viewed as float64, shape (J, 2 dim^2), so for
-    Hermitian rho the Born probability Tr[rho E_j] is a real dot product of
-    the row with the float64 view of vec(rho): sum Re E Re rho + Im E Im rho.
-    Raises ValueError unless the POVM has one element per (phase, bin) count.
+    Row j is E_j in Hermitian coordinates, [E_ii, 2 Re E_ij, 2 Im E_ij] for
+    i < j, shape (J, dim^2), so that Tr[rho E_j] = (A x(rho))_j for Hermitian
+    rho and E_j.  The index, which ``_born`` and ``_weighted_sum`` take with
+    A, holds flat indices into a (dim, dim) matrix: the diagonal, then (i, j)
+    and (j, i) for i < j.  Raises ValueError unless the POVM has one element
+    per (phase, bin) count.
     """
     if povm.shape[:2] != data.counts.shape:
         raise ValueError(
@@ -229,25 +253,45 @@ def _occupied_rows(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.n
     counts = data.counts.reshape(-1)
     occupied = counts > 0
     dim = povm.shape[-1]
-    # boolean indexing returns a fresh C-ordered array, so viewing it as float64 copies nothing
-    elements = np.asarray(povm, dtype=np.complex128).reshape(-1, dim, dim)[occupied]
-    return counts[occupied], elements.reshape(elements.shape[0], -1).view(np.float64)
+    i, j = np.triu_indices(dim, 1)
+    index = (np.arange(dim) * (dim + 1), i * dim + j, j * dim + i)
+    diag, upper, _ = index
+    elements = np.asarray(povm, dtype=np.complex128).reshape(-1, dim * dim)[occupied]
+    off = elements[:, upper]
+    design = np.concatenate((elements[:, diag].real, 2.0 * off.real, 2.0 * off.imag), axis=1)
+    return counts[occupied], design, index
 
 
-def _born(rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr[rho E_j] for every row of ``_occupied_rows`` (rho Hermitian)."""
-    return rows @ np.ascontiguousarray(rho, dtype=np.complex128).reshape(-1).view(np.float64)
+def _coordinates(rho: np.ndarray, index: tuple) -> np.ndarray:
+    """x(rho) = [rho_ii, Re rho_ij, Im rho_ij] for i < j: the d^2 reals of Hermitian rho."""
+    diag, upper, _ = index
+    flat = np.asarray(rho, dtype=np.complex128).reshape(-1)
+    off = flat[upper]
+    return np.concatenate((flat[diag].real, off.real, off.imag))
 
 
-def _weighted_sum(weights: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
-    """sum_j weights_j E_j as a (dim, dim) complex matrix."""
-    return (weights @ rows).view(np.complex128).reshape(dim, dim)
+def _born(design: np.ndarray, rho: np.ndarray, index: tuple) -> np.ndarray:
+    """Tr[rho E_j] for every row of ``_design_matrix`` (rho Hermitian)."""
+    return design @ _coordinates(rho, index)
+
+
+def _weighted_sum(weights: np.ndarray, design: np.ndarray, index: tuple) -> np.ndarray:
+    """sum_j weights_j E_j as a (dim, dim) Hermitian matrix: w @ A, off-diagonal halved."""
+    diag, upper, lower = index
+    coords = weights @ design
+    dim = diag.size
+    half = 0.5 * (coords[dim:dim + upper.size] + 1j * coords[dim + upper.size:])
+    out = np.empty(dim * dim, dtype=np.complex128)
+    out[diag] = coords[:dim]
+    out[upper] = half
+    out[lower] = half.conj()
+    return out.reshape(dim, dim)
 
 
 def loglikelihood(rho: DensityMatrix, data: BinnedData, povm: np.ndarray) -> float:
     """L = sum_j f_j log Tr[rho E_j] over occupied bins (floored at 1e-300)."""
-    counts, rows = _occupied_rows(data, povm)
-    floored = np.maximum(_born(rows, rho.elems), _PROB_FLOOR)
+    counts, design, index = _design_matrix(data, povm)
+    floored = np.maximum(_born(design, rho.elems, index), _PROB_FLOOR)
     return float(np.sum(counts * np.log(floored)))
 
 
@@ -319,7 +363,7 @@ def reconstruct(
         for i in range(povm.shape[0])
     )
 
-    c, rows = _occupied_rows(data, povm)
+    c, design, index = _design_matrix(data, povm)
     total = float(c.sum())
     freqs = c / total
 
@@ -329,13 +373,13 @@ def reconstruct(
         rho = np.asarray(initial, dtype=np.complex128).copy()
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
-    probs = _born(rows, rho)
+    probs = _born(design, rho, index)
     if np.any(probs <= 0.0):
         raise ValueError("initial state gives an occupied bin zero probability")
 
     def gradient(p: np.ndarray) -> np.ndarray:
         """R at the state whose Born probabilities are p: minus the gradient of f."""
-        return _weighted_sum(freqs / p, rows, config.dim)
+        return _weighted_sum(freqs / p, design, index)
 
     def gap_of(p: np.ndarray) -> float:
         # L* - L(rho) <= N (lambda_max(R) - 1); nonnegative in exact arithmetic,
@@ -355,7 +399,7 @@ def reconstruct(
         sigma_loglik = float(c @ np.log(sigma_probs))
         while step > _MIN_STEP:
             cand = _project_density(sigma + step * r_op)
-            cand_probs = _born(rows, cand)
+            cand_probs = _born(design, cand, index)
             if np.all(cand_probs > 0.0):
                 cand_loglik = float(c @ np.log(cand_probs))
                 # quadratic upper bound on f = -L/N around sigma, in nats

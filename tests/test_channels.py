@@ -157,6 +157,17 @@ def test_adjoint_stack_matches_per_matrix(seed, eta, shape, dim):
         assert np.max(np.abs(out[index] - loss_adjoint_on_operator(stack[index], channel))) <= 1e-13
 
 
+def test_adjoint_pinned_path_is_the_default_size_choice():
+    # at the default POVM's size (240 bins, dim 8) the pinned contraction path is
+    # the one numpy's optimizer picks, so the result is the same bits
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_effect(rng, 8) for _ in range(240)])
+    channel = LossChannel(0.66)
+    ops = loss_kraus(channel, 8)
+    free = np.einsum("kba,...bc,kcd->...ad", ops, stack, ops, optimize=True)
+    assert np.array_equal(loss_adjoint_on_operator(stack, channel), free)
+
+
 def test_adjoint_stack_rejects_one_bad_element():
     rng = np.random.default_rng(26)
     channel = LossChannel(0.66)

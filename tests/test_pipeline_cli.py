@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import kerrsim
+from kerrsim import pipeline
 from kerrsim.artifacts import atomic_open, write_json
 from kerrsim.cli import main
 from kerrsim.errors import ConfigError, StageError
@@ -32,7 +33,7 @@ from kerrsim.pipeline import (
     superposition_for_mode,
 )
 from kerrsim.tolerances import TOL
-from kerrsim.tomography import load_density_matrix
+from kerrsim.tomography import BinnedData, load_density_matrix
 
 FAST = dict(n_phases=6, samples_per_phase=2000, max_iterations=300)
 # the warning of a reconstruction from a file whose eta no sidecar records, at the default eta
@@ -234,6 +235,40 @@ def test_default_run_is_certified_and_fidelity_is_the_overlap(ideal_run):
         psi = psi / np.linalg.norm(psi)
         overlap = float((psi.conj() @ record.reconstructed.elems @ psi).real)
         assert record.fidelity_model == pytest.approx(overlap, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed, iterations", [(20230, [112, 112, 29]), (4242, [171, 71, 194])])
+def test_default_run_iterations_are_pinned(seed, iterations):
+    # rounding-level changes to the ML core must not move the default run: a
+    # changed count here is a different stopping point, not noise
+    report = run_pipeline(ExperimentConfig(seed=seed), emit=False)
+    assert [r.diagnostics.iterations for r in report.records] == iterations
+    assert [r.diagnostics.converged for r in report.records] == [True, True, True]
+
+
+def test_pipeline_builds_one_povm_per_run(tmp_path, monkeypatch):
+    config = ExperimentConfig(alphas=(0.23, 0.53, 0.79), outdir=str(tmp_path / "run"), **FAST)
+    calls = []
+    build = pipeline.build_povm
+    monkeypatch.setattr(pipeline, "build_povm", lambda *args: calls.append(args) or build(*args))
+    report = run_pipeline(config, emit=False)
+    assert len(report.records) == 3
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][1], np.arange(6) * math.pi / 6)
+
+
+def test_pipeline_rejects_binned_phases_other_than_the_povm_phases(tmp_path, monkeypatch):
+    config = ExperimentConfig(alphas=(0.53,), outdir=str(tmp_path / "run"), **FAST)
+    bin_samples = pipeline.bin_samples
+
+    def shifted(batch, tomo):
+        binned = bin_samples(batch, tomo)
+        return BinnedData(np.nextafter(binned.thetas, 4.0), binned.counts)
+
+    monkeypatch.setattr(pipeline, "bin_samples", shifted)
+    with pytest.raises(StageError, match="are not the schedule's") as err:
+        run_pipeline(config, emit=False)
+    assert err.value.stage == "povm"
 
 
 def test_pipeline_seed_changes_samples(tmp_path):
@@ -800,10 +835,11 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, command):
     assert out in err[0]
 
 
-_PER_ALPHA = ("forward-model", "truncate", "sample", "bin", "povm", "reconstruct", "validate",
-              "compare", "emit")
+_PER_ALPHA = ("forward-model", "truncate", "sample", "bin", "reconstruct", "validate", "compare",
+              "emit")
 VERBOSE_STAGES = {
-    "pipeline": [*[(stage, alpha) for alpha in ("0.53", "0.23") for stage in _PER_ALPHA],
+    # one POVM for the schedule's phases serves every amplitude
+    "pipeline": [("povm", None), *[(stage, alpha) for alpha in ("0.53", "0.23") for stage in _PER_ALPHA],
                  ("emit", None)],
     "simulate": [*[(stage, alpha) for alpha in ("0.53", "0.23")
                    for stage in ("forward-model", "truncate", "emit")],

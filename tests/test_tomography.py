@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -168,6 +173,15 @@ def test_povm_single_huge_bin_is_identity():
     povm = build_povm(cfg, [0.4])
     assert povm.shape == (1, 1, 8, 8)
     assert_allclose(povm[0, 0], np.eye(8), atol=1e-6)
+
+
+def test_povm_build_cost_follows_the_size_at_dim_20():
+    # 360 bins at dim 20 have dim^2 > n_bins, where einsum's own path search
+    # falls back to the naive loop (seconds); the pinned path takes about 0.03 s
+    start = time.perf_counter()
+    povm = build_povm(TomographyConfig(dim=20, x_max=9.0), [0.0])
+    assert time.perf_counter() - start < 1.0
+    assert povm.shape == (1, 360, 20, 20)
 
 
 def test_povm_elements_remain_valid_with_loss():
@@ -626,3 +640,80 @@ def test_reconstruct_properties_on_random_binned_data(seed, dim, n_phases, eta, 
     slack = 1e-12 * abs(diag.final_loglik)  # rounding of the two sums of logs
     for sigma in rivals:
         assert loglikelihood(sigma, data, povm) <= diag.final_loglik + diag.ml_gap_nats + slack
+
+
+def _random_hermitian(rng, *shape):
+    g = rng.normal(size=(*shape, shape[-1])) + 1j * rng.normal(size=(*shape, shape[-1]))
+    return 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 12),
+    n_phases=st.integers(1, 3),
+    n_bins=st.integers(1, 30),
+)
+def test_hermitian_coordinates_match_the_complex_contractions(seed, dim, n_phases, n_bins):
+    # Born probabilities and weighted sums through the real design matrix are the
+    # complex traces and sums, on any Hermitian stack and state, whatever the bins hold
+    rng = np.random.default_rng(seed)
+    povm = _random_hermitian(rng, n_phases, n_bins, dim)
+    counts = rng.poisson(1.0, size=(n_phases, n_bins)).astype(float)
+    counts[0, 0] += 1.0
+    rho = _random_hermitian(rng, dim)
+    c, design, index = tomography._design_matrix(BinnedData(np.arange(n_phases), counts), povm)
+    e = povm.reshape(-1, dim, dim)[counts.reshape(-1) > 0]
+    assert design.shape == (e.shape[0], dim * dim)
+    assert np.array_equal(c, counts[counts > 0])
+
+    born = tomography._born(design, rho, index)
+    ref = np.einsum("jmn,nm->j", e, rho).real
+    # relative to the size of the terms each sum adds, as cancellations can leave it near 0
+    scale = np.einsum("jmn,nm->j", np.abs(e), np.abs(rho))
+    assert np.all(np.abs(born - ref) <= 1e-12 * scale)
+
+    w = rng.normal(size=e.shape[0])
+    total = tomography._weighted_sum(w, design, index)
+    ref = np.einsum("j,jmn->mn", w, e)
+    assert np.all(np.abs(total - ref) <= 1e-12 * np.einsum("j,jmn->mn", np.abs(w), np.abs(e)))
+    assert np.array_equal(total, total.conj().T)
+
+
+_SPECIAL_THETAS = [0.0, -0.0, np.nan, -np.nan, 1.0, -1.0, np.inf, -np.inf, 5e-324, math.pi]
+
+
+@given(
+    picks=st.lists(st.integers(0, len(_SPECIAL_THETAS) - 1), min_size=1, max_size=80),
+    others=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sorted_distinct_is_np_unique_bit_for_bit(picks, others, seed):
+    # -0.0 against 0.0 keeps whichever np.unique keeps, and repeated NaNs merge into one
+    values = np.concatenate([np.take(_SPECIAL_THETAS, picks), np.asarray(others, dtype=np.float64)])
+    values = np.random.default_rng(seed).permutation(values)
+    ref = np.unique(values)
+    out = tomography._sorted_distinct(values)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+def test_first_bin_samples_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call in a process (15-18 ms), which
+    # a first binning would pay; a fresh interpreter shows whether it still does
+    src = str(Path(tomography.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np\n"
+        "from kerrsim.homodyne import SampleBatch\n"
+        "from kerrsim.tomography import TomographyConfig, bin_samples\n"
+        "assert 'numpy.ma' not in sys.modules, 'loaded at import'\n"
+        "data = bin_samples(SampleBatch(np.repeat([0.5, 0.0, 0.5], 4), np.linspace(-1, 1, 12)),"
+        " TomographyConfig())\n"
+        "assert data.thetas.tolist() == [0.0, 0.5]\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
