@@ -8,7 +8,8 @@ Subcommands: ``pipeline`` (full run), ``simulate`` (forward model only),
 output that cannot be written (path named on stderr), 3 numerical failure
 (stage named on stderr); reconstruction warnings go to stderr.  Each subcommand but
 ``solve`` is one ``pipeline`` entry point; ``kerrsim --verbose`` logs its
-stages' wall times and each reconstruction's convergence to stderr.
+stages' wall times, each reconstruction's convergence and each sample CSV's
+rows and worker processes to stderr.
 """
 
 from __future__ import annotations

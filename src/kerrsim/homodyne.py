@@ -13,14 +13,23 @@ draw finds its CDF knot through a guide table (Chen & Asau 1974; Devroye,
 Non-Uniform Random Variate Generation, 1986, sec. III.2.4) in O(1), then
 interpolates with ``np.interp``'s formula, so every sample equals
 ``np.interp(u, cdf, grid)`` bit for bit.
+
+Sample files are ``.npy`` or CSV.  A CSV is formatted and parsed in
+contiguous row ranges, the first in the calling process and the others in
+forked children, one per usable CPU; the bytes and values are those of one
+process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
 import json
 import math
 import os
+import shutil
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +57,8 @@ __all__ = [
 GRID_HALFWIDTH = 6.0
 GRID_STEP = 0.01
 _CSV_CHUNK_ROWS = 4096
+# bytes per read of the CSV body, which bounds the reader's text buffers
+_CSV_SLICE_BYTES = 2**20
 # a power of two, so that u * _GUIDE_SIZE and k / _GUIDE_SIZE are exact
 _GUIDE_SIZE = 2**12
 # shots per pass of the inverse-CDF lookup and of the binning, which bounds their temporaries
@@ -258,7 +269,10 @@ def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
     A ``.npy`` path gets an ``(N, 2)`` float64 array with columns theta and
     x, which holds every value exactly.  Any other path gets a CSV (header
     theta,x): each row is ``repr(theta),repr(x)`` with CRLF line ends, the
-    bytes ``csv.writer`` gives.
+    bytes ``csv.writer`` gives.  The CSV rows are formatted in contiguous
+    ranges by up to one process per usable CPU (at most one per
+    ``_CHUNK_SHOTS`` rows); the bytes do not depend on how many, and there is
+    no setting.
     """
     path = str(path)
     if path.endswith(".npy"):
@@ -270,27 +284,129 @@ def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
     write_json(_sidecar_path(path), {**sidecar, **(meta or {})})
 
 
-def _write_csv(batch: SampleBatch, path: str) -> None:
-    """Write the sample CSV.
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(rows: int) -> int:
+    """Processes that share ``rows`` CSV rows: one per usable CPU, at most one per _CHUNK_SHOTS rows."""
+    return max(1, min(_usable_cpus(), rows // _CHUNK_SHOTS))
+
+
+def _child(part) -> None:
+    """Run ``part`` in a forked child and end it: status 0, the errno of an OSError, else 255."""
+    status = 255
+    try:
+        part()
+        status = 0
+    except OSError as exc:
+        if exc.errno in range(1, 255):
+            status = exc.errno
+    finally:
+        os._exit(status)
+
+
+def _run_parts(parts: list) -> None:
+    """Call ``parts[0]`` here while each later part runs in a forked child.
+
+    Every child is reaped before this returns or raises; if this process is
+    unwinding, its children are killed first.  A child that failed raises
+    here: OSError with the child's errno, or ChildProcessError.
+    """
+    pids = []
+    try:
+        for part in parts[1:]:
+            pid = os.fork()
+            if pid == 0:
+                _child(part)
+            pids.append(pid)
+        parts[0]()
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code in codes:
+        if 0 < code < 255:
+            raise OSError(code, os.strerror(code))
+        if code:
+            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise ChildProcessError(f"a CSV worker process failed ({how})")
+
+
+def _log_rows(path: str, action: str, rows: int, workers: int) -> None:
+    # `import kerrsim` alone does not load logging; the CLI has it loaded already
+    import logging
+
+    logging.getLogger("kerrsim").info(
+        "%s: %d rows %s, %d worker%s", os.path.basename(path), rows, action, workers,
+        "s" if workers > 1 else "",
+    )
+
+
+def _write_rows(batch: SampleBatch, lo: int, hi: int, fh) -> None:
+    """Write rows ``lo``..``hi`` of the CSV body.
 
     The sampler writes each phase as one run of rows, so a run's
     ``repr(theta) + ","`` is formatted once and joined in front of every x of
     the run.
     """
-    n = len(batch)
-    bits = batch.thetas.view(np.int64)
+    bits = batch.thetas[lo:hi].view(np.int64)
     # runs split on the bit pattern, not on !=, so 0.0 and -0.0 keep their own repr
-    heads = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
-    edges = [0, *heads, n] if n else []
-    with atomic_open(path, newline="") as fh:
-        fh.write("theta,x\r\n")
-        for start, stop in zip(edges, edges[1:]):
-            prefix = repr(float(batch.thetas[start])) + ","
-            sep = "\r\n" + prefix
-            # bounded chunks keep the formatted text small next to the batch itself
-            for lo in range(start, stop, _CSV_CHUNK_ROWS):
-                xs = batch.xs[lo:min(lo + _CSV_CHUNK_ROWS, stop)].tolist()
-                fh.write(prefix + sep.join(map(repr, xs)) + "\r\n")
+    heads = (np.flatnonzero(bits[1:] != bits[:-1]) + lo + 1).tolist()
+    edges = [lo, *heads, hi] if hi > lo else []
+    for start, stop in zip(edges, edges[1:]):
+        prefix = repr(float(batch.thetas[start])) + ","
+        sep = "\r\n" + prefix
+        # bounded chunks keep the formatted text small next to the batch itself
+        for first in range(start, stop, _CSV_CHUNK_ROWS):
+            xs = batch.xs[first:min(first + _CSV_CHUNK_ROWS, stop)].tolist()
+            fh.write(prefix + sep.join(map(repr, xs)) + "\r\n")
+
+
+def _write_csv(batch: SampleBatch, path: str) -> None:
+    """Write the sample CSV; rows after the first range are formatted by forked children.
+
+    Each child writes its range to its own temporary file beside ``path``;
+    this process writes the header and the first range, then appends the
+    parts in order.
+    """
+    rows = len(batch)
+    workers = _worker_count(rows)
+    bounds = [rows * i // workers for i in range(workers + 1)]
+    parts = [f"{path}.{os.urandom(6).hex()}.tmp" for _ in range(workers - 1)]
+
+    def write_part(part: str, lo: int, hi: int) -> None:
+        with open(part, "x", newline="") as out:
+            _write_rows(batch, lo, hi, out)
+
+    try:
+        with atomic_open(path, newline="") as fh:
+            def write_first() -> None:
+                fh.write("theta,x\r\n")
+                _write_rows(batch, 0, bounds[1], fh)
+
+            _run_parts([write_first, *(functools.partial(write_part, part, lo, hi)
+                                       for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))])
+            fh.flush()
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+                os.remove(part)
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+    _log_rows(path, "written", rows, workers)
 
 
 def load_samples(path) -> tuple[SampleBatch, dict]:
@@ -298,13 +414,15 @@ def load_samples(path) -> tuple[SampleBatch, dict]:
 
     A ``.npy`` file must hold an ``(N, 2)`` float64 array.  Any other file is
     a CSV, parsed by NumPy's C reader, which rounds each decimal exactly as
-    ``float()`` does.  Either way a reloaded batch is bit-identical to the
-    saved one.  A file that cannot be parsed, or that holds a NaN or infinite
-    theta or x, raises ValueError; the sampler writes none.  The fields are {}
-    when no sidecar describes the file (there is none, it names another file,
-    or its count is not the number of rows read); a sidecar that is not a
-    JSON object, or whose ``eta`` is not a number in (0, 1], raises
-    ValueError naming it.
+    ``float()`` does; its rows are parsed in contiguous ranges by up to one
+    process per usable CPU (at most one per ``_CHUNK_SHOTS`` rows), with the
+    same result however many, and there is no setting.  Either way a reloaded
+    batch is bit-identical to the saved one.  A file that cannot be parsed,
+    or that holds a NaN or infinite theta or x, raises ValueError; the
+    sampler writes none.  The fields are {} when no sidecar describes the
+    file (there is none, it names another file, or its count is not the
+    number of rows read); a sidecar that is not a JSON object, or whose
+    ``eta`` is not a number in (0, 1], raises ValueError naming it.
     """
     path = str(path)
     body = _read_npy(path) if path.endswith(".npy") else _read_csv(path)
@@ -325,15 +443,110 @@ def _read_npy(path: str) -> np.ndarray:
     return body
 
 
+def _loadtxt(fh) -> np.ndarray:
+    """The CSV rows left in the text stream ``fh`` as an (N, 2) array."""
+    with warnings.catch_warnings():
+        # a header-only file is an empty batch; the caller decides what that means
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
+
+
 def _read_csv(path: str) -> np.ndarray:
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
+        line = fh.readline()
+        header = next(csv.reader([line]), [])
         if header[:2] != ["theta", "x"]:
             raise ValueError(f"unexpected sample CSV header: {header}")
-        with warnings.catch_warnings():
-            # a header-only file is an empty batch; the caller decides what that means
-            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-            return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
+        parsed = None
+        if line.endswith("\n"):  # else the header ends in a lone CR or ends the file
+            parsed = _parse_in_parts(path, len(line.encode(fh.encoding)), fh.encoding)
+        # one np.loadtxt over the whole body, which also gives a bad row's error
+        body, workers = parsed or (_loadtxt(fh), 1)
+    _log_rows(path, "read", len(body), workers)
+    return body
+
+
+def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[np.ndarray, int] | None:
+    """The CSV body from byte ``start`` on, parsed in contiguous ranges, and the number of ranges.
+
+    This process parses the first range while forked children parse the
+    others into one shared array.  None when one process should parse the
+    body, or when any range failed: the caller then parses it whole.
+    """
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        # lines ending before each _CSV_SLICE_BYTES slice of the body, and a last line without a line end
+        before, last = [0], b"\n"
+        for block in iter(functools.partial(raw.read, _CSV_SLICE_BYTES), b""):
+            before.append(before[-1] + np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
+            last = block
+        end = raw.tell()
+        lines = before[-1] + (not last.endswith(b"\n"))
+        workers = _worker_count(lines)
+        if workers == 1:
+            return None
+        # range i begins after the line that holds the first byte of slice ``edge``;
+        # first_line[i] is its first row in the result, blank and comment lines counted
+        offsets, first_line = [start], [0]
+        for i in range(1, workers):
+            edge = (len(before) - 1) * i // workers
+            raw.seek(start + edge * _CSV_SLICE_BYTES)
+            rest = raw.readline()
+            offsets.append(raw.tell())
+            first_line.append(before[edge] + 1 if rest.endswith(b"\n") else lines)
+    offsets.append(end)
+    first_line.append(lines)
+
+    import mmap
+
+    # the result and each range's row count, written by the children in place
+    shared = mmap.mmap(-1, 16 * lines + 8 * workers)
+    body = np.frombuffer(shared, np.float64, 2 * lines).reshape(lines, 2)
+    counts = np.frombuffer(shared, np.int64, workers, 16 * lines)
+    parts = [
+        functools.partial(_parse_range, path, offsets[i], offsets[i + 1], encoding,
+                          body[first_line[i]:first_line[i + 1]], counts, i)
+        for i in range(workers)
+    ]
+    try:
+        _run_parts(parts)
+    except (OSError, ValueError):
+        return None
+    if counts.sum() < lines:  # blank or comment lines were skipped
+        kept = 0
+        for first, count in zip(first_line, counts.tolist()):
+            body[kept:kept + count] = body[first:first + count]
+            kept += count
+        body = body[:kept]
+    return body, workers
+
+
+def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray,
+                 counts: np.ndarray, index: int) -> None:
+    """Parse bytes ``lo``..``hi`` of the CSV into ``out`` in newline-aligned slices.
+
+    ``counts[index]`` gets the number of rows parsed, which blank and comment
+    lines make smaller than the number of lines.
+    """
+    rows = 0
+    carry = b""
+    with open(path, "rb") as raw:
+        raw.seek(lo)
+        pos = lo
+        while pos < hi:
+            block = raw.read(min(_CSV_SLICE_BYTES, hi - pos))
+            if not block:
+                raise ValueError(f"{path} shrank while it was read")
+            pos += len(block)
+            text = carry + block
+            cut = len(text) if pos == hi else text.rfind(b"\n") + 1
+            if cut:
+                parsed = _loadtxt(io.StringIO(text[:cut].decode(encoding)))
+                # more rows than the range's lines raise ValueError here, as in any bad file
+                out[rows:rows + len(parsed)] = parsed
+                rows += len(parsed)
+            carry = text[cut:]
+    counts[index] = rows
 
 
 def _sidecar_for(path: str, rows: int) -> dict:

@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
+import signal
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -401,6 +405,11 @@ def _saved_bytes(batch, path):
     return path.read_bytes()
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 _EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 9999999999999998.0,
                 0.0001, math.pi, -1.5)
 
@@ -415,16 +424,24 @@ _EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 99
     ),
     xs_pool=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20),
     chunk=st.integers(1, 5),
+    cpus=st.integers(1, 4),
+    worker_rows=st.integers(1, 9),
 )
-def test_save_samples_bytes_match_row_writer(runs, xs_pool, chunk, tmp_path_factory):
+def test_save_samples_bytes_match_row_writer(runs, xs_pool, chunk, cpus, worker_rows,
+                                             tmp_path_factory):
     # runs of equal theta of any length, adjacent runs may repeat a theta or
-    # differ only in sign of zero; small chunks put chunk edges inside runs
+    # differ only in sign of zero; small chunks put chunk edges inside runs, and
+    # up to 4 worker processes of at least worker_rows rows put range edges there
     thetas = np.array([t for t, count in runs for _ in range(count)], dtype=np.float64)
     xs = np.resize(np.array(xs_pool), thetas.size)
     batch = SampleBatch(thetas, xs)
     path = tmp_path_factory.mktemp("csv") / "samples.csv"
-    with mock.patch.object(homodyne, "_CSV_CHUNK_ROWS", chunk):
+    with mock.patch.object(homodyne, "_CSV_CHUNK_ROWS", chunk), \
+            mock.patch.object(homodyne, "_CHUNK_SHOTS", worker_rows), \
+            mock.patch.object(homodyne, "_usable_cpus", return_value=cpus):
         assert _saved_bytes(batch, path) == _reference_csv(batch)
+    assert sorted(os.listdir(path.parent)) == ["samples.csv", "samples_meta.json"]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -451,7 +468,186 @@ def test_save_samples_default_batch_bytes(tmp_path):
     schedule = default_schedule(seed=20230, n_phases=12, samples_per_phase=16667)
     batch = sample_quadratures(rho, schedule, eta=0.66)
     assert len(batch) == 12 * 16667
-    assert _saved_bytes(batch, tmp_path / "samples.csv") == _reference_csv(batch)
+    # 200k rows give every usable CPU up to three a range of its own
+    workers = homodyne._worker_count(len(batch))
+    assert workers == min(homodyne._usable_cpus(), 3)
+    path = tmp_path / "samples.csv"
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert _saved_bytes(batch, path) == _reference_csv(batch)
+        assert fork.call_count == workers - 1
+        loaded, _ = load_samples(path)
+        assert fork.call_count == 2 * (workers - 1)
+    assert np.array_equal(loaded.xs.view(np.int64), batch.xs.view(np.int64))
+    assert np.array_equal(loaded.thetas.view(np.int64), batch.thetas.view(np.int64))
+    _assert_no_child_left()
+
+
+def _whole_file_loadtxt(path):
+    """One np.loadtxt over everything after the header: the reader load_samples splits in ranges."""
+    with open(path, newline="") as fh:
+        fh.readline()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
+
+
+def _in_ranges(cpus, slice_bytes):
+    """Patches that split even a small CSV over ``cpus`` processes, slice by slice."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(homodyne, "_CHUNK_SHOTS", 1))
+    stack.enter_context(mock.patch.object(homodyne, "_usable_cpus", return_value=cpus))
+    stack.enter_context(mock.patch.object(homodyne, "_CSV_SLICE_BYTES", slice_bytes))
+    return stack
+
+
+# rows typed by hand, not by repr: short decimals, exponents, 17+ digits; a blank line and
+# a row of spaces, which np.loadtxt rejects
+_TYPED_ROWS = ("0.5,1e-5", "2.0943951023931957,-3.14159265358979323846264", "1,7E+2",
+               "-0.0,5e-324", "0.1,1.7976931348623157e308", "", "   ")
+
+
+@settings(max_examples=60)
+@given(
+    rows=st.lists(
+        st.one_of(
+            st.sampled_from(_TYPED_ROWS),
+            st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                      st.floats(allow_nan=False, allow_infinity=False)).map(
+                lambda r: f"{r[0]!r},{r[1]!r}"),
+        ),
+        max_size=40,
+    ),
+    ends=st.sampled_from(["\r\n", "\n"]),
+    last_end=st.booleans(),
+    cpus=st.integers(2, 4),
+    slice_bytes=st.integers(1, 64),
+)
+def test_load_samples_in_ranges_matches_whole_file_loadtxt(rows, ends, last_end, cpus, slice_bytes,
+                                                           tmp_path_factory):
+    # slices of a few bytes put the range edges at arbitrary lines; the last row
+    # may lack its line end, and a file of blank rows or none is header-only
+    text = "theta,x\r\n" + ends.join(rows) + (ends if rows and last_end else "")
+    path = tmp_path_factory.mktemp("csv") / "samples.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = _whole_file_loadtxt(path)
+    except ValueError as exc:  # a row of spaces is not a blank line
+        with _in_ranges(cpus, slice_bytes), pytest.raises(ValueError) as ranged:
+            load_samples(path)
+        assert str(ranged.value) == str(exc)
+        return
+    with _in_ranges(cpus, slice_bytes):
+        loaded, _ = load_samples(path)
+    assert np.array_equal(loaded.thetas.view(np.int64), expected[:, 0].view(np.int64))
+    assert np.array_equal(loaded.xs.view(np.int64), expected[:, 1].view(np.int64))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad_row", ["1.0,abc", "2.0", "0.5,", "1.0;2.0"])
+def test_load_samples_bad_row_in_last_range_raises_the_whole_file_error(bad_row, tmp_path):
+    path = tmp_path / "samples.csv"
+    rows = [f"{i * 0.25!r},{i / 7!r}" for i in range(60)] + [bad_row, "0.5,0.5"]
+    path.write_text("theta,x\r\n" + "\r\n".join(rows) + "\r\n", newline="")
+    with pytest.raises(ValueError) as whole:
+        _whole_file_loadtxt(path)
+    for cpus in (2, 3):
+        with _in_ranges(cpus, 16), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with pytest.raises(ValueError) as ranged:
+                load_samples(path)
+        assert fork.call_count == cpus - 1
+        assert str(ranged.value) == str(whole.value)
+        _assert_no_child_left()
+
+
+def _failing_in_children(fn, failure):
+    """``fn`` that runs ``failure(*args)`` instead in every process but this one."""
+    parent = os.getpid()
+
+    def wrapped(*args, **kwargs):
+        if os.getpid() != parent:
+            failure(*args)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def _raise(exc):
+    def failure(*_):
+        raise exc
+    return failure
+
+
+def _killed(*_):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+_SMALL_BATCH = SampleBatch(np.repeat([0.0, -0.0, 1.5], 20), np.linspace(-2.0, 2.0, 60))
+
+
+@pytest.mark.parametrize(
+    "failure, raised",
+    [(_raise(OSError(errno.ENOSPC, "No space left on device")), OSError),
+     (_raise(RuntimeError("formatter broke")), ChildProcessError),
+     (_killed, ChildProcessError)],
+    ids=["oserror", "exception", "killed"],
+)
+def test_save_samples_child_failure_raises_and_leaves_nothing(failure, raised, tmp_path):
+    path = tmp_path / "samples.csv"
+    write_rows = _failing_in_children(homodyne._write_rows, failure)
+    with _in_ranges(3, 16), mock.patch.object(homodyne, "_write_rows", write_rows):
+        with pytest.raises(raised) as exc:
+            save_samples(_SMALL_BATCH, path)
+    if raised is OSError:
+        assert exc.value.errno == errno.ENOSPC
+    assert os.listdir(tmp_path) == []
+    _assert_no_child_left()
+
+
+def test_save_samples_failure_here_kills_and_reaps_the_children(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"previous")
+    parent = os.getpid()
+
+    def write_rows(batch, lo, hi, fh):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child that would outlive the test unless killed
+        raise OSError(errno.EIO, "Input/output error")
+
+    start = time.monotonic()
+    with _in_ranges(3, 16), mock.patch.object(homodyne, "_write_rows", write_rows):
+        with pytest.raises(OSError):
+            save_samples(_SMALL_BATCH, path)
+    assert time.monotonic() - start < 30
+    assert os.listdir(tmp_path) == ["samples.csv"] and path.read_bytes() == b"previous"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", [_raise(RuntimeError("parser broke")), _killed],
+                         ids=["exception", "killed"])
+def test_load_samples_child_failure_falls_back_to_one_reader(failure, tmp_path):
+    # a range that fails for a reason other than its rows is parsed again by the
+    # whole-file reader, which gives the result or the error of a bad row
+    path = tmp_path / "samples.csv"
+    save_samples(_SMALL_BATCH, path)
+    parse_range = _failing_in_children(homodyne._parse_range, failure)
+    with _in_ranges(3, 16), mock.patch.object(homodyne, "_parse_range", parse_range), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        loaded, fields = load_samples(path)
+    assert fork.call_count == 2
+    assert np.array_equal(loaded.xs, _SMALL_BATCH.xs) and fields["count"] == 60
+    assert sorted(os.listdir(tmp_path)) == ["samples.csv", "samples_meta.json"]
+    _assert_no_child_left()
+
+
+def test_one_usable_cpu_never_forks(tmp_path):
+    path = tmp_path / "samples.csv"
+    with mock.patch.object(homodyne, "_CHUNK_SHOTS", 1), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0}), \
+            mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert homodyne._worker_count(len(_SMALL_BATCH)) == 1
+        save_samples(_SMALL_BATCH, path)
+        loaded, _ = load_samples(path)
+    assert path.read_bytes() == _reference_csv(_SMALL_BATCH)
+    assert np.array_equal(loaded.xs, _SMALL_BATCH.xs)
 
 
 def test_sidecar_beside_extensionless_path_in_dotted_dir(tmp_path):

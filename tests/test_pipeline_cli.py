@@ -787,6 +787,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert run.stdout == "[]\n"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # the CSV workers are plain forks; a pool module would add to every command's start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(kerrsim.__file__).resolve().parents[1])}
+    code = ("import sys, kerrsim.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'multiprocessing', 'concurrent'}))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_config_accepts_scalar_complex():
     config = ExperimentConfig.from_dict({"mode": "custom", "custom_a": 1.0, "custom_b": [0.0, 2.0]})
     assert config.custom_a == 1.0 + 0.0j
@@ -844,9 +854,11 @@ VERBOSE_STAGES = {
     "simulate": [*[(stage, alpha) for alpha in ("0.53", "0.23")
                    for stage in ("forward-model", "truncate", "emit")],
                  ("emit", None)],
-    "sample": [(stage, alpha) for alpha in ("0.53", "0.23")
-               for stage in ("forward-model", "truncate", "sample", "emit")],
-    "reconstruct": [(stage, None) for stage in ("load", "bin", "povm", "reconstruct", "emit")],
+    # inside emit and load, one line names the CSV's rows and worker processes
+    "sample": [(stage, None if stage == "csv written" else alpha) for alpha in ("0.53", "0.23")
+               for stage in ("forward-model", "truncate", "sample", "csv written", "emit")],
+    "reconstruct": [(stage, None) for stage in ("csv read", "load", "bin", "povm", "reconstruct",
+                                                "emit")],
     "klm": [("klm", None), ("emit", None)],
 }
 
@@ -895,6 +907,11 @@ def test_cli_verbose_logs_stage_timings(tmp_path, capsys, caplog, command):
         timed = re.fullmatch(r"stage (\S+?)(?: alpha=(\S+))?: \d+\.\d{3} s", line)
         if timed:
             logged.append(timed.groups())
+            continue
+        # 3 phases x 200 samples, fewer rows than one worker process takes
+        csv_rows = re.fullmatch(r"samples\.csv: 600 rows (written|read), 1 worker", line)
+        if csv_rows:
+            logged.append((f"csv {csv_rows[1]}", None))
             continue
         conv = re.fullmatch(r"reconstruct(?: alpha=(\S+))?: (\d+) iterations, "
                             r"converged=(True|False), ml_gap_nats=(\S+)", line)
