@@ -23,7 +23,7 @@ import logging
 import os
 import sys
 
-from .errors import ConfigError, KerrsimError, StageError
+from .errors import ConfigError, StageError
 from .gates import solve_superposition
 from .klm import solve_ns_transmittances
 from .pipeline import (
@@ -211,9 +211,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except KerrsimError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

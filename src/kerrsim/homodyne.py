@@ -486,7 +486,7 @@ def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[np.ndarray, i
         if workers == 1:
             return None
         # range i begins after the line that holds the first byte of slice ``edge``;
-        # first_line[i] is its first row in the result, blank and comment lines counted
+        # first_line[i] is its first line, and its first row in the result
         offsets, first_line = [start], [0]
         for i in range(1, workers):
             edge = (len(before) - 1) * i // workers
@@ -499,34 +499,25 @@ def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[np.ndarray, i
 
     import mmap
 
-    # the result and each range's row count, written by the children in place
-    shared = mmap.mmap(-1, 16 * lines + 8 * workers)
-    body = np.frombuffer(shared, np.float64, 2 * lines).reshape(lines, 2)
-    counts = np.frombuffer(shared, np.int64, workers, 16 * lines)
+    # the result, written by the children in place
+    body = np.frombuffer(mmap.mmap(-1, 16 * lines), np.float64).reshape(lines, 2)
     parts = [
         functools.partial(_parse_range, path, offsets[i], offsets[i + 1], encoding,
-                          body[first_line[i]:first_line[i + 1]], counts, i)
+                          body[first_line[i]:first_line[i + 1]])
         for i in range(workers)
     ]
     try:
         _run_parts(parts)
     except (OSError, ValueError):
         return None
-    if counts.sum() < lines:  # blank or comment lines were skipped
-        kept = 0
-        for first, count in zip(first_line, counts.tolist()):
-            body[kept:kept + count] = body[first:first + count]
-            kept += count
-        body = body[:kept]
     return body, workers
 
 
-def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray,
-                 counts: np.ndarray, index: int) -> None:
-    """Parse bytes ``lo``..``hi`` of the CSV into ``out`` in newline-aligned slices.
+def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray) -> None:
+    """Parse bytes ``lo``..``hi`` of the CSV into ``out``, a row per line, in newline-aligned slices.
 
-    ``counts[index]`` gets the number of rows parsed, which blank and comment
-    lines make smaller than the number of lines.
+    A blank or comment line leaves a row of ``out`` unparsed: ValueError, as
+    for a bad row, so the file is parsed whole instead.
     """
     rows = 0
     carry = b""
@@ -546,7 +537,8 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray,
                 out[rows:rows + len(parsed)] = parsed
                 rows += len(parsed)
             carry = text[cut:]
-    counts[index] = rows
+    if rows != len(out):
+        raise ValueError(f"{rows} rows parsed from {len(out)} lines")
 
 
 def _sidecar_for(path: str, rows: int) -> dict:

@@ -6,10 +6,14 @@ reconstruct -> compare, with seeded configs and JSON, CSV and .npy artifacts.
 and write the same artifacts, one entry point per ``kerrsim`` subcommand.
 A run is deterministic given its config and seed; every output file is
 written atomically through ``artifacts.atomic_open``, and JSON files carry a
-schema_version field.  Each stage logs its wall time at INFO level on the
-``kerrsim`` logger (``kerrsim --verbose``), and each reconstruction logs its
-iterations, convergence flag and certified gap there; no timing enters an
-artifact.
+schema_version field.  Every step of an entry point runs in a named stage,
+a ``with _stage(...)`` block: a failure in it is a StageError naming the
+stage, except that a ConfigError and an OSError pass through, so a failure
+while writing artifacts is an OSError (an output that cannot be written) or
+a StageError naming ``emit``.  Each stage logs its wall time at INFO level on
+the ``kerrsim`` logger (``kerrsim --verbose``), and each reconstruction logs
+its iterations, convergence flag and certified gap there; no timing enters
+an artifact.
 """
 
 from __future__ import annotations
@@ -316,25 +320,21 @@ def _where(alpha: float | None) -> str:
 
 
 @contextlib.contextmanager
-def _timed(name: str, alpha: float | None):
-    """Log the block's wall time, if it completes, as one line naming the stage."""
-    start = time.perf_counter()
-    yield
-    _log.info("stage %s%s: %.3f s", name, _where(alpha), time.perf_counter() - start)
+def _stage(name: str, alpha: float | None = None):
+    """Run the block as the named stage: log its wall time if it completes, and
+    report any failure as a StageError that names the stage.
 
-
-def _stage(name, alpha, fn, *args, **kwargs):
-    """Call fn, timing it and reporting any failure as a StageError that names the stage.
-
-    A ConfigError (an unusable input) passes through unchanged.
+    A ConfigError (an unusable input) and an OSError (an output that cannot be
+    written) pass through unchanged, as does a StageError.
     """
-    with _timed(name, alpha):
-        try:
-            return fn(*args, **kwargs)
-        except (StageError, ConfigError):
-            raise
-        except Exception as exc:
-            raise StageError(name, str(exc)) from exc
+    start = time.perf_counter()
+    try:
+        yield
+    except (StageError, ConfigError, OSError):
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+    _log.info("stage %s%s: %.3f s", name, _where(alpha), time.perf_counter() - start)
 
 
 def simulate_forward(
@@ -349,26 +349,27 @@ def simulate_forward(
 
 def _model(config: ExperimentConfig, alpha: float):
     """Output at the simulation cutoff, the model panels at recon_dim, weight and tail."""
-    psi_in, psi_out, weight = _stage("forward-model", alpha, simulate_forward, config, alpha)
-    rho_out_full = density_from_pure(psi_out)
-    rho_in, _ = truncate_density(density_from_pure(psi_in), config.recon_dim)
-    rho_out, tail = _stage("truncate", alpha, truncate_density, rho_out_full, config.recon_dim)
+    with _stage("forward-model", alpha):
+        psi_in, psi_out, weight = simulate_forward(config, alpha)
+        rho_out_full = density_from_pure(psi_out)
+    with _stage("truncate", alpha):
+        rho_in, _ = truncate_density(density_from_pure(psi_in), config.recon_dim)
+        rho_out, tail = truncate_density(rho_out_full, config.recon_dim)
     return rho_out_full, {"input_model": rho_in, "output_model": rho_out}, weight, tail
 
 
 def _sample(config: ExperimentConfig, index: int, alpha: float):
     """The model stages, then the sample stage, schedule included: batch, panels, weight, tail."""
     rho_out_full, panels, weight, tail = _model(config, alpha)
-    batch = _stage(
-        "sample", alpha,
-        lambda: sample_quadratures(rho_out_full, config.schedule(index), config.eta),
-    )
+    with _stage("sample", alpha):
+        batch = sample_quadratures(rho_out_full, config.schedule(index), config.eta)
     return batch, panels, weight, tail
 
 
 def _reconstruct(alpha: float | None, binned, tomo: TomographyConfig, povm: np.ndarray):
     """The reconstruct stage on the POVM for the binned phases, then a convergence log line."""
-    rho_hat, diag = _stage("reconstruct", alpha, reconstruct, binned, tomo, povm)
+    with _stage("reconstruct", alpha):
+        rho_hat, diag = reconstruct(binned, tomo, povm)
     _log.info(
         "reconstruct%s: %d iterations, converged=%s, ml_gap_nats=%.3g",
         _where(alpha), diag.iterations, diag.converged, diag.ml_gap_nats,
@@ -407,10 +408,10 @@ def simulate(config: ExperimentConfig) -> list[dict]:
     summary = []
     for alpha in config.alphas:
         _, panels, weight, tail = _model(config, alpha)
-        with _timed("emit", alpha):
+        with _stage("emit", alpha):
             _save_panels(config, alpha, panels)
         summary.append({"alpha": alpha, "success_weight": weight, "model_tail": tail})
-    with _timed("emit", None):
+    with _stage("emit"):
         write_json(
             os.path.join(config.outdir, "simulate.json"),
             {"schema_version": 1, "config": config.to_dict(), "records": summary,
@@ -424,17 +425,10 @@ def sample(config: ExperimentConfig) -> list[SampleBatch]:
     batches = []
     for index, alpha in enumerate(config.alphas):
         batch = _sample(config, index, alpha)[0]
-        with _timed("emit", alpha):
+        with _stage("emit", alpha):
             _save_batch(config, index, batch, "samples.csv")
         batches.append(batch)
     return batches
-
-
-def _load(path: str) -> tuple[SampleBatch, dict]:
-    try:
-        return load_samples(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read samples from {path}: {exc}") from exc
 
 
 def reconstruct_file(
@@ -449,20 +443,27 @@ def reconstruct_file(
     sample inside the binning range, is a ConfigError.
     """
     tomo = config.tomography()
-    batch, fields = _stage("load", None, _load, path)
-    binned = _stage("bin", None, bin_samples, batch, tomo) if len(batch) else None
-    if binned is None or binned.total <= 0:
+    with _stage("load"):
+        try:
+            batch, fields = load_samples(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read samples from {path}: {exc}") from exc
+    if len(batch):
+        with _stage("bin"):
+            binned = bin_samples(batch, tomo)
+    if not len(batch) or binned.total <= 0:
         raise ConfigError(
             f"cannot reconstruct from {path}: {len(batch)} samples, none inside +-{tomo.x_max:g}"
         )
-    povm = _stage("povm", None, build_povm, tomo, binned.thetas)
+    with _stage("povm"):
+        povm = build_povm(tomo, binned.thetas)
     rho_hat, diag = _reconstruct(None, binned, tomo, povm)
     eta = fields.get("eta")
     if eta != tomo.eta:
         recorded = "an unknown eta (no sidecar records it)" if eta is None else f"eta={eta:g}"
         diag.warnings.append(
             f"samples were recorded at {recorded} but reconstructed with eta={tomo.eta:g}")
-    with _timed("emit", None):
+    with _stage("emit"):
         os.makedirs(config.outdir, exist_ok=True)
         save_density_matrix(rho_hat, os.path.join(config.outdir, "reconstructed.json"))
         _save_diag(config.outdir, binned, diag)
@@ -477,15 +478,19 @@ def _run_alpha(
     batch, panels, weight, tail = _sample(config, index, alpha)
     rho_in, rho_out = panels["input_model"], panels["output_model"]
     tomo = config.tomography()
-    binned = _stage("bin", alpha, bin_samples, batch, tomo)
+    with _stage("bin", alpha):
+        binned = bin_samples(batch, tomo)
     if not np.array_equal(binned.thetas, thetas):
         raise StageError(
             "povm", f"binned phases {binned.thetas.tolist()} at alpha={alpha} are not the "
             f"schedule's {thetas.tolist()}, for which the POVM was built"
         )
     rho_hat, diag = _reconstruct(alpha, binned, tomo, povm)
-    _stage("validate", alpha, lambda: [m.validate() for m in (rho_in, rho_out, rho_hat)])
-    fid = _stage("compare", alpha, fidelity, rho_hat, rho_out)
+    with _stage("validate", alpha):
+        for matrix in (rho_in, rho_out, rho_hat):
+            matrix.validate()
+    with _stage("compare", alpha):
+        fid = fidelity(rho_hat, rho_out)
 
     record = AlphaRecord(
         alpha=alpha,
@@ -509,8 +514,7 @@ def _run_alpha(
             )
 
     if emit:
-        # not a _stage: a failed write is an OSError, not a numerical failure
-        with _timed("emit", alpha):
+        with _stage("emit", alpha):
             adir = _save_panels(config, alpha, {**panels, "output_reconstructed": rho_hat})
             _save_batch(config, index, batch, "samples.npy")
             _save_diag(adir, binned, diag)
@@ -526,17 +530,18 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
     reconstruction for every nonzero alpha; a violation aborts with a
     structured stage error.
     """
-    if emit:
+    if emit:  # an unwritable outdir fails before any stage runs
         os.makedirs(config.outdir, exist_ok=True)
     report = RunReport(config=config, versions=_versions())
-    # every amplitude samples the same phases (only the schedule's seed differs),
-    # in increasing order as bin_samples returns them, so one POVM serves them all
-    thetas = np.array([theta for theta, _ in config.schedule(0).phases])
-    povm = _stage("povm", None, build_povm, config.tomography(), thetas)
+    with _stage("povm"):
+        # every amplitude samples the same phases (only the schedule's seed differs),
+        # in increasing order as bin_samples returns them, so one POVM serves them all
+        thetas = np.array([theta for theta, _ in config.schedule(0).phases])
+        povm = build_povm(config.tomography(), thetas)
     for index, alpha in enumerate(config.alphas):
         report.records.append(_run_alpha(config, index, alpha, emit, povm, thetas))
     if emit:
-        with _timed("emit", None):
+        with _stage("emit"):
             write_json(os.path.join(config.outdir, "report.json"), report.to_dict())
     return report
 
@@ -589,8 +594,9 @@ def klm_compare(eta_heralds: float = ExperimentConfig.eta) -> list[dict]:
 
 def klm_table(config: ExperimentConfig) -> list[dict]:
     """klm_compare at the config's eta as the klm stage; writes klm_table.csv and .json."""
-    rows = _stage("klm", None, klm_compare, eta_heralds=config.eta)
-    with _timed("emit", None):
+    with _stage("klm"):
+        rows = klm_compare(eta_heralds=config.eta)
+    with _stage("emit"):
         os.makedirs(config.outdir, exist_ok=True)
         table = [[row[k] for k in _KLM_COLUMNS] for row in rows]
         write_table(os.path.join(config.outdir, "klm_table.csv"), _KLM_COLUMNS, table)

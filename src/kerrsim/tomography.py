@@ -292,7 +292,7 @@ def loglikelihood(rho: DensityMatrix, data: BinnedData, povm: np.ndarray) -> flo
     """L = sum_j f_j log Tr[rho E_j] over occupied bins (floored at 1e-300)."""
     counts, design, index = _design_matrix(data, povm)
     floored = np.maximum(_born(design, rho.elems, index), _PROB_FLOOR)
-    return float(np.sum(counts * np.log(floored)))
+    return float(counts @ np.log(floored))
 
 
 @dataclass

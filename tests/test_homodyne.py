@@ -500,10 +500,10 @@ def _in_ranges(cpus, slice_bytes):
     return stack
 
 
-# rows typed by hand, not by repr: short decimals, exponents, 17+ digits; a blank line and
-# a row of spaces, which np.loadtxt rejects
+# rows typed by hand, not by repr: short decimals, exponents, 17+ digits; a blank line, a
+# comment line, and a row of spaces, which np.loadtxt rejects
 _TYPED_ROWS = ("0.5,1e-5", "2.0943951023931957,-3.14159265358979323846264", "1,7E+2",
-               "-0.0,5e-324", "0.1,1.7976931348623157e308", "", "   ")
+               "-0.0,5e-324", "0.1,1.7976931348623157e308", "", "# comment", "   ")
 
 
 @settings(max_examples=60)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import kerrsim
@@ -843,6 +843,57 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
     assert out in err[0]
+
+
+def test_cli_emit_failure_names_the_stage(tmp_path, capsys, monkeypatch):
+    # a failure while writing artifacts that is not an OSError is a failure of the emit stage
+    def fail(*args, **kwargs):
+        raise ValueError("not serialisable")
+
+    monkeypatch.setattr(pipeline, "write_json", fail)
+    assert main(["simulate", *SMALL, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: stage 'emit': not serialisable"]
+
+
+# custom_a = 0 makes the operator's vacuum entry a*(0+1) + b*0 zero: vacuum in, zero out
+_ZERO_OUTPUT = {"mode": "custom", "custom_a": 0, "custom_b": 1, "alphas": [0]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sample", "pipeline"])
+def test_cli_zero_output_state_exits_3_in_forward_model(tmp_path, capsys, command):
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps(_ZERO_OUTPUT))
+    with pytest.warns(UserWarning, match="conditional output weight"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: stage 'forward-model': zero-norm state has no density matrix"]
+
+
+_WEIGHTS = st.sampled_from((0.0, 1.0, -1.0, 1e-9, 3.0, -3.0 - math.sqrt(2.0)))
+
+
+# the warning would otherwise become the exception, hiding the path the CLI takes
+@pytest.mark.filterwarnings("ignore:conditional output weight:UserWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["simulate", "sample", "pipeline"]),
+    mode=st.sampled_from(MODES),
+    custom_a=_WEIGHTS,
+    custom_b=_WEIGHTS,
+    alphas=st.lists(st.sampled_from((0.0, 0.1, 0.53, 1.2, 2.5)), min_size=1, max_size=3,
+                    unique=True),
+    eta=st.sampled_from((0.3, 0.66, 1.0)),
+)
+def test_cli_valid_config_never_raises(tmp_path_factory, command, mode, custom_a, custom_b,
+                                       alphas, eta):
+    # every failure of a run is an exit code, 2 for the config and 3 for a stage
+    tmp = tmp_path_factory.mktemp("run")
+    config = tmp / "config.json"
+    config.write_text(json.dumps({
+        "mode": mode, "custom_a": custom_a, "custom_b": custom_b, "alphas": alphas, "eta": eta,
+        "n_phases": 3, "samples_per_phase": 100,
+    }))
+    assert main([command, "--config", str(config), "--out", str(tmp / "out")]) in (0, 2, 3)
 
 
 _PER_ALPHA = ("forward-model", "truncate", "sample", "bin", "reconstruct", "validate", "compare",

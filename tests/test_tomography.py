@@ -32,6 +32,7 @@ from kerrsim.homodyne import (
     sample_quadratures,
     wavefunction_table,
 )
+from kerrsim.pipeline import ExperimentConfig, simulate_forward
 from kerrsim.tomography import (
     BinnedData,
     TomographyConfig,
@@ -478,6 +479,19 @@ def test_reconstruct_matches_einsum_reference(eta, max_iterations):
     assert diag.ml_gap_nats == pytest.approx(gap, rel=1e-6, abs=1e-9)
     assert diag.ml_gap_nats >= -1e-9 * data.total
     assert diag.to_dict()["ml_gap_nats"] == diag.ml_gap_nats
+
+
+@pytest.mark.parametrize("seed", [20230, 4242])
+def test_loglikelihood_is_final_loglik_exactly(seed):
+    # one formula, c @ log p, so the two agree to the last digit at the pipeline's amplitudes
+    config = ExperimentConfig(seed=seed)
+    tomo = config.tomography()
+    for index, alpha in enumerate(config.alphas):
+        rho = density_from_pure(simulate_forward(config, alpha)[1])
+        data = bin_samples(sample_quadratures(rho, config.schedule(index), config.eta), tomo)
+        povm = build_povm(tomo, data.thetas)
+        rho_hat, diag = reconstruct(data, tomo, povm)
+        assert loglikelihood(rho_hat, data, povm) == diag.final_loglik
 
 
 def _reference_bin_counts(samples, cfg):
