@@ -50,7 +50,7 @@ def loss_kraus(channel: LossChannel, dim: int) -> np.ndarray:
 def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
     """rho' = sum_k A_k rho A_k^T; trace preserving and positivity preserving."""
     ops = loss_kraus(channel, rho.dim)
-    out = np.einsum("kab,bc,kdc->ad", ops, rho.elems, ops, optimize=True)
+    out = np.einsum("kab,bc,kdc->ad", ops, rho.elems, ops, optimize=["einsum_path", (0, 1), (0, 1)])
     return DensityMatrix(rho.dim, out)
 
 

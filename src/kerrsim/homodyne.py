@@ -63,7 +63,7 @@ _CSV_SLICE_BYTES = 2**20
 _GUIDE_SIZE = 2**12
 # shots per pass of the inverse-CDF lookup and of the binning, which bounds their temporaries
 _CHUNK_SHOTS = 2**16
-_PDF_SUBSCRIPTS = "mg,mn,ng->g"
+_PDF_PATH = ["einsum_path", (0, 1), (0, 1)]  # the conjugate vectors with rho, then with w
 
 
 @dataclass(frozen=True)
@@ -148,16 +148,16 @@ def _check_hermitian(rho: DensityMatrix) -> None:
         raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
 
 
-def _pdf(rho: DensityMatrix, theta: float, psi: np.ndarray, path) -> np.ndarray:
-    """p = <w|rho|w> at the points psi was tabulated on; ``path`` is einsum's ``optimize``."""
+def _pdf(rho: DensityMatrix, theta: float, psi: np.ndarray) -> np.ndarray:
+    """p = <w|rho|w> at the points psi was tabulated on."""
     w = _phased_vectors(theta, psi)
-    return np.einsum(_PDF_SUBSCRIPTS, w.conj(), rho.elems, w, optimize=path).real
+    return np.einsum("mg,mn,ng->g", w.conj(), rho.elems, w, optimize=_PDF_PATH).real
 
 
 def quadrature_pdf(rho: DensityMatrix, theta: float, x) -> np.ndarray:
     """p(x | theta) = sum_{mn} rho_mn e^{i(m-n)theta} psi_m(x) psi_n(x), a 1-d array over x."""
     _check_hermitian(rho)
-    return _pdf(rho, theta, wavefunction_table(rho.dim, np.atleast_1d(x)), True)
+    return _pdf(rho, theta, wavefunction_table(rho.dim, np.atleast_1d(x)))
 
 
 def projector_matrix(theta: float, x: float, dim: int) -> np.ndarray:
@@ -241,13 +241,11 @@ def sample_quadratures(
     n_points = int(round(2.0 * GRID_HALFWIDTH / GRID_STEP)) + 1
     grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, n_points)
     psi = wavefunction_table(lossy.dim, grid)
-    # the contraction order depends only on the shapes, which every phase shares
-    path = np.einsum_path(_PDF_SUBSCRIPTS, psi, lossy.elems, psi, optimize=True)[0]
     thetas = np.empty(schedule.total)
     xs = np.empty(schedule.total)
     start = 0
     for index, (theta, count) in enumerate(schedule.phases):
-        cdf = _tabulated_cdf(lossy, _pdf(lossy, theta, psi, path), grid)
+        cdf = _tabulated_cdf(lossy, _pdf(lossy, theta, psi), grid)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=schedule.seed, spawn_key=(index,)))
         )

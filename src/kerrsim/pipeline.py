@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import alpha_dir, write_json, write_matrix_table, write_table
-from .errors import ConfigError, NumericalError, StageError
+from .errors import ConfigError, StageError
 from .fock import (
     DensityMatrix,
     FockVector,
@@ -60,8 +60,10 @@ from .tolerances import TOL
 from .tomography import (
     ReconstructionDiagnostics,
     TomographyConfig,
+    _povm_peak_bytes,
     bin_samples,
     build_povm,
+    completeness_residual,
     matrix_to_json_dict,
     reconstruct,
     save_density_matrix,
@@ -104,6 +106,7 @@ def _is_number(value, kind=numbers.Complex) -> bool:
 
 
 _KINDS = {"float": "a finite real number", "complex": "a finite complex number"}
+_POVM_BUDGET = 2**31  # bytes build_povm may hold at once, on every host (recon_dim 80 fits)
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ class ExperimentConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first invalid field; a built config has passed."""
+        """Raise ConfigError naming the first invalid field, the grid by arithmetic alone."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
@@ -174,17 +177,14 @@ class ExperimentConfig:
             tomo = self.tomography()  # checks the tomography fields
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        try:
-            build_povm(tomo, [0.0])  # completeness is the same at every phase
-        except (MemoryError, ValueError) as exc:  # ValueError: too large even to describe
+        if _povm_peak_bytes(tomo) > _POVM_BUDGET:
             raise ConfigError(
                 f"bin_width {self.bin_width:g} and x_max {self.x_max:g} give a POVM too large "
-                f"to hold at recon_dim {self.recon_dim}: {exc}"
-            ) from exc
-        except NumericalError as exc:
-            raise ConfigError(
-                f"x_max {self.x_max:g} is too small for recon_dim {self.recon_dim}: {exc}"
-            ) from exc
+                f"to hold at recon_dim {self.recon_dim} within the {_POVM_BUDGET >> 30} GiB budget"
+            )
+        if (residual := completeness_residual(tomo)) > TOL.completeness:
+            raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim {self.recon_dim}: "
+                              f"POVM completeness residual {residual:.3e}")
 
     def tomography(self) -> TomographyConfig:
         return TomographyConfig(

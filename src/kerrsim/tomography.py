@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .artifacts import atomic_open
-from .channels import LossChannel, loss_adjoint_on_operator
+from .channels import LossChannel, loss_adjoint_on_operator, loss_kraus
 from .errors import NumericalError
 from .fock import DensityMatrix
 from .homodyne import _CHUNK_SHOTS, SampleBatch, _last_knot_at_or_below, wavefunction_table
@@ -47,6 +47,7 @@ __all__ = [
     "ReconstructionDiagnostics",
     "bin_samples",
     "build_povm",
+    "completeness_residual",
     "loglikelihood",
     "reconstruct",
     "save_density_matrix",
@@ -204,8 +205,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _MAX_PANEL_WIDTH = 0.1  # subdivide wide bins so the quadrature stays accurate
 
 
-def _bin_integrated_projectors(config: TomographyConfig) -> np.ndarray:
-    """integral over each bin of |x><x| dx at theta = 0, shape (n_bins, dim, dim)."""
+def _nodes(config: TomographyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """psi_m at each bin's Gauss-Legendre nodes at theta = 0, shape (dim, n_bins, k), and
+    the weights w, shape (k,): bin b integrates |x><x| dx to sum_k w_k psi_bk psi_bk^T."""
     # the width of the grid's bins; bin_width is rounded to it so n_bins tile +-x_max
     width = 2.0 * config.x_max / config.n_bins
     panels = max(1, int(math.ceil(width / _MAX_PANEL_WIDTH)))
@@ -214,23 +216,43 @@ def _bin_integrated_projectors(config: TomographyConfig) -> np.ndarray:
     nodes = (offsets[:, None] + half * _GL_NODES[None, :]).ravel()
     x = (config.bin_centers()[:, None] + nodes[None, :]).ravel()
     psi = wavefunction_table(config.dim, x).reshape(config.dim, config.n_bins, nodes.size)
-    weights = np.tile(_GL_WEIGHTS * half, panels)
-    return np.einsum("mbk,nbk,k->bmn", psi, psi, weights, optimize=True)
+    return psi, np.tile(_GL_WEIGHTS * half, panels)
+
+
+def _povm_peak_bytes(config: TomographyConfig) -> int:
+    """A bound, in Python ints, on build_povm's memory peak at one phase (tracemalloc
+    measures 4.2 dim^4 + 4 n_bins dim^2 doubles at dim 50): the dim^4 superoperator 5 times,
+    the real stack 16, the Kraus stack, and 4 node tables of n_bins + 20 x_max panels."""
+    d, n = int(config.dim), config.n_bins
+    table = d * (n + 20 * int(config.x_max) + 20) * _GL_NODES.size
+    return 8 * (5 * d**4 + 16 * n * d * d + d**3 + 4 * table)
+
+
+def completeness_residual(config: TomographyConfig) -> float:
+    """||sum_b E_b - I||_2 of the POVM at every phase, from one (dim, dim) operator: the
+    adjoint loss is linear, so the Kraus operators map the bins' projectors summed on the
+    nodes; no element's bound is checked, as the residual is the check."""
+    psi, w = _nodes(config)
+    summed = np.einsum("mbk,nbk,k->mn", psi, psi, w, optimize=["einsum_path", (0, 2), (0, 1)])
+    ops = loss_kraus(LossChannel(config.eta), config.dim)
+    povm_sum = np.einsum("kba,bc,kcd->ad", ops, summed, ops, optimize=["einsum_path", (0, 1), (0, 1)])
+    return float(np.linalg.norm(povm_sum - np.eye(config.dim), ord=2))
 
 
 def build_povm(config: TomographyConfig, thetas) -> np.ndarray:
     """Efficiency-compensated POVM, shape (n_phases, n_bins, dim, dim).
 
-    The bin-integrated quadrature projectors at theta = 0 go through the
-    adjoint loss channel at config.eta in one call; raises if they fail to
-    resolve the identity within tolerance.  Loss commutes with the rotation
-    U = diag(exp(-i n theta)), so the element at theta is U E(0) U^dag,
-    E(0)_mn exp(-i (m - n) theta), and is complete exactly when E(0) is.
+    Raises NumericalError first, allocating nothing of the POVM's size, if
+    ``completeness_residual`` exceeds the tolerance.  Then the bin-integrated
+    quadrature projectors at theta = 0 go through the adjoint loss channel at
+    config.eta in one call.  Loss commutes with U = diag(exp(-i n theta)), so the
+    element at theta is U E(0) U^dag, E(0)_mn exp(-i (m - n) theta), complete as E(0) is.
     """
-    povm0 = loss_adjoint_on_operator(_bin_integrated_projectors(config), LossChannel(config.eta))
-    residual = np.linalg.norm(povm0.sum(axis=0) - np.eye(config.dim), ord=2)
-    if residual > TOL.completeness:
+    if (residual := completeness_residual(config)) > TOL.completeness:
         raise NumericalError(f"POVM completeness residual {residual:.3e}")
+    psi, w = _nodes(config)
+    raw = np.einsum("mbk,nbk,k->bmn", psi, psi, w, optimize=["einsum_path", (0, 2), (0, 1)])
+    povm0 = loss_adjoint_on_operator(raw, LossChannel(config.eta))
     n = np.arange(config.dim)
     phase = np.exp(-1j * np.multiply.outer(np.asarray(thetas, dtype=np.float64), n[:, None] - n))
     return povm0 * phase[:, None, :, :]

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import kerrsim
 from kerrsim.channels import LossChannel, apply_loss, loss_adjoint_on_operator, loss_kraus
 from kerrsim.fock import (
     DensityMatrix,
@@ -166,6 +170,22 @@ def test_adjoint_pinned_path_is_the_default_size_choice():
     ops = loss_kraus(channel, 8)
     free = np.einsum("kba,...bc,kcd->...ad", ops, stack, ops, optimize=True)
     assert np.array_equal(loss_adjoint_on_operator(stack, channel), free)
+
+
+def test_no_contraction_path_search_in_the_package():
+    # every einsum names its path: numpy's search caps intermediates at the largest
+    # input, so its choice, and a stage's cost, jumps with the shapes (seconds for
+    # the POVM at dim 20); parsed, not searched as text, as comments name the keyword
+    found = []
+    for path in sorted(Path(kerrsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.keyword) and node.arg == "optimize"
+                    and isinstance(node.value, ast.Constant) and node.value.value not in (False, None)):
+                found.append(f"{path.name}:{node.value.lineno}: optimize={node.value.value!r}")
+            elif isinstance(node, ast.Call) and "einsum_path" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                found.append(f"{path.name}:{node.lineno}: einsum_path(...)")
+    assert not found
 
 
 def test_adjoint_stack_rejects_one_bad_element():

@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +85,8 @@ def test_config_validation():
                 {"custom_a": "1"}, {"alphas": [0.5, 0.5]}, {"alphas": [0.5, 0.5000001]},
                 {"bin_width": 100.0}, {"x_max": 1.0}, {"bin_width": -1.0}, {"x_max": 0.0},
                 {"max_iterations": 0}, {"n_phases": 0}, {"samples_per_phase": 0},
-                # the first array of these grids (8.5 PiB, 291 TiB) exceeds the 128 TiB
-                # user address space, so its allocation fails under any overcommit policy
+                # these grids' POVMs (1.1 EiB, 36 PiB) exceed the 2 GiB budget, so the
+                # size rule refuses them, by arithmetic, before anything is allocated
                 {"bin_width": 1e-14}, {"x_max": 1e12}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
@@ -101,8 +102,8 @@ _NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
                           st.lists(_JSON, max_size=3))
 _NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.integers(-10**400, 0),
                           st.sampled_from((math.nan, math.inf)), st.integers(2**1024, 10**400))
-# a grid is either small (at most 400 bins) or has over 1e14 bins, whose first array
-# (800 TB or more) exceeds the 128 TiB user address space, so no example reserves memory
+# a grid is either small (at most 400 bins) or has over 1e14 bins, whose POVM (14 PB
+# or more) exceeds the 2 GiB budget, so the size rule refuses it before allocating
 _X_MAX = st.one_of(_NOT_POSITIVE, st.floats(0.5, 10.0), st.integers(1, 10),
                    st.floats(min_value=1e16), st.integers(10**16, 10**400))
 _BIN_WIDTH = st.one_of(_NOT_POSITIVE, st.floats(0.05, 100.0), st.integers(1, 100),
@@ -432,6 +433,9 @@ def test_cli_overflowing_config_values_exit_2(tmp_path, capsys):
         ({"bin_width": 1e-320}, "bin_width 9.99989e-321 and x_max 6 give no finite bin count"),
         ({"x_max": 1e200, "bin_width": 1e-200},
          "bin_width 1e-200 and x_max 1e+200 give no finite bin count"),
+        # one bin 1e308 wide: its quadrature panel count overflows a float
+        ({"x_max": 5e307, "bin_width": 1e308},
+         "bin_width 1e+308 and x_max 5e+307 give a POVM too large to hold at recon_dim 8"),
         # a finite count too large for numpy even to describe its array named no field
         ({"x_max": 1e300}, "bin_width 0.05 and x_max 1e+300 give a POVM too large to hold"),
     ):
@@ -454,6 +458,32 @@ def test_cli_overflowing_config_values_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: stage 'sample': ")
     assert not os.path.exists(os.path.join(out, "alpha_0.53", "samples.csv"))
+
+
+def test_cli_admits_a_grid_by_arithmetic(tmp_path, capsys):
+    # each grid's build_povm needs more than the 2 GiB budget: the stacks at recon_dim
+    # 100000 (35 TiB), the dim^4 loss superoperators at recon_dim 150 (20 GB) or 3000
+    # (3 PiB), a recon_dim no float holds, or the node tables of two bins 1e12 wide (19
+    # PiB); each is refused, by arithmetic, before anything of its size is allocated
+    out = str(tmp_path / "out")
+    config = tmp_path / "big.json"
+    for payload in ({"recon_dim": 100000, "sim_dim": 100000}, {"recon_dim": 3000, "sim_dim": 3000},
+                    {"recon_dim": 150, "sim_dim": 150, "x_max": 20.0},
+                    {"recon_dim": 10**400, "sim_dim": 10**400}, {"x_max": 1e12, "bin_width": 1e12}):
+        config.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(config), "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, payload
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid configuration: "), payload
+        assert "give a POVM too large to hold at recon_dim" in err[0], payload
+        assert err[0].endswith("within the 2 GiB budget"), payload
+        assert peak < 4 * 2**20, payload
+    assert not os.path.exists(out)
 
 
 def test_cli_huge_amplitude_fails_in_forward_model(tmp_path, capsys):

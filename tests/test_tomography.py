@@ -10,12 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim import tomography
 from kerrsim.channels import LossChannel, apply_loss, loss_adjoint_on_operator
+from kerrsim.errors import NumericalError
 from kerrsim.fock import (
     DensityMatrix,
     basis_state,
@@ -38,6 +39,7 @@ from kerrsim.tomography import (
     TomographyConfig,
     bin_samples,
     build_povm,
+    completeness_residual,
     load_density_matrix,
     loglikelihood,
     reconstruct,
@@ -91,10 +93,9 @@ def test_povm_bins_are_the_histogram_bins(bin_width):
     assert_allclose(povm[0, :, 0, 0].real, mass, atol=1e-10)
 
 
-def _reference_povm(cfg, thetas):
-    """Phase by phase: the rotated projectors integrated over every bin on the
-    same Gauss-Legendre panels, pushed through the adjoint loss, then checked
-    for completeness."""
+def _reference_stack(cfg, theta):
+    """The rotated projectors integrated over every bin on the same Gauss-Legendre
+    panels, pushed through the adjoint loss, one element per bin."""
     width = 2.0 * cfg.x_max / cfg.n_bins
     panels = max(1, math.ceil(width / tomography._MAX_PANEL_WIDTH))
     half = 0.5 * width / panels
@@ -103,14 +104,69 @@ def _reference_povm(cfg, thetas):
     x = (cfg.bin_centers()[:, None] + nodes[None, :]).ravel()
     psi = wavefunction_table(cfg.dim, x).reshape(cfg.dim, cfg.n_bins, nodes.size)
     weights = np.tile(tomography._GL_WEIGHTS * half, panels)
+    w = np.exp(-1j * theta * np.arange(cfg.dim))[:, None, None] * psi
+    raw = np.einsum("mbk,nbk,k->bmn", w, w.conj(), weights)
+    return loss_adjoint_on_operator(raw, LossChannel(cfg.eta))
+
+
+def _reference_povm(cfg, thetas):
+    """Phase by phase, the reference stack, checked for completeness."""
     out = []
     for theta in thetas:
-        w = np.exp(-1j * theta * np.arange(cfg.dim))[:, None, None] * psi
-        raw = np.einsum("mbk,nbk,k->bmn", w, w.conj(), weights)
-        povm = loss_adjoint_on_operator(raw, LossChannel(cfg.eta))
+        povm = _reference_stack(cfg, theta)
         assert np.linalg.norm(povm.sum(axis=0) - np.eye(cfg.dim), ord=2) <= TOL.completeness
         out.append(povm)
     return np.array(out)
+
+
+@given(
+    dim=st.integers(3, 16),
+    x_max=st.floats(0.5, 9.0),
+    bin_width=st.floats(0.02, 1.0),
+    eta=st.floats(0.05, 1.0),
+)
+@example(dim=30, x_max=10.0, bin_width=0.05, eta=0.66)  # complete grids at larger dims
+@example(dim=45, x_max=12.0, bin_width=0.05, eta=0.66)
+def test_completeness_residual_is_the_stacks(dim, x_max, bin_width, eta):
+    # the residual from the bins' projectors summed before the adjoint loss is the
+    # residual of the phase-0 stack itself, complete or not; build_povm would raise
+    # first on an incomplete grid, so the stack is built here
+    cfg = TomographyConfig(dim=dim, eta=eta, bin_width=bin_width, x_max=x_max)
+    stack = _reference_stack(cfg, 0.0)
+    expected = np.linalg.norm(stack.sum(axis=0) - np.eye(dim), ord=2)
+    assert abs(completeness_residual(cfg) - expected) <= 1e-12
+
+
+def test_completeness_residual_of_a_sum_just_above_the_identity(monkeypatch):
+    # quadrature error may lift the bins' summed projectors above I by less than the
+    # completeness tolerance: the residual measures that, where the adjoint loss's
+    # element bound (1 + 1e-9) would raise a bare ValueError out of the config
+    monkeypatch.setattr(tomography, "_GL_WEIGHTS", tomography._GL_WEIGHTS * (1.0 + 1e-7))
+    cfg = ExperimentConfig(recon_dim=30, sim_dim=30, x_max=10.0).tomography()  # admitted
+    assert 5e-8 < completeness_residual(cfg) <= TOL.completeness
+    assert build_povm(cfg, [0.0]).shape == (1, cfg.n_bins, 30, 30)
+
+
+@pytest.mark.parametrize("dim, x_max, bin_width", [
+    (3, 6.0, 0.05), (8, 6.0, 0.05), (8, 6.0, 1.0), (8, 30.0, 0.02), (20, 9.0, 0.05),
+    (20, 9.0, 0.3), (30, 10.0, 1.0), (40, 12.0, 0.3)])
+def test_povm_peak_bytes_bounds_the_build(dim, x_max, bin_width):
+    # the size rule admits a config by this count, so it must cover what the build holds
+    cfg = TomographyConfig(dim=dim, x_max=x_max, bin_width=bin_width)
+    tracemalloc.start()
+    try:
+        build_povm(cfg, [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tomography._povm_peak_bytes(cfg)
+
+
+def test_build_povm_raises_on_an_incomplete_grid():
+    cfg = TomographyConfig(x_max=1.0)
+    assert completeness_residual(cfg) > TOL.completeness
+    with pytest.raises(NumericalError, match="POVM completeness residual 9.969e-01"):
+        build_povm(cfg, [0.0])
 
 
 @pytest.mark.parametrize("dim", [3, 8, 10])
@@ -183,6 +239,10 @@ def test_povm_build_cost_follows_the_size_at_dim_20():
     povm = build_povm(TomographyConfig(dim=20, x_max=9.0), [0.0])
     assert time.perf_counter() - start < 1.0
     assert povm.shape == (1, 360, 20, 20)
+    # admitting the config builds no POVM (about 0.002 s; it took 6.9 s with the search)
+    start = time.perf_counter()
+    ExperimentConfig(recon_dim=20, sim_dim=24, x_max=9.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_povm_elements_remain_valid_with_loss():
