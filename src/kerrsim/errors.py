@@ -28,4 +28,9 @@ class StageError(NumericalError):
 
     def __init__(self, stage: str, message: str):
         self.stage = stage
+        self.message = message
         super().__init__(f"stage '{stage}': {message}")
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so a worker process's failure unpickles as itself
+        return type(self), (self.stage, self.message)

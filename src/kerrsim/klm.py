@@ -111,20 +111,41 @@ def _detector_weight(detector: DetectorModel, reading: int, n: int) -> float:
     return 1.0 - miss if reading else miss
 
 
+# photon numbers (n_one, n_zero) at the heralds that a one-photon reading can follow, in
+# the order run_ns_gate sums its branches; n_one >= 1 leaves the signal m <= 2 photons
+_HERALD_PATTERNS = tuple(
+    (n_one, n_zero) for n_zero in range(MAX_PHOTONS) for n_one in range(1, MAX_PHOTONS + 1 - n_zero)
+)
+_HeraldEntries = tuple[tuple[int, int, complex], ...]
+
+
 @dataclass(frozen=True)
 class NsGateSolution:
-    """Beam-splitter settings plus the heralded diagonal they produce."""
+    """Beam-splitter settings, the heralded diagonal they produce, and the herald table.
+
+    ``herald_amplitudes`` pairs each herald pattern ``(n_one, n_zero)`` with its entries
+    ``(n, m, <m, n_one, n_zero|U|n, 1, 0>)`` on the solved network.
+    """
 
     transmittances: tuple[float, float, float]
     lambdas: tuple[float, float, float]
     success_probability: float
     residuals: tuple[float, float]
+    herald_amplitudes: tuple[tuple[tuple[int, int], _HeraldEntries], ...]
+
+
+def _herald_entries(m: np.ndarray, n_one: int, n_zero: int) -> _HeraldEntries:
+    """(n, m, <m, n_one, n_zero|U|n, 1, 0>) for each signal level n that can give the pattern."""
+    lost = n_one + n_zero - 1  # photons the signal hands to the heralds
+    return tuple(
+        (n, n - lost, transition_amplitude(m, (n - lost, n_one, n_zero), (n, 1, 0)))
+        for n in range(max(0, lost), 3)
+    )
 
 
 def _heralded_lambdas(t1: float, t2: float, t3: float) -> np.ndarray:
     """Conditional amplitudes lambda_n = <n,1,0|network|n,1,0> for n = 0, 1, 2."""
-    m = transfer_matrix(t1, t2, t3)
-    return np.array([transition_amplitude(m, (n, 1, 0), (n, 1, 0)) for n in range(3)])
+    return np.array([amp for _, _, amp in _herald_entries(transfer_matrix(t1, t2, t3), 1, 0)])
 
 
 @lru_cache(maxsize=1)
@@ -136,10 +157,14 @@ def solve_ns_transmittances() -> NsGateSolution:
     t1 = t3 = cos(pi/8), t2 = sqrt(2) - 1 with |lambda_0|^2 = 1/4 (Ralph, White,
     Munro & Milburn, PRA 65, 012314, 2001).  The conditions are checked on the
     network built from these settings, so a convention that breaks them raises.
+    The same network gives, once per solve, every herald pattern's amplitudes
+    (``herald_amplitudes``), which run_ns_gate reads.
     """
     t1 = t3 = math.cos(math.pi / 8.0)
     t2 = math.sqrt(2.0) - 1.0
-    lam = _heralded_lambdas(t1, t2, t3)
+    network = transfer_matrix(t1, t2, t3)
+    table = tuple((pattern, _herald_entries(network, *pattern)) for pattern in _HERALD_PATTERNS)
+    lam = np.array([amp for _, _, amp in dict(table)[(1, 0)]])
     residuals = (
         float(abs(lam[1] / lam[0] - 1.0)),
         float(abs(lam[2] / lam[0] + 1.0)),
@@ -151,6 +176,7 @@ def solve_ns_transmittances() -> NsGateSolution:
         lambdas=tuple(float(x.real) for x in lam),
         success_probability=float(abs(lam[0]) ** 2),
         residuals=residuals,
+        herald_amplitudes=table,
     )
 
 
@@ -169,9 +195,11 @@ def run_ns_gate(
     """Full heralded gate: ancilla preparation, network, heralds, output phase.
 
     ``detectors`` is a single model for both heralds or a (one-photon herald,
-    zero-photon herald) pair.  Reports the heralded output ensemble (as a
-    density matrix on the input space), the success probability, and the
-    Uhlmann fidelity against the vacuum-sign-flip target.
+    zero-photon herald) pair.  Each herald pattern's amplitudes come from the
+    solution's table, weighted by the detectors' reading probabilities.
+    Reports the heralded output ensemble (as a density matrix on the input
+    space), the success probability, and the Uhlmann fidelity against the
+    vacuum-sign-flip target.
     """
     if isinstance(detectors, DetectorModel):
         det_one = det_zero = detectors
@@ -187,26 +215,21 @@ def run_ns_gate(
         raise ValueError("input support above n=2 exceeds tolerance")
 
     signal_in = state.amps[:3] / norm
-    network = transfer_matrix(*solve_ns_transmittances().transmittances)
 
     branches: list[tuple[float, FockVector]] = []
     phase = np.exp(1j * math.pi * np.arange(state.dim))
-    for n_zero in range(MAX_PHOTONS + 1):
-        for n_one in range(MAX_PHOTONS + 1 - n_zero):
-            weight = _detector_weight(det_zero, 0, n_zero)
-            weight *= _detector_weight(det_one, 1, n_one)
-            if weight == 0.0:
-                continue
-            # both heralds report, so n_one >= 1 and the signal keeps m <= 2 photons
-            amps = np.zeros(state.dim, dtype=np.complex128)
-            for n in range(max(0, n_one + n_zero - 1), 3):
-                m = n + 1 - n_one - n_zero
-                amp = transition_amplitude(network, (m, n_one, n_zero), (n, 1, 0))
-                amps[m] = signal_in[n] * amp
-            mass = float(np.vdot(amps, amps).real)
-            if mass == 0.0:
-                continue
-            branches.append((weight * mass, FockVector(state.dim, phase * amps / math.sqrt(mass))))
+    for (n_one, n_zero), entries in solve_ns_transmittances().herald_amplitudes:
+        weight = _detector_weight(det_zero, 0, n_zero)
+        weight *= _detector_weight(det_one, 1, n_one)
+        if weight == 0.0:
+            continue
+        amps = np.zeros(state.dim, dtype=np.complex128)
+        for n, m, amp in entries:
+            amps[m] = signal_in[n] * amp
+        mass = float(np.vdot(amps, amps).real)
+        if mass == 0.0:
+            continue
+        branches.append((weight * mass, FockVector(state.dim, phase * amps / math.sqrt(mass))))
 
     probability = sum(weight for weight, _ in branches)
     if probability <= 0.0:

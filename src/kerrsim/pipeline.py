@@ -50,6 +50,7 @@ from .gates import (
 from .homodyne import (
     PhaseSchedule,
     SampleBatch,
+    _sample_peak_bytes,
     default_schedule,
     load_samples,
     sample_quadratures,
@@ -106,7 +107,9 @@ def _is_number(value, kind=numbers.Complex) -> bool:
 
 
 _KINDS = {"float": "a finite real number", "complex": "a finite complex number"}
-_POVM_BUDGET = 2**31  # bytes build_povm may hold at once, on every host (recon_dim 80 fits)
+# bytes build_povm, or the sample stage, may hold at once, on every host (recon_dim 80 and
+# sim_dim 335 fit)
+_BUDGET = 2**31
 
 
 @dataclass(frozen=True)
@@ -177,14 +180,17 @@ class ExperimentConfig:
             tomo = self.tomography()  # checks the tomography fields
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if _povm_peak_bytes(tomo) > _POVM_BUDGET:
+        if _povm_peak_bytes(tomo) > _BUDGET:
             raise ConfigError(
                 f"bin_width {self.bin_width:g} and x_max {self.x_max:g} give a POVM too large "
-                f"to hold at recon_dim {self.recon_dim} within the {_POVM_BUDGET >> 30} GiB budget"
+                f"to hold at recon_dim {self.recon_dim} within the {_BUDGET >> 30} GiB budget"
             )
         if (residual := completeness_residual(tomo)) > TOL.completeness:
             raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim {self.recon_dim}: "
                               f"POVM completeness residual {residual:.3e}")
+        if _sample_peak_bytes(self.sim_dim) > _BUDGET:
+            raise ConfigError(f"sim_dim {self.sim_dim} gives a lossy state too large to sample "
+                              f"within the {_BUDGET >> 30} GiB budget")
 
     def tomography(self) -> TomographyConfig:
         return TomographyConfig(

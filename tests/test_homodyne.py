@@ -6,6 +6,7 @@ import json
 import math
 import os
 import signal
+import threading
 import time
 import tracemalloc
 import warnings
@@ -463,6 +464,25 @@ def test_save_samples_edge_rows(thetas, xs, tmp_path):
     assert _saved_bytes(batch, tmp_path / "samples.csv") == _reference_csv(batch)
 
 
+@pytest.mark.parametrize("dim", [3, 8, 16, 40, 96])
+def test_sample_peak_bytes_bounds_the_sampler(dim):
+    # the size rule admits sim_dim by this count, so it must cover what sampling holds
+    # beside its few shots, and stay within twice that where the Kraus stack dominates
+    # (at dim 96; below, the wavefunction tables do)
+    rho = density_from_pure(coherent_state(0.05, dim))
+    schedule = default_schedule(seed=1, n_phases=2, samples_per_phase=10)
+    sample_quadratures(rho, schedule, eta=0.66)  # first-call imports outside the count
+    tracemalloc.start()
+    try:
+        sample_quadratures(rho, schedule, eta=0.66)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= homodyne._sample_peak_bytes(dim)
+    if dim == 96:
+        assert 2 * peak >= homodyne._sample_peak_bytes(dim)
+
+
 def test_save_samples_default_batch_bytes(tmp_path):
     rho = density_from_pure(coherent_state(0.53, 16))
     schedule = default_schedule(seed=20230, n_phases=12, samples_per_phase=16667)
@@ -479,6 +499,38 @@ def test_save_samples_default_batch_bytes(tmp_path):
         assert fork.call_count == 2 * (workers - 1)
     assert np.array_equal(loaded.xs.view(np.int64), batch.xs.view(np.int64))
     assert np.array_equal(loaded.thetas.view(np.int64), batch.thetas.view(np.int64))
+    _assert_no_child_left()
+
+
+def test_csv_forks_no_worker_while_another_thread_runs(tmp_path, caplog):
+    # a forked child inherits every lock another thread holds, and Python 3.12 warns of
+    # fork() in a threaded process; with a live thread the CSV is one process's work
+    rho = density_from_pure(coherent_state(0.53, 16))
+    batch = sample_quadratures(rho, default_schedule(seed=20230, n_phases=12, samples_per_phase=16667),
+                               eta=0.66)
+    forked = tmp_path / "forked.csv"
+    save_samples(batch, forked)
+    forked_load, _ = load_samples(forked)
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    helper.start()
+    try:
+        assert homodyne._worker_count(len(batch)) == 1
+        path = tmp_path / "threaded.csv"
+        with caplog.at_level("INFO", logger="kerrsim"), \
+                mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            save_samples(batch, path)
+            loaded, _ = load_samples(path)
+    finally:
+        release.set()
+        helper.join(timeout=10)
+    assert not helper.is_alive()
+    assert [r.getMessage() for r in caplog.records] == [
+        "threaded.csv: 200004 rows written, 1 worker", "threaded.csv: 200004 rows read, 1 worker"]
+    assert path.read_bytes() == forked.read_bytes()
+    for got in (loaded, forked_load):
+        assert np.array_equal(got.xs.view(np.int64), batch.xs.view(np.int64))
+        assert np.array_equal(got.thetas.view(np.int64), batch.thetas.view(np.int64))
     _assert_no_child_left()
 
 

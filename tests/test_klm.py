@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
 
+from kerrsim import klm
 from kerrsim.fock import FockVector, basis_state, density_from_pure, fidelity
 from kerrsim.gates import nonlinear_sign_target
 from kerrsim.klm import (
@@ -20,6 +21,7 @@ from kerrsim.klm import (
     transfer_matrix,
     transition_amplitude,
 )
+from kerrsim.pipeline import klm_compare
 
 SQRT2 = math.sqrt(2.0)
 # three-mode occupations by total photon number, up to the gate's three photons
@@ -328,3 +330,80 @@ def test_run_ns_gate_input_validation():
     bad = FockVector(5, np.array([1.0, 0.0, 0.0, 0.5, 0.0]))
     with pytest.raises(ValueError):
         run_ns_gate(bad, DetectorModel("pnr", 1.0))
+
+
+def _reference_branches(state, det_one, det_zero):
+    """run_ns_gate's branches with every amplitude a fresh permanent of the solved network."""
+    network = transfer_matrix(*solve_ns_transmittances().transmittances)
+    signal_in = state.amps[:3] / state.norm
+    phase = np.exp(1j * math.pi * np.arange(state.dim))
+    branches = []
+    for n_zero in range(4):
+        for n_one in range(4 - n_zero):
+            weight = _detector_weight(det_zero, 0, n_zero) * _detector_weight(det_one, 1, n_one)
+            if weight == 0.0:
+                continue
+            amps = np.zeros(state.dim, dtype=np.complex128)
+            for n in range(max(0, n_one + n_zero - 1), 3):
+                m = n + 1 - n_one - n_zero
+                amps[m] = signal_in[n] * transition_amplitude(network, (m, n_one, n_zero), (n, 1, 0))
+            mass = float(np.vdot(amps, amps).real)
+            if mass:
+                branches.append((weight * mass, phase * amps / math.sqrt(mass)))
+    return branches
+
+
+# a state on levels {0, 1, 2} with a zero tail up to dim 6, not too close to zero
+_SIGNAL = st.tuples(
+    st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+             min_size=3, max_size=3).filter(lambda a: np.linalg.norm(a) > 1e-3),
+    st.integers(3, 6),
+).map(lambda p: FockVector(p[1], np.concatenate((p[0], np.zeros(p[1] - 3)))))
+_ETA = st.floats(0.01, 1.0)
+
+
+@given(psi=_SIGNAL, eta=_ETA)
+def test_ns_gate_pnr_heralds_give_the_sign_flip_at_one_quarter(psi, eta):
+    perfect = run_ns_gate(psi, DetectorModel("pnr", 1.0))
+    assert abs(perfect.probability - 0.25) <= 1e-9
+    assert abs(perfect.fidelity - 1.0) <= 1e-9
+    # a click cannot tell one photon from several, so it heralds no better than a count
+    for eta_heralds in (1.0, eta):
+        pnr = run_ns_gate(psi, DetectorModel("pnr", eta_heralds))
+        onoff = run_ns_gate(psi, DetectorModel("on_off", eta_heralds))
+        assert onoff.fidelity <= pnr.fidelity + 1e-9
+
+
+@given(psi=_SIGNAL, eta_one=_ETA, eta_zero=_ETA,
+       kinds=st.tuples(st.sampled_from(("pnr", "on_off")), st.sampled_from(("pnr", "on_off"))))
+def test_run_ns_gate_equals_the_permanents_bit_for_bit(psi, eta_one, eta_zero, kinds):
+    # the solve's herald table must give exactly what a permanent per branch gives
+    det_one, det_zero = DetectorModel(kinds[0], eta_one), DetectorModel(kinds[1], eta_zero)
+    result = run_ns_gate(psi, (det_one, det_zero))
+    expected = _reference_branches(psi, det_one, det_zero)
+    assert len(result.branches) == len(expected)
+    for (weight, vec), (ref_weight, ref_amps) in zip(result.branches, expected):
+        assert weight == ref_weight
+        assert np.array_equal(vec.amps, ref_amps)
+    probability = sum(weight for weight, _ in expected)
+    rho = sum(weight * np.outer(amps, amps.conj()) for weight, amps in expected)
+    assert result.probability == probability
+    assert np.array_equal(result.output.elems, rho / probability)
+
+
+def test_klm_compare_computes_each_herald_amplitude_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return transition_amplitude(*args)
+
+    monkeypatch.setattr(klm, "transition_amplitude", counted)
+    solve_ns_transmittances.cache_clear()
+    klm_compare()
+    table = solve_ns_transmittances().herald_amplitudes
+    assert len(calls) == sum(len(entries) for _, entries in table) == 10
+    assert len(set(calls)) == len(calls)
+    klm_compare()
+    assert len(calls) == 10
+    hash(solve_ns_transmittances())  # the frozen solution, table included, stays hashable

@@ -486,6 +486,27 @@ def test_cli_admits_a_grid_by_arithmetic(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_cli_admits_sim_dim_by_arithmetic(tmp_path, capsys):
+    # the sample stage of sim_dim 3000 would hold a 216 GB Kraus stack; it is refused,
+    # naming the field, before anything of that size is allocated
+    config = tmp_path / "big.json"
+    for payload in ({"sim_dim": 3000}, {"sim_dim": 336}, {"sim_dim": 10**400}):
+        config.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--alpha", "0.5", "--config", str(config), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, payload
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid configuration: sim_dim "), err
+        assert err[0].endswith("too large to sample within the 2 GiB budget"), err
+        assert peak < 4 * 2**20, payload
+    assert ExperimentConfig(sim_dim=335).sim_dim == 335  # the largest admitted
+    assert os.listdir(tmp_path) == ["big.json"]
+
+
 def test_cli_huge_amplitude_fails_in_forward_model(tmp_path, capsys):
     # alpha 1e25 gave NaN matrices and exit 0 (simulate) or blamed reconstruct (pipeline)
     for command in ("simulate", "pipeline"):
