@@ -3,6 +3,17 @@
 from __future__ import annotations
 
 
+def _show(value) -> str:
+    """``repr(value)`` for a message; for an int with more digits than Python converts
+    (``sys.get_int_max_str_digits()``), or a value holding one, a stand-in that names it."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<int of {abs(value).bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int too long to print>"
+
+
 class KerrsimError(Exception):
     """Base class for package-specific failures."""
 

@@ -56,6 +56,10 @@ class FockVector:
             raise ValueError(f"amps must have shape ({self.dim},), got {arr.shape}")
         object.__setattr__(self, "amps", _lock(arr.copy()))
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled copy is read-only too
+        return type(self), (self.dim, self.amps)
+
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -81,6 +85,9 @@ class DensityMatrix:
         if arr.shape != (self.dim, self.dim):
             raise ValueError(f"elems must have shape ({self.dim}, {self.dim})")
         object.__setattr__(self, "elems", _lock(arr.copy()))
+
+    def __reduce__(self):
+        return type(self), (self.dim, self.elems)
 
     @property
     def trace(self) -> float:

@@ -17,7 +17,8 @@ interpolates with ``np.interp``'s formula, so every sample equals
 Sample files are ``.npy`` or CSV.  A CSV is formatted and parsed in
 contiguous row ranges, the first in the calling process and the others in
 forked children, one per usable CPU, and none while another thread runs; the
-bytes and values are those of one process.
+bytes and values are those of one process.  ``pipeline.run_pipeline`` forks
+its workers through the same ``_run_parts``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
 import threading
 import warnings
@@ -307,11 +309,14 @@ def _worker_count(rows: int) -> int:
     return max(1, min(_usable_cpus(), rows // _CHUNK_SHOTS))
 
 
-def _child(part) -> None:
-    """Run ``part`` in a forked child and end it: status 0, the errno of an OSError, else 255."""
+def _child(part, pipe: int) -> None:
+    """Run ``part`` in a forked child, write its value, pickled, to the file descriptor
+    ``pipe`` and end the child: status 0, the errno of an OSError, else 255."""
     status = 255
     try:
-        part()
+        value = pickle.dumps(part(), pickle.HIGHEST_PROTOCOL)
+        with open(pipe, "wb") as out:
+            out.write(value)
         status = 0
     except OSError as exc:
         if exc.errno in range(1, 255):
@@ -320,21 +325,31 @@ def _child(part) -> None:
         os._exit(status)
 
 
-def _run_parts(parts: list) -> None:
-    """Call ``parts[0]`` here while each later part runs in a forked child.
+def _run_parts(parts: list) -> list:
+    """Call ``parts[0]`` here while each later part runs in a forked child; return the
+    parts' values in order, each child's pickled back through a pipe.
 
     Every child is reaped before this returns or raises; if this process is
     unwinding, its children are killed first.  A child that failed raises
     here: OSError with the child's errno, or ChildProcessError.
     """
-    pids = []
+    pids, pipes = [], []
     try:
         for part in parts[1:]:
-            pid = os.fork()
-            if pid == 0:
-                _child(part)
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(part, write)
+            finally:
+                os.close(write)  # the child's copy alone, so its exit ends the pipe
             pids.append(pid)
-        parts[0]()
+        values = [parts[0]()]
+        payloads = []
+        for read in pipes:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
     except BaseException:
         import signal
 
@@ -342,13 +357,16 @@ def _run_parts(parts: list) -> None:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        for read in pipes:
+            os.close(read)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     for code in codes:
         if 0 < code < 255:
             raise OSError(code, os.strerror(code))
         if code:
             how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-            raise ChildProcessError(f"a CSV worker process failed ({how})")
+            raise ChildProcessError(f"a worker process failed ({how})")
+    return values + [pickle.loads(payload) for payload in payloads]
 
 
 def _log_rows(path: str, action: str, rows: int, workers: int) -> None:

@@ -13,25 +13,30 @@ while writing artifacts is an OSError (an output that cannot be written) or
 a StageError naming ``emit``.  Each stage logs its wall time at INFO level on
 the ``kerrsim`` logger (``kerrsim --verbose``), and each reconstruction logs
 its iterations, convergence flag and certified gap there; no timing enters
-an artifact.
+an artifact.  ``run_pipeline`` runs its amplitudes in contiguous ranges, the
+first here and the others in forked workers; its artifacts, output and log
+lines are those of one process.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import logging
 import math
 import numbers
 import os
+import sys
 import time
+import warnings
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import __version__
 from .artifacts import alpha_dir, write_json, write_matrix_table, write_table
-from .errors import ConfigError, StageError
+from .errors import ConfigError, StageError, _show
 from .fock import (
     DensityMatrix,
     FockVector,
@@ -50,7 +55,9 @@ from .gates import (
 from .homodyne import (
     PhaseSchedule,
     SampleBatch,
+    _run_parts,
     _sample_peak_bytes,
+    _worker_count,
     default_schedule,
     load_samples,
     sample_quadratures,
@@ -149,15 +156,16 @@ class ExperimentConfig:
                 continue
             if not ok:
                 kind = _KINDS.get(f.type, f"of type {f.type}")
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+                raise ConfigError(f"{f.name} must be {kind}, got {_show(value)}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {_show(self.seed)}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.alphas, (list, tuple)) or not all(
             _is_number(a, numbers.Real) and a >= 0 for a in self.alphas
         ):
-            raise ConfigError(f"alphas must be a list of nonnegative finite reals, got {self.alphas!r}")
+            raise ConfigError(
+                f"alphas must be a list of nonnegative finite reals, got {_show(self.alphas)}")
         if not self.alphas:
             raise ConfigError(f"alphas must hold at least one amplitude, got {self.alphas!r}")
         owners = {}
@@ -170,10 +178,10 @@ class ExperimentConfig:
             owners[adir] = a
         for name in ("n_phases", "samples_per_phase"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive, got {_show(getattr(self, name))}")
         if not 3 <= self.recon_dim <= self.sim_dim:
-            raise ConfigError(f"need 3 <= recon_dim <= sim_dim, got recon_dim {self.recon_dim} "
-                              f"and sim_dim {self.sim_dim}")
+            raise ConfigError(f"need 3 <= recon_dim <= sim_dim, got recon_dim "
+                              f"{_show(self.recon_dim)} and sim_dim {_show(self.sim_dim)}")
         if self.mode == "custom" and self.custom_a == 0 and self.custom_b == 0:
             raise ConfigError("mode 'custom' needs a nonzero custom_a or custom_b")
         try:
@@ -183,14 +191,15 @@ class ExperimentConfig:
         if _povm_peak_bytes(tomo) > _BUDGET:
             raise ConfigError(
                 f"bin_width {self.bin_width:g} and x_max {self.x_max:g} give a POVM too large "
-                f"to hold at recon_dim {self.recon_dim} within the {_BUDGET >> 30} GiB budget"
+                f"to hold at recon_dim {_show(self.recon_dim)} within the {_BUDGET >> 30} GiB "
+                "budget"
             )
         if (residual := completeness_residual(tomo)) > TOL.completeness:
-            raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim {self.recon_dim}: "
-                              f"POVM completeness residual {residual:.3e}")
+            raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim "
+                              f"{_show(self.recon_dim)}: POVM completeness residual {residual:.3e}")
         if _sample_peak_bytes(self.sim_dim) > _BUDGET:
-            raise ConfigError(f"sim_dim {self.sim_dim} gives a lossy state too large to sample "
-                              f"within the {_BUDGET >> 30} GiB budget")
+            raise ConfigError(f"sim_dim {_show(self.sim_dim)} gives a lossy state too large to "
+                              f"sample within the {_BUDGET >> 30} GiB budget")
 
     def tomography(self) -> TomographyConfig:
         return TomographyConfig(
@@ -428,6 +437,8 @@ def simulate(config: ExperimentConfig) -> list[dict]:
 
 def sample(config: ExperimentConfig) -> list[SampleBatch]:
     """Sample every alpha as run_pipeline does and export each batch as samples.csv plus sidecar."""
+    import numpy.random  # noqa: F401  (as in run_pipeline: no sample stage pays its import)
+
     batches = []
     for index, alpha in enumerate(config.alphas):
         batch = _sample(config, index, alpha)[0]
@@ -527,15 +538,123 @@ def _run_alpha(
     return record
 
 
+def _run_range(
+    config: ExperimentConfig, emit: bool, povm: np.ndarray, thetas: np.ndarray, lo: int,
+    hi: int, outcomes: list,
+) -> list:
+    """Amplitudes ``lo``..``hi - 1`` of run_pipeline; appends to ``outcomes``, and returns it,
+    each one's AlphaRecord or the exception it raised."""
+    for index in range(lo, hi):
+        try:
+            outcomes.append(_run_alpha(config, index, config.alphas[index], emit, povm, thetas))
+        except Exception as exc:  # raised once every amplitude has run
+            outcomes.append(exc)
+    return outcomes
+
+
+class _Kept(logging.Handler):
+    """Appends each record to ``events``, its message formatted, so that it pickles (as
+    logging.handlers.QueueHandler would, whose import costs a worker some 5 ms)."""
+
+    def __init__(self, events: list):
+        super().__init__()
+        self.events = events
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args = record.getMessage(), None
+        record.exc_info = record.exc_text = None
+        self.events.append(record)
+
+
+def _in_worker(run) -> tuple:
+    """``run()`` in a forked worker: its value, and in their order the ``kerrsim`` log records
+    and the warnings it gave, which the worker itself shows nowhere (see _replay)."""
+    events: list = []
+    _log.handlers, _log.propagate = [_Kept(events)], False  # this worker's copy of the logger
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, filename, lineno, *_: events.append(
+            (message, filename, lineno))
+        return run(), events
+
+
+def _replay(events: list) -> None:
+    """Give a worker's log records to this process's ``kerrsim`` logger, and raise its
+    warnings again here, under the filters and the registry of the module each came from,
+    so that a repeat is shown or not as in one process."""
+    for event in events:
+        if isinstance(event, logging.LogRecord):
+            _log.handle(event)
+            continue
+        message, filename, lineno = event
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, type(message), filename, lineno,
+                               getattr(module, "__name__", None), registry)
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy's wheel bundles, as numpy loaded it, or None where numpy
+    uses another BLAS or none is found."""
+    import ctypes
+    import glob
+
+    here = os.path.dirname(np.__file__)
+    for pattern in (os.path.join(os.path.dirname(here), "numpy.libs", "*openblas*"),
+                    os.path.join(here, ".dylibs", "*openblas*")):
+        for path in glob.glob(pattern):
+            try:
+                # RTLD_NOLOAD: the copy numpy loaded, never a second one
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+                lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's BLAS at one thread for the block and yield True, then restore its
+    thread count; yield False, changing nothing, where _openblas finds no library."""
+    lib = _openblas()
+    if lib is None:
+        yield False
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield True
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
+
+
 def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
     """Run the full chain for every alpha and emit all artifacts.
 
     Deterministic for a fixed config and seed.  The POVM is built once, for
     the schedule's phases, and every alpha is reconstructed on it.  In ideal
     and bestfit modes the vacuum sign signature is asserted on model and
-    reconstruction for every nonzero alpha; a violation aborts with a
-    structured stage error.
+    reconstruction for every nonzero alpha; a violation is a structured stage
+    error.
+
+    The amplitudes are split into contiguous ranges, one per usable CPU but at
+    most one per ``homodyne._CHUNK_SHOTS`` shots.  This process runs the first
+    range while forked workers run the others, each amplitude with all its
+    stages, ``emit`` included; none is forked while another thread runs.  With
+    more than one worker, numpy's BLAS is held at one thread in every process
+    until the workers have ended; where it cannot be, one process runs them
+    all.  The workers' log records and warnings are given here in amplitude
+    order, after this process's own.  Every amplitude runs, and writes its
+    artifacts if it succeeds; then the lowest-index failure is raised, and
+    ``report.json`` is written only when none failed.  A worker that ends
+    without a result is a StageError of stage ``worker``.
     """
+    # numpy loads numpy.random on first use: load it before the first stage, so that no
+    # amplitude's sample stage is charged for it, and the workers inherit it
+    import numpy.random  # noqa: F401
+
     if emit:  # an unwritable outdir fails before any stage runs
         os.makedirs(config.outdir, exist_ok=True)
     report = RunReport(config=config, versions=_versions())
@@ -544,8 +663,29 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
         # in increasing order as bin_samples returns them, so one POVM serves them all
         thetas = np.array([theta for theta, _ in config.schedule(0).phases])
         povm = build_povm(config.tomography(), thetas)
-    for index, alpha in enumerate(config.alphas):
-        report.records.append(_run_alpha(config, index, alpha, emit, povm, thetas))
+    count = len(config.alphas)
+    workers = min(count, _worker_count(count * config.schedule(0).total))
+    outcomes: list = []
+    lost = []
+    with _one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as held:
+        workers = workers if held else 1
+        bounds = [count * i // workers for i in range(workers + 1)]
+        run = functools.partial(_run_range, config, emit, povm, thetas)
+        try:
+            _, *caught = _run_parts([
+                functools.partial(run, 0, bounds[1], outcomes),
+                *(functools.partial(_in_worker, functools.partial(run, lo, hi, []))
+                  for lo, hi in zip(bounds[1:], bounds[2:])),
+            ])
+        except (OSError, ChildProcessError) as exc:
+            caught, lost = [], [StageError("worker", str(exc))]
+    for part, events in caught:
+        _replay(events)
+        outcomes += part
+    failures = [o for o in outcomes if isinstance(o, Exception)] + lost
+    if failures:
+        raise failures[0]
+    report.records = outcomes
     if emit:
         with _stage("emit"):
             write_json(os.path.join(config.outdir, "report.json"), report.to_dict())

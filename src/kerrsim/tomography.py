@@ -36,7 +36,7 @@ import numpy as np
 
 from .artifacts import atomic_open
 from .channels import LossChannel, loss_adjoint_on_operator, loss_kraus
-from .errors import NumericalError
+from .errors import NumericalError, _show
 from .fock import DensityMatrix
 from .homodyne import _CHUNK_SHOTS, SampleBatch, _last_knot_at_or_below, wavefunction_table
 from .tolerances import TOL
@@ -69,7 +69,7 @@ class TomographyConfig:
 
     def __post_init__(self):
         if self.dim < 3:
-            raise ValueError(f"dim must be >= 3, got {self.dim}")
+            raise ValueError(f"dim must be >= 3, got {_show(self.dim)}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.bin_width <= 0:
@@ -77,7 +77,7 @@ class TomographyConfig:
         if self.x_max <= 0:
             raise ValueError(f"x_max must be positive, got {self.x_max:g}")
         if self.max_iterations <= 0:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
+            raise ValueError(f"max_iterations must be positive, got {_show(self.max_iterations)}")
         if not math.isfinite(2.0 * self.x_max / self.bin_width):
             raise ValueError(
                 f"bin_width {self.bin_width:g} and x_max {self.x_max:g} give no finite bin count"

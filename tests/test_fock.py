@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -282,3 +283,13 @@ def test_truncate_density():
     empty = DensityMatrix(4, np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
     with pytest.raises(ValueError):
         truncate_density(empty, 2)
+
+
+def test_states_pickle_as_read_only_values():
+    # a record that comes back from a worker process keeps its arrays locked
+    vector = coherent_state(0.53, 8)
+    for state, array in ((vector, "amps"), (density_from_pure(vector), "elems")):
+        again = pickle.loads(pickle.dumps(state))
+        assert type(again) is type(state) and again.dim == state.dim
+        assert np.array_equal(getattr(again, array), getattr(state, array))
+        assert not getattr(again, array).flags.writeable

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import importlib.util
 import io
@@ -5,11 +6,14 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import kerrsim
-from kerrsim import pipeline
+from kerrsim import homodyne, pipeline
 from kerrsim.artifacts import atomic_open, write_json
 from kerrsim.cli import main
 from kerrsim.errors import ConfigError, StageError
@@ -64,6 +68,14 @@ def test_config_validation():
         ({"seed": -3}, "seed must be non-negative, got -3"),
         ({"n_phases": 0}, "n_phases must be positive, got 0"),
         ({"alphas": ()}, "alphas must hold at least one amplitude, got ()"),
+        # past 4,300 digits str(int) raises ValueError, which formatting these once did
+        ({"seed": -10**5000}, "seed must be non-negative, got -<int of 16610 bits>"),
+        ({"sim_dim": 10**5000}, "sim_dim <int of 16610 bits> gives a lossy state too large"),
+        ({"recon_dim": 10**5000}, "got recon_dim <int of 16610 bits> and sim_dim 16"),
+        ({"n_phases": -10**5000}, "n_phases must be positive, got -<int of 16610 bits>"),
+        ({"max_iterations": -10**5000}, "max_iterations must be positive, got -<int of 16610"),
+        ({"alphas": (0.5, 10**5000)}, "alphas must be a list of nonnegative finite reals, "
+                                      "got <tuple holding an int too long to print>"),
     ):
         with pytest.raises(ConfigError) as info:
             ExperimentConfig(**kwargs)
@@ -92,6 +104,7 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(bad).validate()
     ExperimentConfig(eta=1, x_max=6).validate()  # an int is a real number
+
 
 
 # values of every JSON type; a huge int overflows a float and some floats are subnormal
@@ -1020,3 +1033,174 @@ def test_cli_verbose_logs_stage_timings(tmp_path, capsys, caplog, command):
         assert conv, line
         logged.append(("converged", conv[1], int(conv[2]), conv[3] == "True", conv[4]))
     assert logged == expected
+
+
+_THREE = ["--alpha", "0.23", "--alpha", "0.53", "--alpha", "0.79", "--phases", "3",
+          "--samples-per-phase", "200"]
+# _THREE's phases and shots: few, as the patched _CHUNK_SHOTS = 1 samples them one by one
+TINY = dict(FAST, n_phases=3, samples_per_phase=200)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _workers(cpus):
+    """Patches that give ``cpus`` usable CPUs and a worker for as few as one shot."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(homodyne, "_usable_cpus", return_value=cpus))
+    stack.enter_context(mock.patch.object(homodyne, "_CHUNK_SHOTS", 1))
+    return stack
+
+
+def _run_on(cpus, args, out, capsys, caplog):
+    """``main(args)`` writing to ``out`` under ``_workers(cpus)``: the exit code, stdout, stderr
+    and kerrsim log lines with every time masked, the artifacts, and the number of forks;
+    ``out`` is masked in all of them."""
+    caplog.clear()
+    with _workers(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        code = main([*args, "--out", str(out)])
+    captured = capsys.readouterr()
+
+    def masked(text):
+        return re.sub(r"\d+\.\d{3} s$", "<time>", text.replace(str(out), "<out>"), flags=re.M)
+
+    files = {str(p.relative_to(out)): p.read_bytes().replace(str(out).encode(), b"<out>")
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    logged = [masked(r.getMessage()) for r in caplog.records if r.name == "kerrsim"]
+    _assert_no_child_left()
+    return (code, masked(captured.out), masked(captured.err), logged), files, fork.call_count
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_pipeline_workers_give_what_one_process_gives(cpus, tmp_path, capsys, caplog):
+    # with two CPUs this process runs alpha 0.23 and one forked worker 0.53 and 0.79, with
+    # three a worker each; the workers' stage lines are given here in amplitude order
+    args = ["--verbose", "pipeline", *_THREE]
+    one, one_files, one_forks = _run_on(1, args, tmp_path / "one", capsys, caplog)
+    two, two_files, two_forks = _run_on(cpus, args, tmp_path / "two", capsys, caplog)
+    assert (one_forks, two_forks) == (0, cpus - 1)
+    assert two == one and two_files == one_files
+    code, _, err, logged = two
+    assert code == 0 and len(two_files) == 1 + 3 * 9  # report.json and 9 files per amplitude
+    assert err.splitlines() == [f"kerrsim: {line}" for line in logged]
+    stages = [m[1] for m in map(re.compile(r"stage (\S+ alpha=[^:]+)").match, logged) if m]
+    assert stages == [f"{stage} alpha={alpha}" for alpha in ("0.23", "0.53", "0.79")
+                      for stage in _PER_ALPHA]
+
+
+def _failing_at(alphas, monkeypatch):
+    """Make the forward-model stage fail at each of ``alphas``, in any process."""
+    forward = pipeline.simulate_forward
+
+    def failing(config, alpha):
+        if alpha in alphas:
+            raise ValueError(f"forced at alpha={alpha:g}")
+        return forward(config, alpha)
+
+    monkeypatch.setattr(pipeline, "simulate_forward", failing)
+
+
+@pytest.mark.parametrize("failing", [(0.23,), (0.53,), (0.53, 0.79), (0.23, 0.79)])
+def test_pipeline_failure_rule_is_the_same_for_any_worker_count(failing, tmp_path, capsys,
+                                                                caplog, monkeypatch):
+    # every amplitude runs and writes its artifacts if it succeeds, then the lowest-index
+    # failure is raised and report.json is not written, in this process's range or a worker's
+    _failing_at(failing, monkeypatch)
+    one, one_files, _ = _run_on(1, ["pipeline", *_THREE], tmp_path / "one", capsys, caplog)
+    two, two_files, forks = _run_on(2, ["pipeline", *_THREE], tmp_path / "two", capsys, caplog)
+    assert forks == 1
+    assert two == one and two_files == one_files
+    code, out, err, _ = two
+    assert code == 3 and out == ""
+    assert err == f"error: stage 'forward-model': forced at alpha={failing[0]:g}\n"
+    written = {Path(name).parts[0] for name in two_files}
+    assert written == {f"alpha_{a:g}" for a in (0.23, 0.53, 0.79) if a not in failing}
+
+
+def test_pipeline_worker_killed_exits_3(tmp_path, capsys, caplog, monkeypatch):
+    parent = os.getpid()
+    forward = pipeline.simulate_forward
+
+    def killed(config, alpha):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(config, alpha)
+
+    monkeypatch.setattr(pipeline, "simulate_forward", killed)
+    (code, out, err, _), files, forks = _run_on(2, ["pipeline", *_THREE], tmp_path / "run",
+                                                capsys, caplog)
+    assert code == 3 and out == "" and forks == 1
+    assert err.splitlines() == [
+        f"error: stage 'worker': a worker process failed (killed by signal {signal.SIGKILL})"]
+    assert "report.json" not in files
+
+
+@pytest.mark.filterwarnings("ignore:conditional output weight:UserWarning")
+def test_pipeline_worker_warnings_are_given_here(tmp_path, capsys, caplog):
+    # the zero output at alpha 0 warns in the worker that runs it; the warning is raised
+    # again here, under this process's filters
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps({**_ZERO_OUTPUT, "alphas": [0.5, 0], "n_phases": 3,
+                                  "samples_per_phase": 200}))
+    runs = []
+    for cpus in (1, 2):
+        with pytest.warns(UserWarning, match="conditional output weight") as caught:
+            runs.append(_run_on(cpus, ["pipeline", "--config", str(config)],
+                                tmp_path / f"cpus{cpus}", capsys, caplog))
+        assert len(caught) == 1
+    (one, one_files, _), (two, two_files, forks) = runs
+    assert forks == 1 and two == one and two_files == one_files
+    assert one[0] == 3
+
+
+def test_pipeline_worker_warnings_repeat_as_in_one_process(tmp_path, monkeypatch):
+    # under the default action a warning shows once per text and line, also when a worker
+    # that forked before this process warned gives it again
+    forward = pipeline.simulate_forward
+
+    def warning(config, alpha):
+        warnings.warn("the same warning at every amplitude")
+        return forward(config, alpha)
+
+    monkeypatch.setattr(pipeline, "simulate_forward", warning)
+    for cpus in (1, 2):
+        with warnings.catch_warnings(record=True) as caught, _workers(cpus):
+            warnings.simplefilter("default")  # also forgets what an earlier run showed
+            run_pipeline(ExperimentConfig(outdir=str(tmp_path / f"cpus{cpus}"), **TINY))
+        assert [str(w.message) for w in caught] == ["the same warning at every amplitude"]
+
+
+def test_pipeline_forks_nothing_where_the_blas_cannot_be_held(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_openblas", lambda: None)
+    with _workers(2), mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        report = run_pipeline(ExperimentConfig(outdir=str(tmp_path / "run"), **TINY))
+    assert [r.alpha for r in report.records] == [0.23, 0.53, 0.79]
+
+
+@pytest.mark.skipif(pipeline._openblas() is None, reason="numpy's BLAS is not its own OpenBLAS")
+@pytest.mark.parametrize("failing", [(), (0.79,)])
+def test_pipeline_holds_the_blas_at_one_thread_then_restores_it(failing, tmp_path, caplog,
+                                                                 monkeypatch):
+    lib = pipeline._openblas()
+    before = lib.scipy_openblas_get_num_threads64_()
+    forward = pipeline.simulate_forward
+
+    def logged(config, alpha):
+        pipeline._log.info("blas threads %d", lib.scipy_openblas_get_num_threads64_())
+        return forward(config, alpha)
+
+    monkeypatch.setattr(pipeline, "simulate_forward", logged)
+    _failing_at(failing, monkeypatch)
+    caplog.set_level("INFO", logger="kerrsim")
+    config = ExperimentConfig(outdir=str(tmp_path / "run"), **TINY)
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        with _workers(2), pytest.raises(StageError) if failing else contextlib.nullcontext():
+            run_pipeline(config)
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    held = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blas")]
+    assert held == ["blas threads 1"] * (3 - len(failing))
