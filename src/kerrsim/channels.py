@@ -13,6 +13,7 @@ measurement operators instead of states.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +35,19 @@ class LossChannel:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
 
+def _kraus_diagonals(eta: float, dim: int) -> Iterator[np.ndarray]:
+    """c_k for k = 0 .. dim - 1, the nonzero superdiagonal of A_k: (A_k)[i, i + k] = c_k[i]."""
+    eta = float(eta)
+    kept = np.arange(dim, dtype=np.float64)
+    for k in range(dim):
+        binom = np.array([float(math.comb(m, k)) for m in range(k, dim)])
+        yield np.sqrt(binom) * eta ** (kept[:dim - k] / 2.0) * (1.0 - eta) ** (k / 2.0)
+
+
 def loss_kraus(channel: LossChannel, dim: int) -> np.ndarray:
     """Stack of Kraus operators, shape (dim, dim, dim); A_k = result[k]."""
-    eta = float(channel.eta)
-    n = np.arange(dim, dtype=np.float64)
     ops = np.zeros((dim, dim, dim))
-    for k in range(dim):
-        kept = n[k:] - k
-        binom = np.array([float(math.comb(m, k)) for m in range(k, dim)])
-        diag = np.sqrt(binom) * eta ** (kept / 2.0) * (1.0 - eta) ** (k / 2.0)
+    for k, diag in enumerate(_kraus_diagonals(channel.eta, dim)):
         ops[k, np.arange(dim - k), np.arange(k, dim)] = diag
     return ops
 

@@ -114,8 +114,8 @@ def _is_number(value, kind=numbers.Complex) -> bool:
 
 
 _KINDS = {"float": "a finite real number", "complex": "a finite complex number"}
-# bytes build_povm, or the sample stage, may hold at once, on every host (recon_dim 80 and
-# sim_dim 335 fit)
+# bytes build_povm, or the sample stage, may hold at once, on every host (recon_dim 310 at
+# x_max 22.5, and sim_dim 335, fit)
 _BUDGET = 2**31
 
 
@@ -194,12 +194,12 @@ class ExperimentConfig:
                 f"to hold at recon_dim {_show(self.recon_dim)} within the {_BUDGET >> 30} GiB "
                 "budget"
             )
-        if (residual := completeness_residual(tomo)) > TOL.completeness:
-            raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim "
-                              f"{_show(self.recon_dim)}: POVM completeness residual {residual:.3e}")
         if _sample_peak_bytes(self.sim_dim) > _BUDGET:
             raise ConfigError(f"sim_dim {_show(self.sim_dim)} gives a lossy state too large to "
                               f"sample within the {_BUDGET >> 30} GiB budget")
+        if (residual := completeness_residual(tomo)) > TOL.completeness:
+            raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim "
+                              f"{_show(self.recon_dim)}: POVM completeness residual {residual:.3e}")
 
     def tomography(self) -> TomographyConfig:
         return TomographyConfig(

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .artifacts import atomic_open
-from .channels import LossChannel, loss_adjoint_on_operator, loss_kraus
+from .channels import _kraus_diagonals, loss_adjoint_on_operator  # noqa: F401  (perfbench wraps it)
 from .errors import NumericalError, _show
 from .fock import DensityMatrix
 from .homodyne import _CHUNK_SHOTS, SampleBatch, _last_knot_at_or_below, wavefunction_table
@@ -220,22 +220,32 @@ def _nodes(config: TomographyConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _povm_peak_bytes(config: TomographyConfig) -> int:
-    """A bound, in Python ints, on build_povm's memory peak at one phase (tracemalloc
-    measures 4.2 dim^4 + 4 n_bins dim^2 doubles at dim 50): the dim^4 superoperator 5 times,
-    the real stack 16, the Kraus stack, and 4 node tables of n_bins + 20 x_max panels."""
+    """Bounds build_povm's tracemalloc peak at one phase, in Python ints (3.0 n_bins dim^2
+    doubles at dim 50 and 80): the real stack, its complex rotation or the adjoint loss's
+    output and temporary (3 n_bins dim^2), and 4 node tables of n_bins + 20 x_max panels."""
     d, n = int(config.dim), config.n_bins
     table = d * (n + 20 * int(config.x_max) + 20) * _GL_NODES.size
-    return 8 * (5 * d**4 + 16 * n * d * d + d**3 + 4 * table)
+    return 8 * (3 * n * d * d + 4 * table)
+
+
+def _adjoint_loss(stack: np.ndarray, eta: float) -> np.ndarray:
+    """sum_k A_k^T E A_k for each E of a real (n, dim, dim) stack, with no dim^4 superoperator:
+    A_k^T E A_k is E's leading block scaled by c_k c_k^T, c_k the k-th superdiagonal of A_k,
+    moved k levels down the diagonal."""
+    d = stack.shape[-1]
+    out = np.zeros_like(stack)
+    for k, c in enumerate(_kraus_diagonals(eta, d)):
+        out[:, k:, k:] += np.outer(c, c) * stack[:, :d - k, :d - k]
+    return out
 
 
 def completeness_residual(config: TomographyConfig) -> float:
     """||sum_b E_b - I||_2 of the POVM at every phase, from one (dim, dim) operator: the
-    adjoint loss is linear, so the Kraus operators map the bins' projectors summed on the
-    nodes; no element's bound is checked, as the residual is the check."""
+    adjoint loss is linear, so it maps the bins' projectors summed on the nodes; no
+    element's bound is checked, as the residual is the check."""
     psi, w = _nodes(config)
     summed = np.einsum("mbk,nbk,k->mn", psi, psi, w, optimize=["einsum_path", (0, 2), (0, 1)])
-    ops = loss_kraus(LossChannel(config.eta), config.dim)
-    povm_sum = np.einsum("kba,bc,kcd->ad", ops, summed, ops, optimize=["einsum_path", (0, 1), (0, 1)])
+    povm_sum = _adjoint_loss(summed[None], config.eta)[0]
     return float(np.linalg.norm(povm_sum - np.eye(config.dim), ord=2))
 
 
@@ -244,15 +254,16 @@ def build_povm(config: TomographyConfig, thetas) -> np.ndarray:
 
     Raises NumericalError first, allocating nothing of the POVM's size, if
     ``completeness_residual`` exceeds the tolerance.  Then the bin-integrated
-    quadrature projectors at theta = 0 go through the adjoint loss channel at
-    config.eta in one call.  Loss commutes with U = diag(exp(-i n theta)), so the
-    element at theta is U E(0) U^dag, E(0)_mn exp(-i (m - n) theta), complete as E(0) is.
+    quadrature projectors at theta = 0 go through ``_adjoint_loss`` at config.eta.
+    Loss commutes with U = diag(exp(-i n theta)), so the element at theta is U E(0)
+    U^dag, E(0)_mn exp(-i (m - n) theta), complete as E(0) is.
     """
     if (residual := completeness_residual(config)) > TOL.completeness:
         raise NumericalError(f"POVM completeness residual {residual:.3e}")
     psi, w = _nodes(config)
     raw = np.einsum("mbk,nbk,k->bmn", psi, psi, w, optimize=["einsum_path", (0, 2), (0, 1)])
-    povm0 = loss_adjoint_on_operator(raw, LossChannel(config.eta))
+    povm0 = _adjoint_loss(raw, config.eta)
+    del raw  # so that the peak below is 3 n_bins dim^2 doubles, not 4
     n = np.arange(config.dim)
     phase = np.exp(-1j * np.multiply.outer(np.asarray(thetas, dtype=np.float64), n[:, None] - n))
     return povm0 * phase[:, None, :, :]
@@ -323,7 +334,7 @@ class ReconstructionDiagnostics:
     converged: bool = False
     final_loglik: float = math.nan
     loglik_per_sample: float = math.nan
-    completeness_residual: float = math.nan
+    completeness_residual: float = math.nan  # completeness_residual(config), of the grid
     ml_gap_nats: float = math.nan
     loglik_trace: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -365,7 +376,8 @@ def reconstruct(
     ``converged`` means exactly that.  Accepted
     iterations never decrease the log-likelihood (``loglik_trace``).  Returns
     the estimate plus diagnostics; a run that reaches max_iterations returns
-    its best iterate flagged, it does not raise.
+    its best iterate flagged, it does not raise.  ``completeness_residual``
+    is ``completeness_residual(config)``, of the config's grid, not ``povm``.
     """
     if data.total <= 0:
         raise ValueError("no counts to reconstruct from")
@@ -379,18 +391,14 @@ def reconstruct(
         diag.warnings.append(
             "single-phase data: off-diagonal elements are not reliably constrained"
         )
-    eye = np.eye(config.dim)
-    diag.completeness_residual = max(
-        float(np.linalg.norm(povm[i].sum(axis=0) - eye, ord=2))
-        for i in range(povm.shape[0])
-    )
+    diag.completeness_residual = completeness_residual(config)
 
     c, design, index = _design_matrix(data, povm)
     total = float(c.sum())
     freqs = c / total
 
     if initial is None:
-        rho = eye.astype(np.complex128) / config.dim
+        rho = np.eye(config.dim, dtype=np.complex128) / config.dim
     else:
         rho = np.asarray(initial, dtype=np.complex128).copy()
         rho = 0.5 * (rho + rho.conj().T)

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerrsim.errors import SubspaceSupportError
-from kerrsim.fock import FockVector, apply_diagonal, basis_state, coherent_state
+from kerrsim.fock import (
+    FockVector,
+    apply_annihilation,
+    apply_creation,
+    apply_diagonal,
+    basis_state,
+    coherent_state,
+)
 from kerrsim.gates import (
     DiagonalOperator,
     SuperpositionParams,
@@ -20,6 +29,7 @@ from kerrsim.gates import (
 )
 
 SQRT2 = math.sqrt(2.0)
+_COMPLEX = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
 def random_three_level(rng, dim=8):
@@ -215,3 +225,18 @@ def test_diagonal_operators_commute():
     ab = apply_diagonal(kerr, apply_diagonal(v, psi))
     ba = apply_diagonal(v, apply_diagonal(kerr, psi))
     assert_allclose(ab.amps, ba.amps, atol=1e-12)
+
+
+@given(weights=st.tuples(_COMPLEX, _COMPLEX).filter(lambda ab: ab != (0, 0)),
+       amps=st.integers(3, 19).flatmap(lambda dim: st.lists(_COMPLEX, min_size=dim - 1,
+                                                               max_size=dim - 1)))
+def test_superposition_operator_is_its_ladder_definition(weights, amps):
+    # v(n) = a (n + 1) + b n is the diagonal of a a a^dag + b a^dag a; the top level of
+    # psi is empty, so a^dag keeps it inside the truncated space
+    a, b = weights
+    psi = FockVector(len(amps) + 1, np.append(amps, 0.0))
+    ordered = apply_annihilation(apply_creation(psi)).amps
+    reversed_order = apply_creation(apply_annihilation(psi)).amps
+    v = build_superposition_operator(SuperpositionParams(a, b), psi.dim)
+    assert_allclose(apply_diagonal(v, psi).amps, a * ordered + b * reversed_order,
+                    rtol=0, atol=1e-13)

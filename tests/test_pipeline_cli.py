@@ -231,7 +231,10 @@ def test_pipeline_deterministic_artifacts(tmp_path):
     outdir = str(tmp_path / "run")
     config = ExperimentConfig(alphas=(0.53,), outdir=outdir, **FAST)
     run_pipeline(config)
-    first = {rel: open(os.path.join(outdir, rel), "rb").read() for rel in files}
+    first = {}
+    for rel in files:
+        with open(os.path.join(outdir, rel), "rb") as fh:
+            first[rel] = fh.read()
     run_pipeline(config)
     for rel in files:
         with open(os.path.join(outdir, rel), "rb") as fh:
@@ -474,14 +477,15 @@ def test_cli_overflowing_config_values_exit_2(tmp_path, capsys):
 
 
 def test_cli_admits_a_grid_by_arithmetic(tmp_path, capsys):
-    # each grid's build_povm needs more than the 2 GiB budget: the stacks at recon_dim
-    # 100000 (35 TiB), the dim^4 loss superoperators at recon_dim 150 (20 GB) or 3000
-    # (3 PiB), a recon_dim no float holds, or the node tables of two bins 1e12 wide (19
-    # PiB); each is refused, by arithmetic, before anything of its size is allocated
+    # each grid's build_povm needs more than the 2 GiB budget: the POVM stacks of 240 bins
+    # at recon_dim 100000 (52 TiB) or 3000 (48 GiB), the complex POVM of 3000 bins at
+    # recon_dim 250 (2.8 GiB, a complete grid), a recon_dim no float holds, or the node
+    # tables of two bins 1e12 wide (23 PiB); each is refused, by arithmetic, before
+    # anything of its size is allocated
     out = str(tmp_path / "out")
     config = tmp_path / "big.json"
     for payload in ({"recon_dim": 100000, "sim_dim": 100000}, {"recon_dim": 3000, "sim_dim": 3000},
-                    {"recon_dim": 150, "sim_dim": 150, "x_max": 20.0},
+                    {"recon_dim": 250, "sim_dim": 250, "x_max": 30.0, "bin_width": 0.02},
                     {"recon_dim": 10**400, "sim_dim": 10**400}, {"x_max": 1e12, "bin_width": 1e12}):
         config.write_text(json.dumps(payload))
         tracemalloc.start()
@@ -501,9 +505,12 @@ def test_cli_admits_a_grid_by_arithmetic(tmp_path, capsys):
 
 def test_cli_admits_sim_dim_by_arithmetic(tmp_path, capsys):
     # the sample stage of sim_dim 3000 would hold a 216 GB Kraus stack; it is refused,
-    # naming the field, before anything of that size is allocated
+    # naming the field, before anything of that size is allocated; recon_dim 440 on ten
+    # wide bins fits the POVM budget (87 MiB), and sim_dim 440 is refused before the
+    # completeness check builds the grid's node tables
     config = tmp_path / "big.json"
-    for payload in ({"sim_dim": 3000}, {"sim_dim": 336}, {"sim_dim": 10**400}):
+    for payload in ({"sim_dim": 3000}, {"sim_dim": 336}, {"sim_dim": 10**400},
+                    {"recon_dim": 440, "sim_dim": 440, "x_max": 30.0, "bin_width": 6.0}):
         config.write_text(json.dumps(payload))
         tracemalloc.start()
         try:
