@@ -14,6 +14,12 @@ Non-Uniform Random Variate Generation, 1986, sec. III.2.4) in O(1), then
 interpolates with ``np.interp``'s formula, so every sample equals
 ``np.interp(u, cdf, grid)`` bit for bit.
 
+Homodyne data are recorded at a few fixed phases (Lvovsky & Raymer, RMP 81,
+299, 2009), so a ``SampleBatch`` holds one x per shot, 8 bytes, and its
+phases as runs: one theta per run of shots at that phase and the run's
+cumulative end.  The sampler makes one run per schedule phase; the readers
+and writers work on the runs, and none expands a theta per shot.
+
 Sample files are ``.npy`` or CSV.  A CSV is formatted and parsed in
 contiguous row ranges, the first in the calling process and the others in
 forked children, one per usable CPU, and none while another thread runs; the
@@ -91,25 +97,75 @@ class PhaseSchedule:
         return sum(c for _, c in self.phases)
 
 
-@dataclass(frozen=True)
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of bit-identical entries of the 1-d float64 ``values``: each run's value and
+    its cumulative end.  Runs split on the bit pattern, not on !=, so 0.0 and -0.0, or two
+    NaN payloads, keep runs of their own."""
+    bits = values.view(np.int64)
+    ends = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if values.size:
+        ends = np.append(ends, values.size)
+    return values[ends - 1], ends
+
+
+def _runs_in(run_ends: np.ndarray, lo: int, hi: int) -> tuple[slice, np.ndarray]:
+    """The runs that hold shots ``lo``..``hi``, as a slice of the run arrays, and how many
+    of those shots each holds."""
+    first = int(np.searchsorted(run_ends, lo, side="right"))
+    last = int(np.searchsorted(run_ends, hi, side="left"))
+    return slice(first, last + 1), np.diff(np.minimum(run_ends[first:last + 1], hi) - lo, prepend=0)
+
+
+@dataclass(frozen=True, init=False)
 class SampleBatch:
-    """Batch of samples as parallel arrays; its provenance lives in the sidecar."""
+    """Samples as an x per shot plus the phase runs that hold them, 8 bytes a shot.
 
-    thetas: np.ndarray
+    Run r is the shots ``run_ends[r - 1]`` (0 for the first run) up to
+    ``run_ends[r]``, all at phase ``run_thetas[r]``.  Homodyne data come in a
+    few phase blocks, so the runs are a few numbers however many the shots.
+    The provenance of the samples lives in the sidecar.
+    """
+
     xs: np.ndarray
+    run_thetas: np.ndarray
+    run_ends: np.ndarray
 
-    def __post_init__(self):
-        t = np.asarray(self.thetas, dtype=np.float64)
-        x = np.asarray(self.xs, dtype=np.float64)
+    def __init__(self, thetas, xs):
+        """A batch from per-shot columns: thetas are split into runs on their bit pattern."""
+        t = np.asarray(thetas, dtype=np.float64)
+        x = np.asarray(xs, dtype=np.float64)
         if t.shape != x.shape or t.ndim != 1:
             raise ValueError("thetas and xs must be 1-d arrays of equal length")
+        self._hold(x, *_runs(t))
+
+    @classmethod
+    def from_runs(cls, run_thetas, run_ends, xs) -> "SampleBatch":
+        """A batch from its x column and phase runs, with no per-shot theta column."""
+        batch = object.__new__(cls)
+        batch._hold(np.asarray(xs, dtype=np.float64), np.asarray(run_thetas, dtype=np.float64),
+                    np.asarray(run_ends, dtype=np.intp))
+        return batch
+
+    def _hold(self, x: np.ndarray, run_thetas: np.ndarray, run_ends: np.ndarray) -> None:
+        if x.ndim != 1 or run_thetas.ndim != 1 or run_thetas.shape != run_ends.shape:
+            raise ValueError("xs, run_thetas and run_ends must be 1-d, the runs of equal length")
+        # every run holds a shot, and the last ends with the batch
+        last = run_ends[-1] if run_ends.size else 0
+        if last != x.size or np.any(np.diff(run_ends, prepend=0) <= 0):
+            raise ValueError(f"run_ends must rise from above 0 to {x.size}")
+        for name, arr in (("xs", x), ("run_thetas", run_thetas), ("run_ends", run_ends)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """The phase of every shot, expanded from the runs (8 more bytes a shot), read-only."""
+        t = np.repeat(self.run_thetas, np.diff(self.run_ends, prepend=0))
         t.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "thetas", t)
-        object.__setattr__(self, "xs", x)
+        return t
 
     def __len__(self) -> int:
-        return self.thetas.size
+        return self.xs.size
 
 
 def default_schedule(seed: int, n_phases: int, samples_per_phase: int) -> PhaseSchedule:
@@ -203,27 +259,24 @@ def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray, out: np.ndarr
     u in that bucket has that knot or the next, unless more knots than one
     fall in the bucket (the flat tails of the CDF), where u is searched.
     Between knots the value is np.interp's slope * (u - cdf[j]) + grid[j],
-    and grid[j] when u is on the knot.
+    and grid[j] when u is on the knot.  The temporaries are a few times
+    ``u``'s size, which the caller bounds.
     """
     levels = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
     guide = np.searchsorted(cdf, levels, side="right") - 1
-    wide_bucket = np.diff(guide) > 1
     # like np.interp, warn of nothing: a flat stretch has an infinite slope, which no u uses
     with np.errstate(all="ignore"):
         slope = np.diff(grid) / np.diff(cdf)
-        for lo in range(0, u.size, _CHUNK_SHOTS):
-            v = u[lo:lo + _CHUNK_SHOTS]
-            bucket = (v * _GUIDE_SIZE).astype(np.intp)
-            j = _last_knot_at_or_below(cdf, v, guide[bucket])
-            wide = np.flatnonzero(wide_bucket[bucket])
-            if wide.size:
-                j[wide] = np.searchsorted(cdf, v[wide], side="right") - 1
-            at, base = cdf[j], grid[j]
-            x = out[lo:lo + _CHUNK_SHOTS]
-            np.subtract(v, at, out=x)
-            x *= slope[j]
-            x += base
-            np.copyto(x, base, where=v == at)
+        bucket = (u * _GUIDE_SIZE).astype(np.intp)
+        j = _last_knot_at_or_below(cdf, u, guide[bucket])
+        wide = np.flatnonzero((np.diff(guide) > 1)[bucket])
+        if wide.size:
+            j[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
+        at, base = cdf[j], grid[j]
+        np.subtract(u, at, out=out)
+        out *= slope[j]
+        out += base
+        np.copyto(out, base, where=u == at)
 
 
 def sample_quadratures(
@@ -238,25 +291,26 @@ def sample_quadratures(
     phase gets its own Philox stream derived from (seed, phase index), so
     output is deterministic given the schedule.  A guide table finds each
     draw's grid interval in O(1); the samples equal ``np.interp`` on the
-    tabulated CDF bit for bit.
+    tabulated CDF bit for bit.  The batch holds 8 bytes a shot, one run per
+    phase, and the uniforms are drawn ``_CHUNK_SHOTS`` at a time.
     """
     lossy = apply_loss(rho, LossChannel(eta))
     _check_hermitian(lossy)
     grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, _GRID_POINTS)
     psi = wavefunction_table(lossy.dim, grid)
-    thetas = np.empty(schedule.total)
     xs = np.empty(schedule.total)
-    start = 0
+    ends = np.cumsum([count for _, count in schedule.phases], dtype=np.intp)
     for index, (theta, count) in enumerate(schedule.phases):
         cdf = _tabulated_cdf(lossy, _pdf(lossy, theta, psi), grid)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=schedule.seed, spawn_key=(index,)))
         )
-        stop = start + count
-        _inverse_cdf(rng.random(count), cdf, grid, xs[start:stop])
-        thetas[start:stop] = theta
-        start = stop
-    return SampleBatch(thetas, xs)
+        # successive draws continue one stream, so the chunks draw what one call would
+        stop = int(ends[index])
+        for lo in range(stop - count, stop, _CHUNK_SHOTS):
+            hi = min(lo + _CHUNK_SHOTS, stop)
+            _inverse_cdf(rng.random(hi - lo), cdf, grid, xs[lo:hi])
+    return SampleBatch.from_runs([theta for theta, _ in schedule.phases], ends, xs)
 
 
 def _sample_peak_bytes(dim: int) -> int:
@@ -265,6 +319,15 @@ def _sample_peak_bytes(dim: int) -> int:
     Kraus stack and its complex einsum operands 7 dim^3, the state's copies, and the
     wavefunction tables on the sampling grid."""
     return 8 * (7 * dim**3 + 4 * dim * dim + 8 * (dim + 1) * _GRID_POINTS)
+
+
+def _shots_peak_bytes(n_phases: int, samples_per_phase: int) -> int:
+    """A bound, in Python ints, on what sample_quadratures holds for the shots of a uniform
+    schedule beyond _sample_peak_bytes: 8 bytes a shot for the x column, 512 a phase for the
+    schedule's tuples and set and the runs (tracemalloc measures at most 290 from 1,000 to
+    170,000 phases), and the lookup's temporaries, 64 bytes a shot of one chunk (50 measured)."""
+    lookup = 64 * min(samples_per_phase, _CHUNK_SHOTS)
+    return 8 * n_phases * samples_per_phase + 512 * n_phases + lookup
 
 
 def _sidecar_path(path: str) -> str:
@@ -276,17 +339,24 @@ def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
     """Write samples plus a sidecar JSON: the file's name, the count and ``meta``.
 
     A ``.npy`` path gets an ``(N, 2)`` float64 array with columns theta and
-    x, which holds every value exactly.  Any other path gets a CSV (header
-    theta,x): each row is ``repr(theta),repr(x)`` with CRLF line ends, the
-    bytes ``csv.writer`` gives.  The CSV rows are formatted in contiguous
-    ranges by up to one process per usable CPU (at most one per
-    ``_CHUNK_SHOTS`` rows); the bytes do not depend on how many, and there is
-    no setting.
+    x, which holds every value exactly; it is filled from the runs, 16 bytes
+    a row, and written once.  Any other path gets a CSV (header theta,x):
+    each row is ``repr(theta),repr(x)`` with CRLF line ends, the bytes
+    ``csv.writer`` gives, each run's theta formatted once.  The CSV rows are
+    formatted in contiguous ranges by up to one process per usable CPU (at
+    most one per ``_CHUNK_SHOTS`` rows); the bytes do not depend on how many,
+    and there is no setting.
     """
     path = str(path)
     if path.endswith(".npy"):
+        table = np.empty((len(batch), 2))
+        table[:, 1] = batch.xs
+        for lo in range(0, len(batch), _CHUNK_SHOTS):
+            hi = min(lo + _CHUNK_SHOTS, len(batch))
+            runs, lengths = _runs_in(batch.run_ends, lo, hi)
+            table[lo:hi, 0] = np.repeat(batch.run_thetas[runs], lengths)
         with atomic_open(path, binary=True) as fh:
-            np.save(fh, np.column_stack((batch.thetas, batch.xs)), allow_pickle=False)
+            np.save(fh, table, allow_pickle=False)
     else:
         _write_csv(batch, path)
     sidecar = {"schema_version": 1, "file": os.path.basename(path), "count": len(batch)}
@@ -382,21 +452,20 @@ def _log_rows(path: str, action: str, rows: int, workers: int) -> None:
 def _write_rows(batch: SampleBatch, lo: int, hi: int, fh) -> None:
     """Write rows ``lo``..``hi`` of the CSV body.
 
-    The sampler writes each phase as one run of rows, so a run's
-    ``repr(theta) + ","`` is formatted once and joined in front of every x of
-    the run.
+    Each phase run's ``repr(theta) + ","`` is formatted once and joined in
+    front of every x of the run that falls in the rows.
     """
-    bits = batch.thetas[lo:hi].view(np.int64)
-    # runs split on the bit pattern, not on !=, so 0.0 and -0.0 keep their own repr
-    heads = (np.flatnonzero(bits[1:] != bits[:-1]) + lo + 1).tolist()
-    edges = [lo, *heads, hi] if hi > lo else []
-    for start, stop in zip(edges, edges[1:]):
-        prefix = repr(float(batch.thetas[start])) + ","
+    runs, lengths = _runs_in(batch.run_ends, lo, hi)
+    start = lo
+    for theta, length in zip(batch.run_thetas[runs].tolist(), lengths.tolist()):
+        stop = start + length
+        prefix = repr(theta) + ","
         sep = "\r\n" + prefix
         # bounded chunks keep the formatted text small next to the batch itself
         for first in range(start, stop, _CSV_CHUNK_ROWS):
             xs = batch.xs[first:min(first + _CSV_CHUNK_ROWS, stop)].tolist()
             fh.write(prefix + sep.join(map(repr, xs)) + "\r\n")
+        start = stop
 
 
 def _write_csv(batch: SampleBatch, path: str) -> None:
@@ -438,27 +507,35 @@ def _write_csv(batch: SampleBatch, path: str) -> None:
 def load_samples(path) -> tuple[SampleBatch, dict]:
     """Read a sample file written by save_samples, and the fields of its sidecar.
 
-    A ``.npy`` file must hold an ``(N, 2)`` float64 array.  Any other file is
-    a CSV, parsed by NumPy's C reader, which rounds each decimal exactly as
-    ``float()`` does; its rows are parsed in contiguous ranges by up to one
-    process per usable CPU (at most one per ``_CHUNK_SHOTS`` rows), with the
-    same result however many, and there is no setting.  Either way a reloaded
-    batch is bit-identical to the saved one.  A file that cannot be parsed,
-    or that holds a NaN or infinite theta or x, raises ValueError; the
-    sampler writes none.  The fields are {} when no sidecar describes the
+    A ``.npy`` file must hold an ``(N, 2)`` float64 array; the batch takes
+    its phase runs from column 0 and keeps column 1 as its x, a view of the
+    array.  Any other file is a CSV, parsed by NumPy's C reader, which rounds
+    each decimal exactly as ``float()`` does; its rows are parsed in
+    contiguous ranges by up to one process per usable CPU (at most one per
+    ``_CHUNK_SHOTS`` rows), with the same result however many, and there is
+    no setting.  The x values go to one shared array of 8 bytes a row, and
+    each range returns its phase runs, which are joined where a run spans
+    two ranges.  Either way a reloaded batch is bit-identical to the saved
+    one.  A file that cannot be parsed raises ValueError, and so does one
+    that holds a NaN or infinite theta or x, naming the first row that does;
+    the sampler writes none.  The fields are {} when no sidecar describes the
     file (there is none, it names another file, or its count is not the
     number of rows read); a sidecar that is not a JSON object, or whose
     ``eta`` is not a number in (0, 1], raises ValueError naming it.
     """
     path = str(path)
-    body = _read_npy(path) if path.endswith(".npy") else _read_csv(path)
-    finite = np.isfinite(body).all(axis=1)
+    batch = _read_npy(path) if path.endswith(".npy") else _read_csv(path)
+    # the first shot of the first run at a non-finite theta, and the first non-finite x
+    bad = np.append(0, batch.run_ends)[:-1][~np.isfinite(batch.run_thetas)][:1].tolist()
+    finite = np.isfinite(batch.xs)
     if not finite.all():
-        raise ValueError(f"non-finite theta or x in data row {int(np.argmin(finite)) + 1}")
-    return SampleBatch(body[:, 0], body[:, 1]), _sidecar_for(path, len(body))
+        bad.append(int(np.argmin(finite)))
+    if bad:
+        raise ValueError(f"non-finite theta or x in data row {min(bad) + 1}")
+    return batch, _sidecar_for(path, len(batch))
 
 
-def _read_npy(path: str) -> np.ndarray:
+def _read_npy(path: str) -> SampleBatch:
     with open(path, "rb") as fh:
         # the .npy reader alone: np.load would also open a zip archive or a pickle
         body = np.lib.format.read_array(fh, allow_pickle=False)
@@ -466,7 +543,7 @@ def _read_npy(path: str) -> np.ndarray:
         raise ValueError(
             f"expected an (N, 2) float64 array, got {body.dtype} of shape {body.shape}"
         )
-    return body
+    return SampleBatch.from_runs(*_runs(body[:, 0]), body[:, 1])
 
 
 def _loadtxt(fh) -> np.ndarray:
@@ -477,7 +554,7 @@ def _loadtxt(fh) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
 
 
-def _read_csv(path: str) -> np.ndarray:
+def _read_csv(path: str) -> SampleBatch:
     with open(path, newline="") as fh:
         line = fh.readline()
         header = next(csv.reader([line]), [])
@@ -486,18 +563,22 @@ def _read_csv(path: str) -> np.ndarray:
         parsed = None
         if line.endswith("\n"):  # else the header ends in a lone CR or ends the file
             parsed = _parse_in_parts(path, len(line.encode(fh.encoding)), fh.encoding)
-        # one np.loadtxt over the whole body, which also gives a bad row's error
-        body, workers = parsed or (_loadtxt(fh), 1)
-    _log_rows(path, "read", len(body), workers)
-    return body
+        if parsed is None:
+            # one np.loadtxt over the whole body, which also gives a bad row's error
+            body = _loadtxt(fh)
+            parsed = SampleBatch.from_runs(*_runs(body[:, 0]), body[:, 1].copy()), 1
+    batch, workers = parsed
+    _log_rows(path, "read", len(batch), workers)
+    return batch
 
 
-def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[np.ndarray, int] | None:
+def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[SampleBatch, int] | None:
     """The CSV body from byte ``start`` on, parsed in contiguous ranges, and the number of ranges.
 
     This process parses the first range while forked children parse the
-    others into one shared array.  None when one process should parse the
-    body, or when any range failed: the caller then parses it whole.
+    others, each writing its x values into one shared array and returning its
+    phase runs.  None when one process should parse the body, or when any
+    range failed: the caller then parses it whole.
     """
     with open(path, "rb") as raw:
         raw.seek(start)
@@ -525,27 +606,35 @@ def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[np.ndarray, i
 
     import mmap
 
-    # the result, written by the children in place
-    body = np.frombuffer(mmap.mmap(-1, 16 * lines), np.float64).reshape(lines, 2)
+    # the x column, written by the children in place
+    xs = np.frombuffer(mmap.mmap(-1, 8 * lines), np.float64)
     parts = [
         functools.partial(_parse_range, path, offsets[i], offsets[i + 1], encoding,
-                          body[first_line[i]:first_line[i + 1]])
+                          xs[first_line[i]:first_line[i + 1]])
         for i in range(workers)
     ]
     try:
-        _run_parts(parts)
+        runs = _run_parts(parts)
     except (OSError, ValueError):
         return None
-    return body, workers
+    # a run that crosses a slice or range edge comes back in pieces: the runs of the
+    # pieces' thetas join them, and each joined run ends where its last piece does
+    run_thetas, last = _runs(np.concatenate([t for t, _ in runs]))
+    run_ends = np.concatenate([ends + first for (_, ends), first in zip(runs, first_line)])
+    return SampleBatch.from_runs(run_thetas, run_ends[last - 1], xs), workers
 
 
-def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray) -> None:
-    """Parse bytes ``lo``..``hi`` of the CSV into ``out``, a row per line, in newline-aligned slices.
+def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Parse bytes ``lo``..``hi`` of the CSV, a row per line, in newline-aligned slices: the x
+    values into ``out``, and the phase runs of each slice returned, their ends counted from the
+    range's start.
 
     A blank or comment line leaves a row of ``out`` unparsed: ValueError, as
     for a bad row, so the file is parsed whole instead.
     """
     rows = 0
+    thetas, ends = [], []
     carry = b""
     with open(path, "rb") as raw:
         raw.seek(lo)
@@ -560,11 +649,15 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray) ->
             if cut:
                 parsed = _loadtxt(io.StringIO(text[:cut].decode(encoding)))
                 # more rows than the range's lines raise ValueError here, as in any bad file
-                out[rows:rows + len(parsed)] = parsed
+                out[rows:rows + len(parsed)] = parsed[:, 1]
+                run_thetas, run_ends = _runs(parsed[:, 0])
+                thetas.append(run_thetas)
+                ends.append(run_ends + rows)
                 rows += len(parsed)
             carry = text[cut:]
     if rows != len(out):
         raise ValueError(f"{rows} rows parsed from {len(out)} lines")
+    return np.concatenate([np.empty(0), *thetas]), np.concatenate([np.empty(0, np.intp), *ends])
 
 
 def _sidecar_for(path: str, rows: int) -> dict:

@@ -57,6 +57,7 @@ from .homodyne import (
     SampleBatch,
     _run_parts,
     _sample_peak_bytes,
+    _shots_peak_bytes,
     _worker_count,
     default_schedule,
     load_samples,
@@ -115,7 +116,7 @@ def _is_number(value, kind=numbers.Complex) -> bool:
 
 _KINDS = {"float": "a finite real number", "complex": "a finite complex number"}
 # bytes build_povm, or the sample stage, may hold at once, on every host (recon_dim 310 at
-# x_max 22.5, and sim_dim 335, fit)
+# x_max 22.5, sim_dim 335, and 12 phases of 22.3 M shots at sim_dim 16, fit)
 _BUDGET = 2**31
 
 
@@ -197,6 +198,12 @@ class ExperimentConfig:
         if _sample_peak_bytes(self.sim_dim) > _BUDGET:
             raise ConfigError(f"sim_dim {_show(self.sim_dim)} gives a lossy state too large to "
                               f"sample within the {_BUDGET >> 30} GiB budget")
+        if _sample_peak_bytes(self.sim_dim) + _shots_peak_bytes(
+                self.n_phases, self.samples_per_phase) > _BUDGET:
+            raise ConfigError(
+                f"n_phases {_show(self.n_phases)} and samples_per_phase "
+                f"{_show(self.samples_per_phase)} give a shot batch too large to sample at "
+                f"sim_dim {_show(self.sim_dim)} within the {_BUDGET >> 30} GiB budget")
         if (residual := completeness_residual(tomo)) > TOL.completeness:
             raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim "
                               f"{_show(self.recon_dim)}: POVM completeness residual {residual:.3e}")

@@ -38,7 +38,13 @@ from .artifacts import atomic_open
 from .channels import _kraus_diagonals, loss_adjoint_on_operator  # noqa: F401  (perfbench wraps it)
 from .errors import NumericalError, _show
 from .fock import DensityMatrix
-from .homodyne import _CHUNK_SHOTS, SampleBatch, _last_knot_at_or_below, wavefunction_table
+from .homodyne import (
+    _CHUNK_SHOTS,
+    SampleBatch,
+    _last_knot_at_or_below,
+    _runs_in,
+    wavefunction_table,
+)
 from .tolerances import TOL
 
 __all__ = [
@@ -164,35 +170,26 @@ def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
 
     A value exactly on an interior bin edge lands in the upper bin; values
     outside [-x_max, x_max) are dropped from the histogram but counted in
-    ``out_of_range``.
+    ``out_of_range``.  The phases are the distinct values of the batch's
+    run thetas, sorted; the shots are read in bounded chunks, with no theta
+    per shot.
     """
     if len(samples) == 0:
         raise ValueError("empty sample batch")
     n_bins = config.n_bins
     edges = config.bin_edges()
-    t = samples.thetas
-    # every distinct phase begins at least one run of equal values, so the run
-    # heads hold them all and only those few values are sorted
-    starts = np.ones(t.size, dtype=bool)
-    np.not_equal(t[1:], t[:-1], out=starts[1:])
-    heads = t[starts]
-    thetas = _sorted_distinct(heads)
+    thetas = _sorted_distinct(samples.run_thetas)
     # each phase owns n_bins + 2 slots: slot 0 below -x_max, slots 1..n_bins the
     # bins and slot n_bins + 1 at or above x_max (or NaN), as np.digitize numbers
     # them; a sample's slot is its run's first bin slot plus the last edge <= x
-    run_bin1 = np.searchsorted(thetas, heads) * (n_bins + 2) + 1
+    run_bin1 = np.searchsorted(thetas, samples.run_thetas) * (n_bins + 2) + 1
     slots = np.zeros(thetas.size * (n_bins + 2), dtype=np.intp)
-    begun = 0  # runs begun before the chunk
     # in bounded chunks: one guess from (x + x_max) / width and one comparison
     # with the exact edge above it give each sample's edge without a search
-    for lo in range(0, t.size, _CHUNK_SHOTS):
+    for lo in range(0, len(samples), _CHUNK_SHOTS):
         x = samples.xs[lo:lo + _CHUNK_SHOTS]
-        begins = np.flatnonzero(starts[lo:lo + _CHUNK_SHOTS])
-        # the run carried over from the chunk before, then one per run begun in
-        # this one; at lo = 0 there is none, its length is 0 and its index -1 unused
-        lengths = np.diff(begins, prepend=0, append=x.size)
-        slot = np.repeat(run_bin1[np.arange(begun - 1, begun + begins.size)], lengths)
-        begun += begins.size
+        runs, lengths = _runs_in(samples.run_ends, lo, lo + x.size)
+        slot = np.repeat(run_bin1[runs], lengths)
         slot += _last_knot_at_or_below(edges, x, _lower_bin(x, config))
         slots += np.bincount(slot, minlength=slots.size)
     slots = slots.reshape(thetas.size, n_bins + 2)

@@ -289,8 +289,8 @@ def test_inverse_cdf_lookup_matches_interp_on_hand_built_cdfs():
 
 
 def test_sampler_memory_is_bounded():
-    # one 2 M-shot phase holds the batch (thetas and xs) and the phase's uniforms at
-    # full length; the lookup's temporaries stay within a few chunks
+    # one 2 M-shot phase holds the batch's x column at full length; its uniforms are drawn,
+    # and the lookup's temporaries made, one chunk at a time
     n = 2_000_004
     rho = density_from_pure(coherent_state(0.53, 16))
     tracemalloc.start()
@@ -299,7 +299,88 @@ def test_sampler_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * n + 8 * 2**20
+    assert peak < 8 * n + 8 * 2**20
+
+
+def test_sampled_batch_holds_8_bytes_a_shot():
+    # x per shot and one theta per phase run: no per-shot theta column is kept
+    n = 12 * 166667
+    rho = density_from_pure(coherent_state(0.53, 16))
+    schedule = default_schedule(seed=3, n_phases=12, samples_per_phase=166667)
+    sample_quadratures(rho, default_schedule(1, 2, 2), eta=0.66)  # first-call imports
+    tracemalloc.start()
+    try:
+        batch = sample_quadratures(rho, schedule, eta=0.66)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * n + 2**16
+    assert len(batch) == n and batch.run_thetas.size == 12
+
+
+@pytest.mark.parametrize("n_phases, samples_per_phase", [(600, 1), (1, 2**17 + 3), (12, 16667)])
+def test_shots_peak_bytes_bounds_the_sampler(n_phases, samples_per_phase):
+    # the size rule admits the shot batch by this count, beside _sample_peak_bytes: many
+    # phases, a phase of more than one lookup chunk, and the default schedule
+    rho = density_from_pure(coherent_state(0.05, 4))
+    sample_quadratures(rho, default_schedule(1, 2, 2), eta=0.66)  # first-call imports
+    tracemalloc.start()
+    try:
+        sample_quadratures(rho, default_schedule(1, n_phases, samples_per_phase), eta=0.66)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= homodyne._sample_peak_bytes(4) + homodyne._shots_peak_bytes(
+        n_phases, samples_per_phase)
+
+
+def _theta_bits(value: float) -> int:
+    return int(np.array(value).view(np.int64))
+
+
+# signed zeros, infinities, a subnormal, and NaNs of several payloads and both signs, as bits
+_SPECIAL_THETA_BITS = [_theta_bits(v) for v in (0.0, -0.0, math.inf, -math.inf, 5e-324, 1.5)] + [
+    0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, -0x0008000000000000,
+    -0x0007FFFFFFFFFFFF]
+
+
+@settings(max_examples=80)
+@given(
+    runs=st.lists(
+        st.tuples(st.one_of(st.sampled_from(_SPECIAL_THETA_BITS), st.floats().map(_theta_bits)),
+                  st.integers(1, 5)),
+        max_size=12,
+    ),
+    distinct=st.integers(0, 40),
+)
+def test_sample_batch_thetas_round_trip_bit_for_bit(runs, distinct):
+    # runs of bit-identical thetas, adjacent runs that repeat a value or differ only in
+    # sign of zero or NaN payload, then ``distinct`` shots at all-distinct thetas
+    bits = [b for b, count in runs for _ in range(count)]
+    bits += (np.arange(distinct) + 0x3FF0000000000000).tolist()
+    thetas = np.array(bits, dtype=np.int64).view(np.float64)
+    xs = np.arange(thetas.size, dtype=np.float64)
+    batch = SampleBatch(thetas, xs)
+    assert len(batch) == thetas.size
+    assert np.array_equal(batch.thetas.view(np.int64), thetas.view(np.int64))
+    assert np.array_equal(batch.xs, xs)
+    run_bits = batch.run_thetas.view(np.int64)
+    assert np.all(run_bits[1:] != run_bits[:-1])  # each run as long as it can be
+    assert batch.run_ends.size == np.count_nonzero(np.diff(thetas.view(np.int64))) + (thetas.size > 0)
+    assert not batch.thetas.flags.writeable and not batch.xs.flags.writeable
+
+
+def test_sample_batch_edge_shapes():
+    empty = SampleBatch(np.array([]), np.array([]))
+    assert len(empty) == 0 and empty.run_thetas.size == 0 and empty.thetas.size == 0
+    one_run = SampleBatch(np.full(5, -0.0), np.arange(5.0))
+    assert one_run.run_ends.tolist() == [5]
+    assert one_run.thetas.view(np.int64).tolist() == [_theta_bits(-0.0)] * 5
+    with pytest.raises(ValueError):
+        SampleBatch(np.zeros(3), np.zeros(2))
+    for ends in ([2, 2, 5], [2, 4], [0, 5], [6]):
+        with pytest.raises(ValueError):
+            SampleBatch.from_runs(np.zeros(len(ends)), ends, np.zeros(5))
 
 
 def test_load_samples_rejects_foreign_csv(tmp_path):
@@ -312,7 +393,11 @@ def test_load_samples_rejects_foreign_csv(tmp_path):
 def test_sample_roundtrip(tmp_path):
     rho = density_from_pure(coherent_state(0.3, 8))
     batch = sample_quadratures(rho, default_schedule(seed=9, n_phases=3, samples_per_phase=40), eta=1.0)
-    assert [f.name for f in dataclasses.fields(SampleBatch)] == ["thetas", "xs"]
+    # the batch carries samples alone: every field is an array of shots or of phase runs,
+    # and its provenance (seed, eta, alpha) lives in the sidecar
+    names = {f.name for f in dataclasses.fields(SampleBatch)}
+    assert all(isinstance(getattr(batch, name), np.ndarray) for name in names)
+    assert not names & {"seed", "eta", "alpha", "mode"}
     path = tmp_path / "samples.csv"
     save_samples(batch, path, meta={"alpha": 0.3, "seed": 9})
     # loading never warns: what the sidecar says, or that none describes the file, is the
@@ -609,6 +694,62 @@ def test_load_samples_bad_row_in_last_range_raises_the_whole_file_error(bad_row,
         assert fork.call_count == cpus - 1
         assert str(ranged.value) == str(whole.value)
         _assert_no_child_left()
+
+
+_PHASES = (0.0, -0.0, math.pi / 12, 1.5, 1e-300)
+
+
+@settings(max_examples=40)
+@given(
+    counts=st.lists(st.integers(0, 30), min_size=len(_PHASES), max_size=len(_PHASES)),
+    seed=st.integers(0, 2**32 - 1),
+    shuffled=st.booleans(),
+    cpus=st.integers(1, 3),
+    slice_bytes=st.integers(1, 96),
+)
+def test_csv_round_trip_of_shuffled_batch_matches_per_shot_reference(counts, seed, shuffled, cpus,
+                                                                       slice_bytes, tmp_path_factory):
+    # shuffled shots make runs of one or a few rows, whose edges fall on every range and
+    # slice edge; the reference is the per-shot columns the batch was built from
+    rng = np.random.default_rng(seed)
+    thetas = np.repeat(np.array(_PHASES), counts)
+    xs = rng.normal(size=thetas.size) * 10.0 ** rng.integers(-5, 5, size=thetas.size)
+    if shuffled:
+        order = rng.permutation(thetas.size)
+        thetas, xs = thetas[order], xs[order]
+    batch = SampleBatch(thetas, xs)
+    path = tmp_path_factory.mktemp("csv") / "samples.csv"
+    with _in_ranges(cpus, slice_bytes):
+        save_samples(batch, path)
+        loaded, fields = load_samples(path)
+    assert path.read_bytes() == ("theta,x\r\n" + "".join(
+        f"{t!r},{x!r}\r\n" for t, x in zip(thetas.tolist(), xs.tolist()))).encode()
+    assert fields["count"] == thetas.size
+    assert np.array_equal(loaded.thetas.view(np.int64), thetas.view(np.int64))
+    assert np.array_equal(loaded.xs.view(np.int64), xs.view(np.int64))
+    run_bits = loaded.run_thetas.view(np.int64)
+    assert np.all(run_bits[1:] != run_bits[:-1])  # runs split at a range or slice edge are joined
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".npy"])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_load_samples_names_the_first_bad_row_of_theta_or_x(suffix, cpus, tmp_path):
+    # a NaN theta run after an infinite x, and an infinite x after a NaN theta run: the
+    # error names whichever bad row comes first
+    thetas = np.repeat([0.0, 0.5, 1.0], 20)
+    for bad_x, bad_theta_run in ((7, 1), (45, 1), (0, 2), (59, 0)):
+        t, x = thetas.copy(), np.linspace(-1.0, 1.0, thetas.size)
+        x[bad_x] = -math.inf
+        t[t == t[20 * bad_theta_run]] = math.nan
+        path = tmp_path / f"samples{suffix}"
+        with _in_ranges(cpus, 16):
+            save_samples(SampleBatch(t, x), path)
+            with pytest.raises(ValueError) as exc:
+                load_samples(path)
+        first = min(bad_x, 20 * bad_theta_run) + 1
+        assert str(exc.value) == f"non-finite theta or x in data row {first}"
+    _assert_no_child_left()
 
 
 def _failing_in_children(fn, failure):

@@ -468,11 +468,12 @@ def test_cli_overflowing_config_values_exit_2(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith(f"error: invalid configuration: cannot read "
                                                    f"config file {config}: ")
     assert not os.path.exists(out)
-    # a phase count whose schedule (8 PB) cannot be held fails in the sample stage
+    # a phase count whose shot batch (1.3e20 bytes) cannot be held is refused before any stage
     code = main(["sample", "--alpha", "0.53", "--phases", "1000000000000000", "--out", out])
-    assert code == 3
+    assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: stage 'sample': ")
+    assert len(err) == 1 and err[0].startswith("error: invalid configuration: n_phases "
+                                               "1000000000000000 and samples_per_phase 16667")
     assert not os.path.exists(os.path.join(out, "alpha_0.53", "samples.csv"))
 
 
@@ -524,6 +525,29 @@ def test_cli_admits_sim_dim_by_arithmetic(tmp_path, capsys):
         assert err[0].endswith("too large to sample within the 2 GiB budget"), err
         assert peak < 4 * 2**20, payload
     assert ExperimentConfig(sim_dim=335).sim_dim == 335  # the largest admitted
+    assert os.listdir(tmp_path) == ["big.json"]
+
+
+def test_cli_admits_the_shot_batch_by_arithmetic(tmp_path, capsys):
+    # 8 bytes a shot: 12 phases of 22,309,781 shots pass the 2 GiB budget at sim_dim 16,
+    # and are refused, naming both fields, before the schedule or any shot is allocated
+    config = tmp_path / "big.json"
+    for payload in ({"samples_per_phase": 22_309_781}, {"n_phases": 10**15},
+                    {"n_phases": 1, "samples_per_phase": 10**400}):
+        config.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--alpha", "0.5", "--config", str(config), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, payload
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid configuration: n_phases "), err
+        assert "samples_per_phase" in err[0], err
+        assert err[0].endswith("too large to sample at sim_dim 16 within the 2 GiB budget"), err
+        assert peak < 4 * 2**20, payload
+    assert ExperimentConfig(samples_per_phase=22_309_780).samples_per_phase == 22_309_780
     assert os.listdir(tmp_path) == ["big.json"]
 
 
