@@ -99,8 +99,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    for alpha, batch in zip(config.alphas, sample(config)):
-        print(f"alpha={alpha:g}: {len(batch)} samples")
+    for alpha, count in zip(config.alphas, sample(config)):
+        print(f"alpha={alpha:g}: {count} samples")
     return 0
 
 

@@ -24,7 +24,9 @@ Sample files are ``.npy`` or CSV.  A CSV is formatted and parsed in
 contiguous row ranges, the first in the calling process and the others in
 forked children, one per usable CPU, and none while another thread runs; the
 bytes and values are those of one process.  ``pipeline.run_pipeline`` forks
-its workers through the same ``_run_parts``.
+its workers through the same ``_run_parts``.  Each child sends back its value
+or its exception with its log records and warnings, in one pickle, so a
+child's failure is reported as one process reports it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import math
 import os
 import pickle
 import shutil
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -338,25 +341,28 @@ def _sidecar_path(path: str) -> str:
 def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
     """Write samples plus a sidecar JSON: the file's name, the count and ``meta``.
 
-    A ``.npy`` path gets an ``(N, 2)`` float64 array with columns theta and
-    x, which holds every value exactly; it is filled from the runs, 16 bytes
-    a row, and written once.  Any other path gets a CSV (header theta,x):
-    each row is ``repr(theta),repr(x)`` with CRLF line ends, the bytes
-    ``csv.writer`` gives, each run's theta formatted once.  The CSV rows are
-    formatted in contiguous ranges by up to one process per usable CPU (at
-    most one per ``_CHUNK_SHOTS`` rows); the bytes do not depend on how many,
-    and there is no setting.
+    A ``.npy`` path gets the bytes ``np.save`` gives for the ``(N, 2)``
+    float64 table of columns theta and x, which holds every value exactly:
+    its header, then rows built from the runs ``_CHUNK_SHOTS`` at a time, so
+    no more than one chunk of the table is held.  Any other path gets a CSV
+    (header theta,x): each row is ``repr(theta),repr(x)`` with CRLF line
+    ends, the bytes ``csv.writer`` gives, each run's theta formatted once.
+    The CSV rows are formatted in contiguous ranges by up to one process per
+    usable CPU (at most one per ``_CHUNK_SHOTS`` rows); the bytes do not
+    depend on how many, and there is no setting.
     """
     path = str(path)
     if path.endswith(".npy"):
-        table = np.empty((len(batch), 2))
-        table[:, 1] = batch.xs
-        for lo in range(0, len(batch), _CHUNK_SHOTS):
-            hi = min(lo + _CHUNK_SHOTS, len(batch))
-            runs, lengths = _runs_in(batch.run_ends, lo, hi)
-            table[lo:hi, 0] = np.repeat(batch.run_thetas[runs], lengths)
+        rows = np.empty((min(len(batch), _CHUNK_SHOTS), 2))
         with atomic_open(path, binary=True) as fh:
-            np.save(fh, table, allow_pickle=False)
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": rows.dtype.str, "fortran_order": False, "shape": (len(batch), 2)})
+            for lo in range(0, len(batch), _CHUNK_SHOTS):
+                hi = min(lo + _CHUNK_SHOTS, len(batch))
+                runs, lengths = _runs_in(batch.run_ends, lo, hi)
+                rows[:hi - lo, 0] = np.repeat(batch.run_thetas[runs], lengths)
+                rows[:hi - lo, 1] = batch.xs[lo:hi]
+                fh.write(rows[:hi - lo])
     else:
         _write_csv(batch, path)
     sidecar = {"schema_version": 1, "file": os.path.basename(path), "count": len(batch)}
@@ -379,35 +385,71 @@ def _worker_count(rows: int) -> int:
     return max(1, min(_usable_cpus(), rows // _CHUNK_SHOTS))
 
 
+class _Kept(list):
+    """A forked child's log records and warnings (see _replay); as the filter of its ``kerrsim``
+    logger it keeps each record, its message formatted so that it pickles, and passes none."""
+
+    def filter(self, record) -> bool:
+        record.msg, record.args = record.getMessage(), None
+        record.exc_info = record.exc_text = None
+        self.append(record)
+        return False
+
+
 def _child(part, pipe: int) -> None:
-    """Run ``part`` in a forked child, write its value, pickled, to the file descriptor
-    ``pipe`` and end the child: status 0, the errno of an OSError, else 255."""
-    status = 255
+    """Run ``part`` in a forked child, write ``(value, exception or None, _Kept events)`` to the
+    file descriptor ``pipe``, pickled, and exit 0, or 255 if that pickle cannot be written."""
+    import logging
+
+    status, events, value, error = 255, _Kept(), None, None
     try:
-        value = pickle.dumps(part(), pickle.HIGHEST_PROTOCOL)
+        logging.getLogger("kerrsim").filters = [events]  # the caller's filters act in _replay
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, category, filename, lineno, *_: events.append(
+                (message, filename, lineno))
+            try:
+                value = part()
+            except Exception as exc:  # raised by _run_parts in the calling process
+                error = exc
         with open(pipe, "wb") as out:
-            out.write(value)
+            pickle.dump((value, error, events), out, pickle.HIGHEST_PROTOCOL)
         status = 0
-    except OSError as exc:
-        if exc.errno in range(1, 255):
-            status = exc.errno
     finally:
         os._exit(status)
 
 
-def _run_parts(parts: list) -> list:
-    """Call ``parts[0]`` here while each later part runs in a forked child; return the
-    parts' values in order, each child's pickled back through a pipe.
+def _replay(events: list) -> None:
+    """Give a child's log records to this process's ``kerrsim`` logger, and raise its
+    warnings again here, under the filters and the registry of the module each came from,
+    so that a repeat is shown or not as in one process."""
+    for event in events:
+        if not isinstance(event, tuple):
+            import logging
 
-    Every child is reaped before this returns or raises; if this process is
-    unwinding, its children are killed first.  A child that failed raises
-    here: OSError with the child's errno, or ChildProcessError.
-    """
+            logging.getLogger("kerrsim").handle(event)
+            continue
+        message, filename, lineno = event
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, type(message), filename, lineno,
+                               getattr(module, "__name__", None), registry)
+
+
+def _run_parts(parts: list) -> list:
+    """Call ``parts[0]`` here while each later part runs in a forked child (see _child), and
+    return the parts' values in order.
+
+    Every child is reaped before this returns or raises; if this process is unwinding, its
+    children are killed first.  A child that ends without its pickle raises
+    ChildProcessError; else the children's log records and warnings are given here in part
+    order, then the first child's exception, in part order, is raised unchanged, as one
+    process would raise it."""
     pids, pipes = [], []
     try:
         for part in parts[1:]:
             read, write = os.pipe()
-            pipes.append(read)
+            pipes.append(open(read, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
@@ -416,10 +458,7 @@ def _run_parts(parts: list) -> list:
                 os.close(write)  # the child's copy alone, so its exit ends the pipe
             pids.append(pid)
         values = [parts[0]()]
-        payloads = []
-        for read in pipes:
-            with open(read, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
+        payloads = [pipe.read() for pipe in pipes]
     except BaseException:
         import signal
 
@@ -427,16 +466,19 @@ def _run_parts(parts: list) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for read in pipes:
-            os.close(read)
+        for pipe in pipes:
+            pipe.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for code in codes:
-        if 0 < code < 255:
-            raise OSError(code, os.strerror(code))
-        if code:
-            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-            raise ChildProcessError(f"a worker process failed ({how})")
-    return values + [pickle.loads(payload) for payload in payloads]
+    for code in filter(None, codes):
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"a worker process failed ({how})")
+    outcomes = [pickle.loads(payload) for payload in payloads]
+    for _, _, events in outcomes:
+        _replay(events)
+    errors = [error for _, error, _ in outcomes if error is not None]
+    if errors:
+        raise errors[0]
+    return values + [value for value, _, _ in outcomes]
 
 
 def _log_rows(path: str, action: str, rows: int, workers: int) -> None:
@@ -486,12 +528,10 @@ def _write_csv(batch: SampleBatch, path: str) -> None:
 
     try:
         with atomic_open(path, newline="") as fh:
-            def write_first() -> None:
-                fh.write("theta,x\r\n")
-                _write_rows(batch, 0, bounds[1], fh)
-
-            _run_parts([write_first, *(functools.partial(write_part, part, lo, hi)
-                                       for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))])
+            fh.write("theta,x\r\n")
+            _run_parts([functools.partial(_write_rows, batch, 0, bounds[1], fh),
+                        *(functools.partial(write_part, part, lo, hi)
+                          for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))])
             fh.flush()
             for part in parts:
                 with open(part, "rb") as src:
@@ -615,7 +655,7 @@ def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[SampleBatch, 
     ]
     try:
         runs = _run_parts(parts)
-    except (OSError, ValueError):
+    except Exception:
         return None
     # a run that crosses a slice or range edge comes back in pieces: the runs of the
     # pieces' thetas join them, and each joined run ends where its last piece does

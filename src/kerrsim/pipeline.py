@@ -27,9 +27,7 @@ import logging
 import math
 import numbers
 import os
-import sys
 import time
-import warnings
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -115,8 +113,8 @@ def _is_number(value, kind=numbers.Complex) -> bool:
 
 
 _KINDS = {"float": "a finite real number", "complex": "a finite complex number"}
-# bytes build_povm, or the sample stage, may hold at once, on every host (recon_dim 310 at
-# x_max 22.5, sim_dim 335, and 12 phases of 22.3 M shots at sim_dim 16, fit)
+# bytes build_povm, or the sample stage, may hold at once, on every host (recon_dim 130 at
+# x_max 15 on 12 phases, sim_dim 335, and 12 phases of 22.3 M shots at sim_dim 16, fit)
 _BUDGET = 2**31
 
 
@@ -189,21 +187,20 @@ class ExperimentConfig:
             tomo = self.tomography()  # checks the tomography fields
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if _povm_peak_bytes(tomo) > _BUDGET:
-            raise ConfigError(
-                f"bin_width {self.bin_width:g} and x_max {self.x_max:g} give a POVM too large "
-                f"to hold at recon_dim {_show(self.recon_dim)} within the {_BUDGET >> 30} GiB "
-                "budget"
-            )
-        if _sample_peak_bytes(self.sim_dim) > _BUDGET:
-            raise ConfigError(f"sim_dim {_show(self.sim_dim)} gives a lossy state too large to "
-                              f"sample within the {_BUDGET >> 30} GiB budget")
-        if _sample_peak_bytes(self.sim_dim) + _shots_peak_bytes(
-                self.n_phases, self.samples_per_phase) > _BUDGET:
-            raise ConfigError(
-                f"n_phases {_show(self.n_phases)} and samples_per_phase "
-                f"{_show(self.samples_per_phase)} give a shot batch too large to sample at "
-                f"sim_dim {_show(self.sim_dim)} within the {_BUDGET >> 30} GiB budget")
+        # each peak, counted by arithmetic, and what it names, in the order they are checked
+        grid = f"bin_width {self.bin_width:g} and x_max {self.x_max:g}"
+        povm = f"give a POVM too large to hold at recon_dim {_show(self.recon_dim)}"
+        state, sim_dim = _sample_peak_bytes(self.sim_dim), _show(self.sim_dim)
+        n_phases = _show(self.n_phases)
+        for peak, what in (
+                (_povm_peak_bytes(tomo, 1), f"{grid} {povm}"),
+                (state, f"sim_dim {sim_dim} gives a lossy state too large to sample"),
+                (state + _shots_peak_bytes(self.n_phases, self.samples_per_phase),
+                 f"n_phases {n_phases} and samples_per_phase {_show(self.samples_per_phase)} "
+                 f"give a shot batch too large to sample at sim_dim {sim_dim}"),
+                (_povm_peak_bytes(tomo, self.n_phases), f"n_phases {n_phases}, {grid} {povm}")):
+            if peak > _BUDGET:
+                raise ConfigError(f"{what} within the {_BUDGET >> 30} GiB budget")
         if (residual := completeness_residual(tomo)) > TOL.completeness:
             raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim "
                               f"{_show(self.recon_dim)}: POVM completeness residual {residual:.3e}")
@@ -442,17 +439,18 @@ def simulate(config: ExperimentConfig) -> list[dict]:
     return summary
 
 
-def sample(config: ExperimentConfig) -> list[SampleBatch]:
-    """Sample every alpha as run_pipeline does and export each batch as samples.csv plus sidecar."""
+def sample(config: ExperimentConfig) -> list[int]:
+    """Sample every alpha as run_pipeline does, one at a time, export each batch as samples.csv
+    plus sidecar, and return the shot counts."""
     import numpy.random  # noqa: F401  (as in run_pipeline: no sample stage pays its import)
 
-    batches = []
+    counts = []
     for index, alpha in enumerate(config.alphas):
         batch = _sample(config, index, alpha)[0]
         with _stage("emit", alpha):
             _save_batch(config, index, batch, "samples.csv")
-        batches.append(batch)
-    return batches
+        counts.append(len(batch))
+    return counts
 
 
 def reconstruct_file(
@@ -479,6 +477,9 @@ def reconstruct_file(
         raise ConfigError(
             f"cannot reconstruct from {path}: {len(batch)} samples, none inside +-{tomo.x_max:g}"
         )
+    if _povm_peak_bytes(tomo, phases := binned.thetas.size) > _BUDGET:
+        raise ConfigError(f"cannot reconstruct from {path}: {phases} phases give a POVM too large "
+                          f"to hold at recon_dim {tomo.dim} within the {_BUDGET >> 30} GiB budget")
     with _stage("povm"):
         povm = build_povm(tomo, binned.thetas)
     rho_hat, diag = _reconstruct(None, binned, tomo, povm)
@@ -557,47 +558,6 @@ def _run_range(
         except Exception as exc:  # raised once every amplitude has run
             outcomes.append(exc)
     return outcomes
-
-
-class _Kept(logging.Handler):
-    """Appends each record to ``events``, its message formatted, so that it pickles (as
-    logging.handlers.QueueHandler would, whose import costs a worker some 5 ms)."""
-
-    def __init__(self, events: list):
-        super().__init__()
-        self.events = events
-
-    def emit(self, record: logging.LogRecord) -> None:
-        record.msg, record.args = record.getMessage(), None
-        record.exc_info = record.exc_text = None
-        self.events.append(record)
-
-
-def _in_worker(run) -> tuple:
-    """``run()`` in a forked worker: its value, and in their order the ``kerrsim`` log records
-    and the warnings it gave, which the worker itself shows nowhere (see _replay)."""
-    events: list = []
-    _log.handlers, _log.propagate = [_Kept(events)], False  # this worker's copy of the logger
-    with warnings.catch_warnings():
-        warnings.showwarning = lambda message, category, filename, lineno, *_: events.append(
-            (message, filename, lineno))
-        return run(), events
-
-
-def _replay(events: list) -> None:
-    """Give a worker's log records to this process's ``kerrsim`` logger, and raise its
-    warnings again here, under the filters and the registry of the module each came from,
-    so that a repeat is shown or not as in one process."""
-    for event in events:
-        if isinstance(event, logging.LogRecord):
-            _log.handle(event)
-            continue
-        message, filename, lineno = event
-        module = next((m for m in list(sys.modules.values())
-                       if getattr(m, "__file__", None) == filename), None)
-        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
-        warnings.warn_explicit(message, type(message), filename, lineno,
-                               getattr(module, "__name__", None), registry)
 
 
 @functools.cache
@@ -681,13 +641,11 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
         try:
             _, *caught = _run_parts([
                 functools.partial(run, 0, bounds[1], outcomes),
-                *(functools.partial(_in_worker, functools.partial(run, lo, hi, []))
-                  for lo, hi in zip(bounds[1:], bounds[2:])),
+                *(functools.partial(run, lo, hi, []) for lo, hi in zip(bounds[1:], bounds[2:])),
             ])
         except (OSError, ChildProcessError) as exc:
             caught, lost = [], [StageError("worker", str(exc))]
-    for part, events in caught:
-        _replay(events)
+    for part in caught:
         outcomes += part
     failures = [o for o in outcomes if isinstance(o, Exception)] + lost
     if failures:

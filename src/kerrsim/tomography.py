@@ -216,13 +216,14 @@ def _nodes(config: TomographyConfig) -> tuple[np.ndarray, np.ndarray]:
     return psi, np.tile(_GL_WEIGHTS * half, panels)
 
 
-def _povm_peak_bytes(config: TomographyConfig) -> int:
-    """Bounds build_povm's tracemalloc peak at one phase, in Python ints (3.0 n_bins dim^2
-    doubles at dim 50 and 80): the real stack, its complex rotation or the adjoint loss's
-    output and temporary (3 n_bins dim^2), and 4 node tables of n_bins + 20 x_max panels."""
+def _povm_peak_bytes(config: TomographyConfig, n_phases: int) -> int:
+    """Bounds build_povm's tracemalloc peak at ``n_phases`` phases, in Python ints (0.97 of it
+    at dim 50 and 80 on 12 phases): the real stack, the complex POVM and phase factors with
+    temporaries (n_bins + 2 n_phases (n_bins + 2)) dim^2, above the adjoint loss's 3 n_bins
+    dim^2, 4 node tables of n_bins + 20 x_max panels, and 256 KiB of ufunc buffers."""
     d, n = int(config.dim), config.n_bins
     table = d * (n + 20 * int(config.x_max) + 20) * _GL_NODES.size
-    return 8 * (3 * n * d * d + 4 * table)
+    return 8 * (n * d * d + 2 * n_phases * (n + 2) * d * d + 4 * table) + 2**18
 
 
 def _adjoint_loss(stack: np.ndarray, eta: float) -> np.ndarray:

@@ -2,7 +2,9 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import io
 import json
+import logging
 import math
 import os
 import signal
@@ -467,6 +469,30 @@ def test_npy_samples_round_trip_bit_for_bit(tmp_path):
     assert (meta["file"], meta["count"]) == ("samples.npy", xs.size)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 2**16, 2**16 + 1, 200_004])
+def test_npy_samples_are_the_bytes_np_save_gives(n, tmp_path):
+    # the header, then the rows a chunk at a time: the file np.save gives for the table
+    rng = np.random.default_rng(n)
+    thetas = np.repeat([0.3, -0.0, math.pi], [n // 3, n // 3, n - 2 * (n // 3)])
+    batch = SampleBatch(thetas, rng.normal(size=n))
+    reference = io.BytesIO()
+    np.save(reference, np.column_stack([thetas, batch.xs]).reshape(n, 2), allow_pickle=False)
+    assert _saved_bytes(batch, tmp_path / "samples.npy") == reference.getvalue()
+
+
+def test_npy_writer_holds_one_chunk_of_rows(tmp_path):
+    # 200,004 shots make a 3.2 MB table; the writer holds one 1 MiB chunk of rows instead
+    batch = SampleBatch(np.repeat([0.0, 1.5], 100_002), np.linspace(-3.0, 3.0, 200_004))
+    save_samples(SampleBatch([0.0], [0.0]), tmp_path / "warm.npy")  # first-call imports
+    tracemalloc.start()
+    try:
+        save_samples(batch, tmp_path / "samples.npy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * homodyne._CHUNK_SHOTS < 16 * len(batch)
+
+
 def test_load_samples_header_only(tmp_path):
     path = tmp_path / "samples.csv"
     save_samples(SampleBatch(np.array([0.0]), np.array([0.1])), path, meta={"seed": 2})
@@ -778,20 +804,47 @@ _SMALL_BATCH = SampleBatch(np.repeat([0.0, -0.0, 1.5], 20), np.linspace(-2.0, 2.
 
 @pytest.mark.parametrize(
     "failure, raised",
-    [(_raise(OSError(errno.ENOSPC, "No space left on device")), OSError),
-     (_raise(RuntimeError("formatter broke")), ChildProcessError),
+    [(_raise(OSError(errno.ENOSPC, "No space left on device", "samples.csv.part")), OSError),
+     (_raise(RuntimeError("formatter broke")), RuntimeError),
      (_killed, ChildProcessError)],
     ids=["oserror", "exception", "killed"],
 )
 def test_save_samples_child_failure_raises_and_leaves_nothing(failure, raised, tmp_path):
+    # a child's exception is raised here as this process would raise it, errno and filename
+    # included; a child that ends without its result is a ChildProcessError
     path = tmp_path / "samples.csv"
     write_rows = _failing_in_children(homodyne._write_rows, failure)
     with _in_ranges(3, 16), mock.patch.object(homodyne, "_write_rows", write_rows):
         with pytest.raises(raised) as exc:
             save_samples(_SMALL_BATCH, path)
     if raised is OSError:
-        assert exc.value.errno == errno.ENOSPC
+        assert (exc.value.errno, exc.value.filename) == (errno.ENOSPC, "samples.csv.part")
+    elif raised is RuntimeError:
+        assert str(exc.value) == "formatter broke"
     assert os.listdir(tmp_path) == []
+    _assert_no_child_left()
+
+
+def test_csv_children_log_and_warn_as_one_process(tmp_path, caplog):
+    # each range logs and warns where it runs; the children's records and warnings are
+    # given here after this process's own, in range order, and the children show none
+    write_rows = homodyne._write_rows
+
+    def noisy(batch, lo, hi, fh):
+        logging.getLogger("kerrsim").info("rows %d..%d", lo, hi)
+        warnings.warn(f"rows {lo}..{hi}")
+        write_rows(batch, lo, hi, fh)
+
+    caplog.set_level("INFO", logger="kerrsim")
+    with _in_ranges(3, 16), mock.patch.object(homodyne, "_write_rows", noisy), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        save_samples(_SMALL_BATCH, tmp_path / "samples.csv")
+    ranges = ["rows 0..20", "rows 20..40", "rows 40..60"]
+    assert [str(w.message) for w in caught] == ranges
+    assert [r.getMessage() for r in caplog.records] == [
+        *ranges, "samples.csv: 60 rows written, 3 workers"]
+    assert (tmp_path / "samples.csv").read_bytes() == _reference_csv(_SMALL_BATCH)
     _assert_no_child_left()
 
 

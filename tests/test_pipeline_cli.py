@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -549,6 +550,83 @@ def test_cli_admits_the_shot_batch_by_arithmetic(tmp_path, capsys):
         assert peak < 4 * 2**20, payload
     assert ExperimentConfig(samples_per_phase=22_309_780).samples_per_phase == 22_309_780
     assert os.listdir(tmp_path) == ["big.json"]
+
+
+def test_cli_admits_the_povm_at_every_phase_by_arithmetic(tmp_path, capsys):
+    # build_povm holds 16 bytes a phase, bin and dim^2: recon_dim 310 at x_max 22.5 fits the
+    # budget at one phase, but its 12-phase POVM (15.5 GiB) is refused, naming n_phases,
+    # before anything of that size is allocated
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"recon_dim": 310, "sim_dim": 335, "x_max": 22.5}))
+    tracemalloc.start()
+    try:
+        code = main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration: n_phases 12, bin_width 0.05 and x_max 22.5 give a POVM "
+        "too large to hold at recon_dim 310 within the 2 GiB budget"]
+    assert peak < 4 * 2**20
+    assert os.listdir(tmp_path) == ["big.json"]
+    assert ExperimentConfig(recon_dim=310, sim_dim=335, x_max=22.5, n_phases=1).n_phases == 1
+    # at 12 phases, the default bin width and the smallest complete x_max on a half-unit grid
+    assert ExperimentConfig(recon_dim=130, sim_dim=130, x_max=15.0).recon_dim == 130
+    with pytest.raises(ConfigError, match=r"^n_phases 12, bin_width 0.05 and x_max 15.5 give"):
+        ExperimentConfig(recon_dim=131, sim_dim=131, x_max=15.5)
+
+
+def test_reconstruct_refuses_a_file_of_too_many_phases(tmp_path, capsys):
+    # one shot at each of 9,000 phases: their POVM at the default grid needs more than the
+    # budget, which is counted for the phases binned, before the POVM is built
+    path = tmp_path / "samples.csv"
+    thetas = np.arange(9000) * math.pi / 9000
+    homodyne.save_samples(homodyne.SampleBatch(thetas, np.zeros(9000)), path)
+    with mock.patch.object(pipeline, "build_povm", side_effect=AssertionError("built")):
+        code = main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid configuration: cannot reconstruct from {path}: 9000 phases give a "
+        "POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
+
+
+def test_sample_holds_one_amplitude_at_a_time(tmp_path):
+    # each amplitude's batch is let go after its emit: what sample returns is the counts
+    config = ExperimentConfig(samples_per_phase=5000, outdir=str(tmp_path / "run"))
+    pipeline.sample(dataclasses.replace(config, n_phases=2, samples_per_phase=10))  # imports
+    tracemalloc.start()
+    try:
+        counts = pipeline.sample(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert counts == [12 * 5000] * 3
+    assert held < 8 * 12 * 5000  # one amplitude's x column
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sample_csv_failure_is_the_same_for_any_worker_count(cpus, tmp_path, capsys,
+                                                             monkeypatch):
+    # rows 0..240,000 in 1, 2 or 3 ranges; the range that reaches row 200,000 fails, here or
+    # in a child, and the failure is reported as one process reports it
+    write_rows = homodyne._write_rows
+
+    def failing(batch, lo, hi, fh):
+        if hi > 200_000:
+            raise ValueError("cannot format row 200000")
+        write_rows(batch, lo, hi, fh)
+
+    monkeypatch.setattr(homodyne, "_write_rows", failing)
+    monkeypatch.setattr(homodyne, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        code = main(["sample", "--alpha", "0.53", "--samples-per-phase", "20000", "--out",
+                     str(out)])
+    assert (code, fork.call_count) == (3, cpus - 1)
+    assert capsys.readouterr().err == "error: stage 'emit': cannot format row 200000\n"
+    assert os.listdir(out / "alpha_0.53") == []
+    _assert_no_child_left()
 
 
 def test_cli_huge_amplitude_fails_in_forward_model(tmp_path, capsys):

@@ -151,17 +151,19 @@ def test_completeness_residual_of_a_sum_just_above_the_identity(monkeypatch):
     (3, 6.0, 0.05), (8, 6.0, 0.05), (8, 6.0, 1.0), (8, 30.0, 0.02), (20, 9.0, 0.05),
     (20, 9.0, 0.3), (30, 10.0, 1.0), (40, 12.0, 0.3), (50, 12.0, 0.05), (200, 20.0, 20.0)])
 def test_povm_peak_bytes_bounds_the_build(dim, x_max, bin_width):
-    # the size rule admits a config by this count, so it must cover what the build holds
+    # the size rule admits a config by this count, so it must cover what the build holds at
+    # every phase of the schedule: one, and the default 12
     cfg = TomographyConfig(dim=dim, x_max=x_max, bin_width=bin_width)
-    tracemalloc.start()
-    try:
-        build_povm(cfg, [0.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= tomography._povm_peak_bytes(cfg)
-    if dim == 50:  # less than one real dim^4 array: no loss superoperator is formed
-        assert peak < 8 * dim**4
+    for n_phases in (1, 12):
+        tracemalloc.start()
+        try:
+            build_povm(cfg, np.arange(n_phases) * np.pi / n_phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tomography._povm_peak_bytes(cfg, n_phases), n_phases
+        if dim == 50:  # less than one real dim^4 array a phase: no loss superoperator is formed
+            assert peak < 8 * n_phases * dim**4
 
 
 def test_build_povm_raises_on_an_incomplete_grid():
