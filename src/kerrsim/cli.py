@@ -36,7 +36,8 @@ from .pipeline import (
     simulate,
 )
 # names the benchmark tracer wraps on this module (perfbench/tracing.py WRAP_POINTS)
-from .pipeline import bin_samples, load_samples, reconstruct, sample_quadratures, save_density_matrix, save_samples, simulate_forward  # noqa: F401
+from .homodyne import load_samples  # noqa: F401
+from .pipeline import bin_samples, reconstruct, sample_quadratures, save_density_matrix, save_samples, simulate_forward  # noqa: F401
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

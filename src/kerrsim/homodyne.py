@@ -23,10 +23,14 @@ and writers work on the runs, and none expands a theta per shot.
 Sample files are ``.npy`` or CSV.  A CSV is formatted and parsed in
 contiguous row ranges, the first in the calling process and the others in
 forked children, one per usable CPU, and none while another thread runs; the
-bytes and values are those of one process.  ``pipeline.run_pipeline`` forks
-its workers through the same ``_run_parts``.  Each child sends back its value
-or its exception with its log records and warnings, in one pickle, so a
-child's failure is reported as one process reports it.
+bytes and values are those of one process.  A writer formats a batch's rows,
+or draws its own rows of a schedule (``_Shots``) and formats them, so that no
+process holds the shot column.  A reader gives each parsed piece of rows to a
+sink (``_Rows``): ``load_samples`` gathers them into a batch, and
+``tomography._Histogram`` bins them as they come.  ``pipeline.run_pipeline``
+forks its workers through the same ``_run_parts``.  Each child sends back its
+value or its exception with its log records and warnings, in one pickle, so
+a child's failure is reported as one process reports it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import json
 import math
 import os
 import pickle
+import re
 import shutil
 import sys
 import threading
@@ -70,8 +75,8 @@ GRID_HALFWIDTH = 6.0
 GRID_STEP = 0.01
 _GRID_POINTS = int(round(2.0 * GRID_HALFWIDTH / GRID_STEP)) + 1
 _CSV_CHUNK_ROWS = 4096
-# bytes per read of the CSV body, which bounds the reader's text buffers
-_CSV_SLICE_BYTES = 2**20
+# bytes per read of the CSV body, which bounds the reader's text buffers (about 8 times this)
+_CSV_SLICE_BYTES = 2**18
 # a power of two, so that u * _GUIDE_SIZE and k / _GUIDE_SIZE are exact
 _GUIDE_SIZE = 2**12
 # shots per pass of the inverse-CDF lookup and of the binning, which bounds their temporaries
@@ -282,6 +287,54 @@ def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray, out: np.ndarr
         np.copyto(out, base, where=u == at)
 
 
+class _Shots:
+    """The shots of ``schedule`` from the state ``rho`` after detection loss ``eta``, drawn
+    on demand: any contiguous rows, bit for bit as one pass over the schedule draws them.
+
+    Holds the lossy state and its wavefunction table on the sampling grid; a
+    phase's CDF is tabulated when its rows are drawn.  Phase i draws from its
+    own Philox stream, keyed by (seed, i), which ``advance`` moves to any row,
+    so a process draws its rows without the rows before them.
+    """
+
+    def __init__(self, rho: DensityMatrix, schedule: PhaseSchedule, eta: float):
+        self.lossy = apply_loss(rho, LossChannel(eta))
+        _check_hermitian(self.lossy)
+        self.schedule = schedule
+        self.grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, _GRID_POINTS)
+        self.psi = wavefunction_table(self.lossy.dim, self.grid)
+        self.ends = np.cumsum([count for _, count in schedule.phases], dtype=np.intp)
+
+    def cdf(self, index: int) -> np.ndarray:
+        """Phase ``index``'s CDF on the grid; NumericalError if the grid misses the state's mass."""
+        theta = self.schedule.phases[index][0]
+        return _tabulated_cdf(self.lossy, _pdf(self.lossy, theta, self.psi), self.grid)
+
+    def chunks(self, lo: int, hi: int, out: np.ndarray | None = None):
+        """Draw shots ``lo``..``hi`` in chunks of at most _CHUNK_SHOTS of one phase, and yield
+        each chunk's (theta, x): x is the chunk's part of ``out``, which holds rows lo..hi,
+        or without ``out`` a buffer that the next chunk reuses."""
+        buffer = np.empty(min(hi - lo, _CHUNK_SHOTS)) if out is None else None
+        for index in range(int(np.searchsorted(self.ends, lo, side="right")), self.ends.size):
+            theta, count = self.schedule.phases[index]
+            stop = int(self.ends[index])
+            first = max(lo, stop - count)
+            if first >= hi:
+                break
+            cdf = self.cdf(index)
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=self.schedule.seed, spawn_key=(index,))))
+            # a step of Philox makes four draws; random() takes one a shot
+            skipped = first - (stop - count)
+            rng.bit_generator.advance(skipped // 4)
+            rng.random(skipped % 4)
+            for a in range(first, min(stop, hi), _CHUNK_SHOTS):
+                b = min(a + _CHUNK_SHOTS, stop, hi)
+                x = buffer[:b - a] if out is None else out[a - lo:b - lo]
+                _inverse_cdf(rng.random(b - a), cdf, self.grid, x)
+                yield theta, x
+
+
 def sample_quadratures(
     rho: DensityMatrix,
     schedule: PhaseSchedule,
@@ -297,23 +350,11 @@ def sample_quadratures(
     tabulated CDF bit for bit.  The batch holds 8 bytes a shot, one run per
     phase, and the uniforms are drawn ``_CHUNK_SHOTS`` at a time.
     """
-    lossy = apply_loss(rho, LossChannel(eta))
-    _check_hermitian(lossy)
-    grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, _GRID_POINTS)
-    psi = wavefunction_table(lossy.dim, grid)
+    shots = _Shots(rho, schedule, eta)
     xs = np.empty(schedule.total)
-    ends = np.cumsum([count for _, count in schedule.phases], dtype=np.intp)
-    for index, (theta, count) in enumerate(schedule.phases):
-        cdf = _tabulated_cdf(lossy, _pdf(lossy, theta, psi), grid)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=schedule.seed, spawn_key=(index,)))
-        )
-        # successive draws continue one stream, so the chunks draw what one call would
-        stop = int(ends[index])
-        for lo in range(stop - count, stop, _CHUNK_SHOTS):
-            hi = min(lo + _CHUNK_SHOTS, stop)
-            _inverse_cdf(rng.random(hi - lo), cdf, grid, xs[lo:hi])
-    return SampleBatch.from_runs([theta for theta, _ in schedule.phases], ends, xs)
+    for _ in shots.chunks(0, xs.size, xs):
+        pass
+    return SampleBatch.from_runs([theta for theta, _ in schedule.phases], shots.ends, xs)
 
 
 def _sample_peak_bytes(dim: int) -> int:
@@ -364,8 +405,20 @@ def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
                 rows[:hi - lo, 1] = batch.xs[lo:hi]
                 fh.write(rows[:hi - lo])
     else:
-        _write_csv(batch, path)
-    sidecar = {"schema_version": 1, "file": os.path.basename(path), "count": len(batch)}
+        _write_csv(path, len(batch), functools.partial(_write_rows, batch))
+    _write_sidecar(path, len(batch), meta)
+
+
+def _save_shots(shots: _Shots, path: str, meta: dict | None = None) -> None:
+    """save_samples of the batch sample_quadratures draws for ``shots``, to a CSV, the same
+    bytes, with no batch: each process draws the rows it formats (see _write_draws), so none
+    holds more than one chunk of x."""
+    _write_csv(path, shots.schedule.total, functools.partial(_write_draws, shots))
+    _write_sidecar(path, shots.schedule.total, meta)
+
+
+def _write_sidecar(path: str, count: int, meta: dict | None) -> None:
+    sidecar = {"schema_version": 1, "file": os.path.basename(path), "count": count}
     write_json(_sidecar_path(path), {**sidecar, **(meta or {})})
 
 
@@ -510,26 +563,32 @@ def _write_rows(batch: SampleBatch, lo: int, hi: int, fh) -> None:
         start = stop
 
 
-def _write_csv(batch: SampleBatch, path: str) -> None:
-    """Write the sample CSV; rows after the first range are formatted by forked children.
+def _write_draws(shots: _Shots, lo: int, hi: int, fh) -> None:
+    """Draw rows ``lo``..``hi`` of ``shots`` a chunk at a time, and write each chunk's rows."""
+    for theta, x in shots.chunks(lo, hi):
+        _write_rows(SampleBatch.from_runs([theta], [x.size], x), 0, x.size, fh)
+
+
+def _write_csv(path: str, rows: int, write_range) -> None:
+    """Write the sample CSV of ``rows`` rows, whose rows ``lo``..``hi`` ``write_range(lo, hi,
+    fh)`` writes, in contiguous ranges: the first here, each later one in a forked child.
 
     Each child writes its range to its own temporary file beside ``path``;
     this process writes the header and the first range, then appends the
     parts in order.
     """
-    rows = len(batch)
     workers = _worker_count(rows)
     bounds = [rows * i // workers for i in range(workers + 1)]
     parts = [f"{path}.{os.urandom(6).hex()}.tmp" for _ in range(workers - 1)]
 
     def write_part(part: str, lo: int, hi: int) -> None:
         with open(part, "x", newline="") as out:
-            _write_rows(batch, lo, hi, out)
+            write_range(lo, hi, out)
 
     try:
         with atomic_open(path, newline="") as fh:
             fh.write("theta,x\r\n")
-            _run_parts([functools.partial(_write_rows, batch, 0, bounds[1], fh),
+            _run_parts([functools.partial(write_range, bounds[0], bounds[1], fh),
                         *(functools.partial(write_part, part, lo, hi)
                           for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))])
             fh.flush()
@@ -547,43 +606,143 @@ def _write_csv(batch: SampleBatch, path: str) -> None:
 def load_samples(path) -> tuple[SampleBatch, dict]:
     """Read a sample file written by save_samples, and the fields of its sidecar.
 
-    A ``.npy`` file must hold an ``(N, 2)`` float64 array; the batch takes
-    its phase runs from column 0 and keeps column 1 as its x, a view of the
-    array.  Any other file is a CSV, parsed by NumPy's C reader, which rounds
-    each decimal exactly as ``float()`` does; its rows are parsed in
-    contiguous ranges by up to one process per usable CPU (at most one per
-    ``_CHUNK_SHOTS`` rows), with the same result however many, and there is
-    no setting.  The x values go to one shared array of 8 bytes a row, and
-    each range returns its phase runs, which are joined where a run spans
-    two ranges.  Either way a reloaded batch is bit-identical to the saved
-    one.  A file that cannot be parsed raises ValueError, and so does one
-    that holds a NaN or infinite theta or x, naming the first row that does;
-    the sampler writes none.  The fields are {} when no sidecar describes the
-    file (there is none, it names another file, or its count is not the
+    A ``.npy`` file must hold an ``(N, 2)`` float64 array; it is read
+    ``_CHUNK_SHOTS`` rows at a time, and the batch takes its phase runs from
+    column 0 and its x from column 1.  Any other file is a CSV, parsed by
+    NumPy's C reader, which rounds each decimal exactly as ``float()`` does;
+    its rows are parsed in contiguous ranges by up to one process per usable
+    CPU (at most one per ``_CHUNK_SHOTS`` rows), with the same result however
+    many, and there is no setting.  The ranges' x values go to one shared
+    array of 8 bytes a row, and each range returns its phase runs, which are
+    joined where a run spans two ranges.  Either way a reloaded batch is
+    bit-identical to the saved one.  A file that cannot be parsed raises
+    ValueError, and so does one that holds a NaN or infinite theta or x; each
+    error names the first bad row as its 1-based data row, header excluded,
+    and the sampler writes none.  The fields are {} when no sidecar describes
+    the file (there is none, it names another file, or its count is not the
     number of rows read); a sidecar that is not a JSON object, or whose
     ``eta`` is not a number in (0, 1], raises ValueError naming it.
     """
-    path = str(path)
-    batch = _read_npy(path) if path.endswith(".npy") else _read_csv(path)
-    # the first shot of the first run at a non-finite theta, and the first non-finite x
-    bad = np.append(0, batch.run_ends)[:-1][~np.isfinite(batch.run_thetas)][:1].tolist()
-    finite = np.isfinite(batch.xs)
-    if not finite.all():
-        bad.append(int(np.argmin(finite)))
+    column = []  # the x column the ranges of a CSV share, when there are several
+
+    def gather(bounds: list[int]) -> list[_Gather]:
+        if len(bounds) == 2:
+            return [_Gather(0)]
+        import mmap
+
+        column.append(np.frombuffer(mmap.mmap(-1, 8 * bounds[-1]), np.float64))
+        return [_Gather(lo, column[-1][lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    sinks, fields = _read(str(path), gather)
+    xs = column[-1] if len(sinks) > 1 else np.concatenate([np.empty(0), *sinks[0].pieces])
+    # a run that crosses a piece or range edge comes back in pieces: the runs of the
+    # pieces' thetas join them, and each joined run ends where its last piece does
+    run_thetas, last = _runs(np.concatenate([np.empty(0), *(t for s in sinks for t in s.thetas)]))
+    run_ends = np.concatenate([np.empty(0, np.intp), *(e for s in sinks for e in s.ends)])
+    return SampleBatch.from_runs(run_thetas, run_ends[last - 1], xs), fields
+
+
+class _Rows:
+    """A sink for the rows of a sample file, given an ``(n, 2)`` array of theta and x at a
+    time by ``take``.
+
+    It counts the rows it takes and notes the first that holds a NaN or an
+    infinity, numbered in the file from ``start``, the sink's first row.  A
+    subclass keeps what it needs of the rows in ``_take``, and may set ``full``
+    to be given no more; a reader that stops for that with rows left sets
+    ``partial``.
+    """
+
+    full = partial = False
+
+    def __init__(self, start: int):
+        self.start, self.rows, self.first_bad = start, 0, None
+
+    def take(self, table: np.ndarray) -> None:
+        if self.first_bad is None and not np.isfinite(table).all():
+            self.first_bad = self.start + self.rows + int(np.argmin(np.isfinite(table).all(axis=1)))
+        self._take(table)
+        self.rows += len(table)
+
+    def _take(self, table: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class _Gather(_Rows):
+    """Keeps the rows: the x values in ``out``, the sink's rows of a column that the ranges
+    share, or without ``out`` in ``pieces``; and each piece's phase runs, their ends counted
+    from the file's first row."""
+
+    def __init__(self, start: int, out: np.ndarray | None = None):
+        super().__init__(start)
+        self.out, self.pieces, self.thetas, self.ends = out, [], [], []
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "out": None}  # sent back without the shared column
+
+    def _take(self, table: np.ndarray) -> None:
+        if self.out is None:
+            self.pieces.append(table[:, 1].copy())
+        else:
+            # more rows than the range's lines raise ValueError here, as in any bad file
+            self.out[self.rows:self.rows + len(table)] = table[:, 1]
+        run_thetas, run_ends = _runs(table[:, 0])
+        self.thetas.append(run_thetas)
+        self.ends.append(run_ends + self.start + self.rows)
+
+
+def _read(path: str, sinks) -> tuple[list, dict]:
+    """The rows of the sample file at ``path``, given to sinks, and its sidecar's fields.
+
+    ``sinks(bounds)`` gives a _Rows for each range of rows ``bounds[i]`` up to
+    ``bounds[i + 1]``; ``bounds[-1]`` counts the lines of a CSV (the rows of a
+    .npy), and a single range counts its rows as it parses them.  A ``.npy`` file is one range,
+    read ``_CHUNK_SHOTS`` rows at a time; a CSV is parsed as _parse_csv says.
+    Returns the sinks in row order.  A file that cannot be parsed raises
+    ValueError, and then so does one with a NaN or infinite theta or x, naming
+    its first such row.
+    """
+    parsed = _read_npy(path, sinks) if path.endswith(".npy") else _parse_csv(path, sinks)
+    bad = [sink.first_bad for sink in parsed if sink.first_bad is not None]
     if bad:
         raise ValueError(f"non-finite theta or x in data row {min(bad) + 1}")
-    return batch, _sidecar_for(path, len(batch))
+    return parsed, _sidecar_for(path, sum(sink.rows for sink in parsed))
 
 
-def _read_npy(path: str) -> SampleBatch:
+def _read_npy(path: str, sinks) -> list:
+    """An ``(N, 2)`` float64 .npy array's rows, given to one sink _CHUNK_SHOTS at a time."""
+    fmt = np.lib.format
     with open(path, "rb") as fh:
-        # the .npy reader alone: np.load would also open a zip archive or a pickle
-        body = np.lib.format.read_array(fh, allow_pickle=False)
-    if body.dtype != np.float64 or body.ndim != 2 or body.shape[1] != 2:
-        raise ValueError(
-            f"expected an (N, 2) float64 array, got {body.dtype} of shape {body.shape}"
-        )
-    return SampleBatch.from_runs(*_runs(body[:, 0]), body[:, 1])
+        # the .npy header alone: np.load would also open a zip archive or a pickle
+        version = fmt.read_magic(fh)
+        read_header = {(1, 0): fmt.read_array_header_1_0,
+                       (2, 0): fmt.read_array_header_2_0}.get(version)
+        if read_header is None:
+            raise ValueError(f"unsupported .npy format version {version}")
+        shape, fortran_order, dtype = read_header(fh)
+        if dtype != np.float64 or len(shape) != 2 or shape[1] != 2:
+            raise ValueError(f"expected an (N, 2) float64 array, got {dtype} of shape {shape}")
+        rows = shape[0]
+        sink, = sinks([0, rows])
+        body = fh.tell()
+
+        def values(offset: int, count: int) -> np.ndarray:
+            fh.seek(body + 8 * offset)
+            data = fh.read(8 * count)
+            if len(data) < 8 * count:
+                raise ValueError(f"the file ends before the {rows} rows its header gives")
+            return np.frombuffer(data, np.float64)
+
+        for lo in range(0, rows, _CHUNK_SHOTS):
+            if sink.full:
+                sink.partial = True
+                break
+            count = min(_CHUNK_SHOTS, rows - lo)
+            if fortran_order:  # every theta, then every x
+                sink.take(np.column_stack((values(lo, count), values(rows + lo, count))))
+            else:
+                sink.take(values(2 * lo, 2 * count).reshape(count, 2))
+    return [sink]
 
 
 def _loadtxt(fh) -> np.ndarray:
@@ -594,46 +753,54 @@ def _loadtxt(fh) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
 
 
-def _read_csv(path: str) -> SampleBatch:
-    with open(path, newline="") as fh:
-        line = fh.readline()
-        header = next(csv.reader([line]), [])
-        if header[:2] != ["theta", "x"]:
-            raise ValueError(f"unexpected sample CSV header: {header}")
-        parsed = None
-        if line.endswith("\n"):  # else the header ends in a lone CR or ends the file
-            parsed = _parse_in_parts(path, len(line.encode(fh.encoding)), fh.encoding)
-        if parsed is None:
-            # one np.loadtxt over the whole body, which also gives a bad row's error
-            body = _loadtxt(fh)
-            parsed = SampleBatch.from_runs(*_runs(body[:, 0]), body[:, 1].copy()), 1
-    batch, workers = parsed
-    _log_rows(path, "read", len(batch), workers)
-    return batch
-
-
-def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[SampleBatch, int] | None:
-    """The CSV body from byte ``start`` on, parsed in contiguous ranges, and the number of ranges.
+def _parse_csv(path: str, sinks) -> list:
+    """A CSV's rows given to sinks, in the contiguous ranges of _csv_ranges.
 
     This process parses the first range while forked children parse the
-    others, each writing its x values into one shared array and returning its
-    phase runs.  None when one process should parse the body, or when any
-    range failed: the caller then parses it whole.
+    others, each into its own sink, which it sends back.  When one range
+    covers the body, or when any range fails, this process parses the whole
+    body into one sink instead, so that a bad row's error is the one a single
+    process gives.
+    """
+    with open(path, newline="") as fh:
+        line = fh.readline()
+        encoding = fh.encoding
+    header = next(csv.reader([line]), [])
+    if header[:2] != ["theta", "x"]:
+        raise ValueError(f"unexpected sample CSV header: {header}")
+    start = len(line.encode(encoding))
+    offsets, bounds = _csv_ranges(path, start)
+    parsed = None
+    if len(offsets) > 2:
+        parts = [functools.partial(_parse_range, path, lo, hi, encoding, sink, lines)
+                 for lo, hi, sink, lines in zip(offsets, offsets[1:], sinks(bounds),
+                                                np.diff(bounds).tolist())]
+        with contextlib.suppress(Exception):
+            parsed = _run_parts(parts)
+    if parsed is None:
+        parsed = [_parse_range(path, start, offsets[-1], encoding, sinks([0, bounds[-1]])[0])]
+    _log_rows(path, "read", sum(sink.rows for sink in parsed), len(parsed))
+    return parsed
+
+
+def _csv_ranges(path: str, start: int) -> tuple[list[int], list[int]]:
+    """The byte offsets of the ranges that the CSV body from byte ``start`` on is parsed in,
+    and its end; and each range's first line, and the body's lines.
+
+    There is a range per process that _worker_count gives for the lines.
+    Range i begins after the line that holds the first byte of the
+    _CSV_SLICE_BYTES slice i / workers of the way into the body.
     """
     with open(path, "rb") as raw:
         raw.seek(start)
-        # lines ending before each _CSV_SLICE_BYTES slice of the body, and a last line without a line end
+        # lines ending before each slice of the body, and a last line without a line end
         before, last = [0], b"\n"
         for block in iter(functools.partial(raw.read, _CSV_SLICE_BYTES), b""):
-            before.append(before[-1] + np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
+            before.append(before[-1] + block.count(b"\n"))
             last = block
         end = raw.tell()
         lines = before[-1] + (not last.endswith(b"\n"))
         workers = _worker_count(lines)
-        if workers == 1:
-            return None
-        # range i begins after the line that holds the first byte of slice ``edge``;
-        # first_line[i] is its first line, and its first row in the result
         offsets, first_line = [start], [0]
         for i in range(1, workers):
             edge = (len(before) - 1) * i // workers
@@ -641,45 +808,29 @@ def _parse_in_parts(path: str, start: int, encoding: str) -> tuple[SampleBatch, 
             rest = raw.readline()
             offsets.append(raw.tell())
             first_line.append(before[edge] + 1 if rest.endswith(b"\n") else lines)
-    offsets.append(end)
-    first_line.append(lines)
-
-    import mmap
-
-    # the x column, written by the children in place
-    xs = np.frombuffer(mmap.mmap(-1, 8 * lines), np.float64)
-    parts = [
-        functools.partial(_parse_range, path, offsets[i], offsets[i + 1], encoding,
-                          xs[first_line[i]:first_line[i + 1]])
-        for i in range(workers)
-    ]
-    try:
-        runs = _run_parts(parts)
-    except Exception:
-        return None
-    # a run that crosses a slice or range edge comes back in pieces: the runs of the
-    # pieces' thetas join them, and each joined run ends where its last piece does
-    run_thetas, last = _runs(np.concatenate([t for t, _ in runs]))
-    run_ends = np.concatenate([ends + first for (_, ends), first in zip(runs, first_line)])
-    return SampleBatch.from_runs(run_thetas, run_ends[last - 1], xs), workers
+    return offsets + [end], first_line + [lines]
 
 
-def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parse bytes ``lo``..``hi`` of the CSV, a row per line, in newline-aligned slices: the x
-    values into ``out``, and the phase runs of each slice returned, their ends counted from the
-    range's start.
+def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows,
+                 lines: int | None = None) -> _Rows:
+    """Parse bytes ``lo``..``hi`` of the CSV, a row per line, in newline-aligned pieces of at
+    most _CSV_SLICE_BYTES, give each piece's rows to ``sink`` as it is parsed, and return the
+    sink; stop early once it is full.
 
-    A blank or comment line leaves a row of ``out`` unparsed: ValueError, as
-    for a bad row, so the file is parsed whole instead.
+    A row that cannot be parsed raises np.loadtxt's ValueError, which names
+    the row by its data row in the file, counted from the sink's start.  With
+    ``lines``, a range that does not parse to that many rows raises
+    ValueError too: a blank or comment line, which np.loadtxt skips, so that
+    the caller parses the file whole instead.
     """
-    rows = 0
-    thetas, ends = [], []
     carry = b""
     with open(path, "rb") as raw:
         raw.seek(lo)
         pos = lo
         while pos < hi:
+            if sink.full:
+                sink.partial = True
+                break
             block = raw.read(min(_CSV_SLICE_BYTES, hi - pos))
             if not block:
                 raise ValueError(f"{path} shrank while it was read")
@@ -687,17 +838,29 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, out: np.ndarray
             text = carry + block
             cut = len(text) if pos == hi else text.rfind(b"\n") + 1
             if cut:
-                parsed = _loadtxt(io.StringIO(text[:cut].decode(encoding)))
-                # more rows than the range's lines raise ValueError here, as in any bad file
-                out[rows:rows + len(parsed)] = parsed[:, 1]
-                run_thetas, run_ends = _runs(parsed[:, 0])
-                thetas.append(run_thetas)
-                ends.append(run_ends + rows)
-                rows += len(parsed)
+                sink.take(_parse_piece(text[:cut].decode(encoding), sink.start + sink.rows))
             carry = text[cut:]
-    if rows != len(out):
-        raise ValueError(f"{rows} rows parsed from {len(out)} lines")
-    return np.concatenate([np.empty(0), *thetas]), np.concatenate([np.empty(0, np.intp), *ends])
+    if lines is not None and not sink.full and sink.rows != lines:
+        raise ValueError(f"{sink.rows} rows parsed from {lines} lines")
+    return sink
+
+
+def _parse_piece(text: str, before: int) -> np.ndarray:
+    """The rows of ``text``, whole lines of the CSV after ``before`` data rows, as an (n, 2)
+    array; a row that cannot be parsed raises np.loadtxt's ValueError, with the row named as
+    the file's 1-based data row, header excluded."""
+    try:
+        return _loadtxt(io.StringIO(text))
+    except ValueError:
+        pass
+    try:  # np.loadtxt refuses a lone CR, which a text file reads as a line end
+        return _loadtxt(io.StringIO(text, newline=None))
+    except ValueError as exc:
+        message = str(exc)
+        # np.loadtxt counts rows from 0 where a value is not a number, from 1 where one is missing
+        shift = before + message.startswith("could not convert")
+        raise ValueError(re.sub(r"\bat row (\d+)", lambda m: f"at data row {int(m[1]) + shift}",
+                                message, count=1)) from exc
 
 
 def _sidecar_for(path: str, rows: int) -> dict:

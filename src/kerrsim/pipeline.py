@@ -52,13 +52,14 @@ from .gates import (
 )
 from .homodyne import (
     PhaseSchedule,
-    SampleBatch,
+    _read,
     _run_parts,
     _sample_peak_bytes,
+    _save_shots,
+    _Shots,
     _shots_peak_bytes,
     _worker_count,
     default_schedule,
-    load_samples,
     sample_quadratures,
     save_samples,
 )
@@ -67,7 +68,10 @@ from .tolerances import TOL
 from .tomography import (
     ReconstructionDiagnostics,
     TomographyConfig,
+    _Histogram,
+    _merged,
     _povm_peak_bytes,
+    _sorted_distinct,
     bin_samples,
     build_povm,
     completeness_residual,
@@ -406,13 +410,14 @@ def _save_panels(config: ExperimentConfig, alpha: float, panels: dict) -> str:
     return adir
 
 
-def _save_batch(config: ExperimentConfig, index: int, batch: SampleBatch, name: str) -> None:
-    """Write <alpha dir>/<name> and its sidecar, which records alpha, eta, mode and seed."""
+def _save_batch(config: ExperimentConfig, index: int, batch, name: str, save=save_samples) -> None:
+    """Write <alpha dir>/<name> and its sidecar, which records alpha, eta, mode and seed, by
+    ``save(batch, path, meta)``: save_samples, or homodyne._save_shots for a _Shots."""
     adir = alpha_dir(config.outdir, config.alphas[index])
     os.makedirs(adir, exist_ok=True)
     meta = {"alpha": config.alphas[index], "eta": config.eta, "mode": config.mode,
             "seed": config.schedule(index).seed}
-    save_samples(batch, os.path.join(adir, name), meta=meta)
+    save(batch, os.path.join(adir, name), meta)
 
 
 def _save_diag(directory: str, binned, diag: ReconstructionDiagnostics) -> None:
@@ -440,17 +445,39 @@ def simulate(config: ExperimentConfig) -> list[dict]:
 
 
 def sample(config: ExperimentConfig) -> list[int]:
-    """Sample every alpha as run_pipeline does, one at a time, export each batch as samples.csv
-    plus sidecar, and return the shot counts."""
+    """Sample every alpha as run_pipeline does, one at a time, export each as samples.csv
+    plus sidecar, and return the shot counts.
+
+    The sample stage makes the sampler and tabulates each phase's CDF once,
+    so that a grid that misses the state's mass fails there.  The emit stage
+    draws the shots and writes them, the bytes save_samples writes for
+    sample_quadratures' batch: the rows are split into contiguous ranges, one
+    per usable CPU, and each process draws the rows it formats, so none holds
+    the x column.  numpy's BLAS is held at one thread meanwhile, as in
+    run_pipeline.
+    """
     import numpy.random  # noqa: F401  (as in run_pipeline: no sample stage pays its import)
 
     counts = []
     for index, alpha in enumerate(config.alphas):
-        batch = _sample(config, index, alpha)[0]
-        with _stage("emit", alpha):
-            _save_batch(config, index, batch, "samples.csv")
-        counts.append(len(batch))
+        rho_out_full = _model(config, alpha)[0]
+        with _stage("sample", alpha):
+            shots = _Shots(rho_out_full, config.schedule(index), config.eta)
+            for phase in range(len(shots.schedule.phases)):
+                shots.cdf(phase)
+        # each process tabulates the CDFs of the phases it draws, a BLAS call whose idle
+        # threads would spin on the cores that format the rows
+        with _one_blas_thread(), _stage("emit", alpha):
+            _save_batch(config, index, shots, "samples.csv", save=_save_shots)
+        counts.append(shots.schedule.total)
     return counts
+
+
+def _admitted_phases(tomo: TomographyConfig) -> int:
+    """The most phases whose POVM _povm_peak_bytes admits within the budget; the count grows
+    linearly with the phases."""
+    none = _povm_peak_bytes(tomo, 0)
+    return (_BUDGET - none) // (_povm_peak_bytes(tomo, 1) - none)
 
 
 def reconstruct_file(
@@ -458,28 +485,41 @@ def reconstruct_file(
 ) -> tuple[DensityMatrix, ReconstructionDiagnostics]:
     """Reconstruct from a sample file, ``.csv`` or ``.npy``.
 
-    Writes reconstructed.json and reconstruction_diag.json.  The POVM is
-    built for the phases found in the file and compensates ``config.eta``; if
-    no sidecar records the file's eta, or it records another, the diagnostics
-    carry a warning.  A file or sidecar that cannot be read, or a file with no
-    sample inside the binning range, is a ConfigError.
+    Writes reconstructed.json and reconstruction_diag.json.  The load stage
+    reads and bins the file in one pass, a CSV in the ranges that
+    load_samples parses it in, a .npy ``_CHUNK_SHOTS`` rows at a time: each
+    range counts its rows per phase and bin as it parses them, and holds no x
+    column.  The bin stage adds the ranges' counts up by theta, as
+    bin_samples would count the loaded batch.  A file of more phases than the
+    POVM budget admits is a ConfigError, raised before any histogram of them
+    all exists; a range stops reading once it finds more.  The POVM is built
+    for the phases found in the file and compensates ``config.eta``; if no
+    sidecar records the file's eta, or it records another, the diagnostics
+    carry a warning.  A file or sidecar that cannot be read, or a file with
+    no sample inside the binning range, is a ConfigError.
     """
     tomo = config.tomography()
+    most = _admitted_phases(tomo)
     with _stage("load"):
         try:
-            batch, fields = load_samples(path)
+            histograms, fields = _read(
+                str(path), lambda bounds: [_Histogram(lo, tomo, most) for lo in bounds[:-1]])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read samples from {path}: {exc}") from exc
-    if len(batch):
+    thetas = _sorted_distinct(np.concatenate([np.empty(0), *(h.thetas for h in histograms)]))
+    if thetas.size > most:
+        counted = "at least " if any(h.partial for h in histograms) else ""
+        raise ConfigError(f"cannot reconstruct from {path}: {counted}{thetas.size} phases give a "
+                          f"POVM too large to hold at recon_dim {tomo.dim} within the "
+                          f"{_BUDGET >> 30} GiB budget")
+    rows = sum(h.rows for h in histograms)
+    if rows:
         with _stage("bin"):
-            binned = bin_samples(batch, tomo)
-    if not len(batch) or binned.total <= 0:
+            binned = _merged(histograms, thetas)
+    if not rows or binned.total <= 0:
         raise ConfigError(
-            f"cannot reconstruct from {path}: {len(batch)} samples, none inside +-{tomo.x_max:g}"
+            f"cannot reconstruct from {path}: {rows} samples, none inside +-{tomo.x_max:g}"
         )
-    if _povm_peak_bytes(tomo, phases := binned.thetas.size) > _BUDGET:
-        raise ConfigError(f"cannot reconstruct from {path}: {phases} phases give a POVM too large "
-                          f"to hold at recon_dim {tomo.dim} within the {_BUDGET >> 30} GiB budget")
     with _stage("povm"):
         povm = build_povm(tomo, binned.thetas)
     rho_hat, diag = _reconstruct(None, binned, tomo, povm)

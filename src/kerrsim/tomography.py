@@ -42,6 +42,8 @@ from .homodyne import (
     _CHUNK_SHOTS,
     SampleBatch,
     _last_knot_at_or_below,
+    _Rows,
+    _runs,
     _runs_in,
     wavefunction_table,
 )
@@ -176,26 +178,74 @@ def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
     """
     if len(samples) == 0:
         raise ValueError("empty sample batch")
-    n_bins = config.n_bins
-    edges = config.bin_edges()
     thetas = _sorted_distinct(samples.run_thetas)
-    # each phase owns n_bins + 2 slots: slot 0 below -x_max, slots 1..n_bins the
-    # bins and slot n_bins + 1 at or above x_max (or NaN), as np.digitize numbers
-    # them; a sample's slot is its run's first bin slot plus the last edge <= x
-    run_bin1 = np.searchsorted(thetas, samples.run_thetas) * (n_bins + 2) + 1
-    slots = np.zeros(thetas.size * (n_bins + 2), dtype=np.intp)
-    # in bounded chunks: one guess from (x + x_max) / width and one comparison
-    # with the exact edge above it give each sample's edge without a search
+    slots = np.zeros((thetas.size, config.n_bins + 2), dtype=np.intp)
     for lo in range(0, len(samples), _CHUNK_SHOTS):
         x = samples.xs[lo:lo + _CHUNK_SHOTS]
         runs, lengths = _runs_in(samples.run_ends, lo, lo + x.size)
-        slot = np.repeat(run_bin1[runs], lengths)
-        slot += _last_knot_at_or_below(edges, x, _lower_bin(x, config))
-        slots += np.bincount(slot, minlength=slots.size)
-    slots = slots.reshape(thetas.size, n_bins + 2)
+        _count(slots, thetas, samples.run_thetas[runs], lengths, x, config)
+    return _binned(thetas, slots)
+
+
+def _count(slots: np.ndarray, thetas: np.ndarray, run_thetas: np.ndarray, lengths: np.ndarray,
+           x: np.ndarray, config: TomographyConfig) -> None:
+    """Add the shots ``x`` to ``slots``, whose row i counts phase ``thetas[i]``; the shots
+    come in runs at the phases ``run_thetas``, of ``lengths`` shots each.
+
+    Each phase owns n_bins + 2 slots: slot 0 below -x_max, slots 1..n_bins the
+    bins and slot n_bins + 1 at or above x_max (or NaN), as np.digitize numbers
+    them.  A shot's slot is its run's first bin slot plus the last edge <= x:
+    one guess from (x + x_max) / width and one comparison with the exact edge
+    above it give that edge without a search.
+    """
+    run_bin1 = np.searchsorted(thetas, run_thetas) * (config.n_bins + 2) + 1
+    slot = np.repeat(run_bin1, lengths)
+    slot += _last_knot_at_or_below(config.bin_edges(), x, _lower_bin(x, config))
+    slots += np.bincount(slot, minlength=slots.size).reshape(slots.shape)
+
+
+def _binned(thetas: np.ndarray, slots: np.ndarray) -> BinnedData:
+    """The BinnedData of the slot counts ``slots`` of the phases ``thetas`` (see _count)."""
     out_of_range = int(slots[:, 0].sum() + slots[:, -1].sum())
-    counts = slots[:, 1:-1].astype(np.float64)
-    return BinnedData(thetas, counts, out_of_range)
+    return BinnedData(thetas, slots[:, 1:-1].astype(np.float64), out_of_range)
+
+
+class _Histogram(_Rows):
+    """A sink for a sample file's rows (see homodyne._Rows) that bins them as it takes them,
+    as bin_samples bins a batch: ``slots`` holds a row of slot counts for each of the sorted
+    distinct ``thetas`` it has taken.
+
+    Past ``max_phases`` distinct thetas it is full, and keeps their thetas
+    but neither grows nor adds to its counts.
+    """
+
+    def __init__(self, start: int, config: TomographyConfig, max_phases: int):
+        super().__init__(start)
+        self.config, self.max_phases = config, max_phases
+        self.thetas = np.empty(0)
+        self.slots = np.zeros((0, config.n_bins + 2), dtype=np.intp)
+
+    def _take(self, table: np.ndarray) -> None:
+        run_thetas, run_ends = _runs(table[:, 0])
+        thetas = _sorted_distinct(np.concatenate((self.thetas, run_thetas)))
+        if thetas.size > self.max_phases:
+            self.thetas, self.full = thetas, True
+            return
+        if thetas.size > self.thetas.size:
+            slots = np.zeros((thetas.size, self.slots.shape[1]), dtype=np.intp)
+            slots[np.searchsorted(thetas, self.thetas)] = self.slots
+            self.thetas, self.slots = thetas, slots
+        _count(self.slots, thetas, run_thetas, np.diff(run_ends, prepend=0), table[:, 1],
+               self.config)
+
+
+def _merged(histograms: list[_Histogram], thetas: np.ndarray) -> BinnedData:
+    """The BinnedData of the ranges' histograms, added up exactly by theta on ``thetas``,
+    the sorted distinct thetas of them all."""
+    slots = np.zeros((thetas.size, histograms[0].slots.shape[1]), dtype=np.intp)
+    for histogram in histograms:
+        slots[np.searchsorted(thetas, histogram.thetas)] += histogram.slots
+    return _binned(thetas, slots)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)

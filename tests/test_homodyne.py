@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import signal
 import threading
 import time
@@ -247,6 +248,28 @@ def test_sampler_bit_identical_to_interp_reference(seed, dim, eta, counts):
     assert np.array_equal(batch.thetas, np.repeat(thetas, counts))
 
 
+@settings(max_examples=40)
+@given(counts=st.lists(st.integers(1, 40), min_size=1, max_size=3), chunk=st.integers(1, 9),
+       data=st.data())
+def test_shots_draw_any_rows_as_one_pass_draws_them(counts, chunk, data):
+    # a phase's stream is moved to the first row by advance, four draws a step: rows that
+    # start on a step or off it, and chunks that split phases, draw what the plain sampler does
+    rho = density_from_pure(coherent_state(0.53, 8))
+    thetas = (0.0, 1.0, 2.0)[:len(counts)]
+    schedule = PhaseSchedule(tuple(zip(thetas, counts)), seed=7)
+    reference = _reference_samples(rho, schedule, 0.66)
+    lo = data.draw(st.integers(0, reference.size))
+    hi = data.draw(st.integers(lo, reference.size))
+    shots = homodyne._Shots(rho, schedule, 0.66)
+    with mock.patch.object(homodyne, "_CHUNK_SHOTS", chunk):
+        drawn = [(theta, x.copy()) for theta, x in shots.chunks(lo, hi)]
+    assert all(0 < x.size <= chunk for _, x in drawn)
+    xs = np.concatenate([np.empty(0), *(x for _, x in drawn)])
+    assert np.array_equal(xs.view(np.int64), reference[lo:hi].view(np.int64))
+    assert np.repeat([t for t, _ in drawn], [x.size for _, x in drawn]).tolist() == \
+        np.repeat(thetas, counts)[lo:hi].tolist()
+
+
 def _hand_built_cdfs():
     """(cdf, grid) pairs with flat runs, knots closer than a guide bucket and awkward grids."""
     k = homodyne._GUIDE_SIZE
@@ -469,6 +492,23 @@ def test_npy_samples_round_trip_bit_for_bit(tmp_path):
     assert (meta["file"], meta["count"]) == ("samples.npy", xs.size)
 
 
+@pytest.mark.parametrize("fortran_order", [False, True])
+@pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+def test_npy_reader_takes_any_layout_np_save_writes(fortran_order, version, tmp_path):
+    # the rows are read a chunk at a time from the header's layout: a column-major table
+    # (np.save of a transposed array) and a 2.0 header read as the row-major 1.0 file does
+    rng = np.random.default_rng(6)
+    table = np.column_stack([np.repeat([0.5, -0.0, 2.0], 7), rng.normal(size=21)])
+    path = tmp_path / "samples.npy"
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(
+            fh, np.asfortranarray(table) if fortran_order else table, version=version)
+    with mock.patch.object(homodyne, "_CHUNK_SHOTS", 4):
+        loaded, _ = load_samples(path)
+    assert np.array_equal(loaded.thetas.view(np.int64), table[:, 0].view(np.int64))
+    assert np.array_equal(loaded.xs.view(np.int64), table[:, 1].view(np.int64))
+
+
 @pytest.mark.parametrize("n", [0, 1, 5, 2**16, 2**16 + 1, 200_004])
 def test_npy_samples_are_the_bytes_np_save_gives(n, tmp_path):
     # the header, then the rows a chunk at a time: the file np.save gives for the table
@@ -654,6 +694,14 @@ def _whole_file_loadtxt(path):
             return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
 
 
+def _as_data_row(message):
+    """np.loadtxt's error for the whole body, its row named as load_samples names a bad row: the
+    1-based data row (np.loadtxt counts from 0 where a value is not a number, from 1 where one
+    is missing)."""
+    shift = message.startswith("could not convert")
+    return re.sub(r"\bat row (\d+)", lambda m: f"at data row {int(m[1]) + shift}", message, count=1)
+
+
 def _in_ranges(cpus, slice_bytes):
     """Patches that split even a small CSV over ``cpus`` processes, slice by slice."""
     stack = contextlib.ExitStack()
@@ -697,7 +745,7 @@ def test_load_samples_in_ranges_matches_whole_file_loadtxt(rows, ends, last_end,
     except ValueError as exc:  # a row of spaces is not a blank line
         with _in_ranges(cpus, slice_bytes), pytest.raises(ValueError) as ranged:
             load_samples(path)
-        assert str(ranged.value) == str(exc)
+        assert str(ranged.value) == _as_data_row(str(exc))
         return
     with _in_ranges(cpus, slice_bytes):
         loaded, _ = load_samples(path)
@@ -718,7 +766,8 @@ def test_load_samples_bad_row_in_last_range_raises_the_whole_file_error(bad_row,
             with pytest.raises(ValueError) as ranged:
                 load_samples(path)
         assert fork.call_count == cpus - 1
-        assert str(ranged.value) == str(whole.value)
+        assert str(ranged.value) == _as_data_row(str(whole.value))
+        assert "at data row 61" in str(ranged.value)
         _assert_no_child_left()
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import io
@@ -39,7 +40,7 @@ from kerrsim.pipeline import (
     superposition_for_mode,
 )
 from kerrsim.tolerances import TOL
-from kerrsim.tomography import BinnedData, load_density_matrix
+from kerrsim.tomography import BinnedData, bin_samples, load_density_matrix
 
 FAST = dict(n_phases=6, samples_per_phase=2000, max_iterations=300)
 # the warning of a reconstruction from a file whose eta no sidecar records, at the default eta
@@ -591,6 +592,161 @@ def test_reconstruct_refuses_a_file_of_too_many_phases(tmp_path, capsys):
         "POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
 
 
+def test_reconstruct_refuses_a_npy_of_too_many_phases_before_binning_them(tmp_path, capsys):
+    # one shot at each of 100,000 phases; the default grid's POVM budget admits 8,662, so the
+    # read stops after the first 65,536-row chunk, before any histogram of its phases exists,
+    # and names the phases it counted (a 1.6 MB file that once peaked at 396 MB)
+    tomo = ExperimentConfig().tomography()
+    most = pipeline._admitted_phases(tomo)
+    assert most == 8662
+    assert pipeline._povm_peak_bytes(tomo, most) <= pipeline._BUDGET
+    assert pipeline._povm_peak_bytes(tomo, most + 1) > pipeline._BUDGET
+    n = 100_000
+    path = tmp_path / "samples.npy"
+    homodyne.save_samples(homodyne.SampleBatch(np.arange(n) * math.pi / n, np.zeros(n)), path)
+    args = ["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")]
+    assert main(args) == 2  # first-call imports outside the count
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid configuration: cannot reconstruct from {path}: at least 65536 phases "
+        "give a POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
+    assert peak < 4 * 2**20
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("phases, shots", [(1, 50), (3, 23)])
+def test_sample_csv_is_the_sampled_batch_csv_for_any_worker_count(cpus, phases, shots, tmp_path):
+    # each process draws the rows it writes, from its phases' streams moved to its first row;
+    # 7-shot chunks give a worker to so few rows, and the range edges fall inside a phase,
+    # off the four draws of a Philox step (rows 25; 16 and 33 of one phase of 50)
+    args = ["--alpha", "0.53", "--phases", str(phases), "--samples-per-phase", str(shots),
+            "--seed", "4242"]
+    config = ExperimentConfig(alphas=(0.53,), n_phases=phases, samples_per_phase=shots, seed=4242)
+    expected = tmp_path / "expected.csv"
+    homodyne.save_samples(pipeline._sample(config, 0, 0.53)[0], expected)
+    with mock.patch.object(homodyne, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(homodyne, "_CHUNK_SHOTS", 7), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert main(["sample", *args, "--out", str(tmp_path / "out")]) == 0
+    assert fork.call_count == cpus - 1
+    written = tmp_path / "out" / "alpha_0.53" / "samples.csv"
+    assert written.read_bytes() == expected.read_bytes()
+    assert json.loads(written.with_name("samples_meta.json").read_text())["count"] == phases * shots
+    _assert_no_child_left()
+
+
+_ON_EDGES = ExperimentConfig().tomography().bin_edges()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.sampled_from((0.0, -0.0, 0.5, 1.5, math.pi)), st.integers(1, 9)),
+                  min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    interleaved=st.booleans(),
+    suffix=st.sampled_from([".csv", ".npy"]),
+    cpus=st.integers(1, 3),
+    chunk=st.integers(1, 5),
+    slice_bytes=st.integers(8, 200),
+)
+def test_reconstruct_file_bins_as_bin_samples_of_the_loaded_batch(
+        runs, seed, interleaved, suffix, cpus, chunk, slice_bytes, tmp_path_factory):
+    # each range bins its rows as it parses them, and the ranges' counts are added up by
+    # theta; runs that repeat a theta, interleaved phases, 0.0 beside -0.0, values on and
+    # beside every bin edge and far outside the grid, in ranges and slices of any size
+    rng = np.random.default_rng(seed)
+    thetas = np.repeat([t for t, _ in runs], [count for _, count in runs])
+    if interleaved:
+        thetas = rng.permutation(thetas)
+    pool = np.concatenate([_ON_EDGES, np.nextafter(_ON_EDGES, -np.inf),
+                           np.nextafter(_ON_EDGES, np.inf), [-1e300, 1e300], 4 * rng.normal(size=20)])
+    path = tmp_path_factory.mktemp("samples") / f"samples{suffix}"
+    homodyne.save_samples(homodyne.SampleBatch(thetas, rng.choice(pool, thetas.size)), path)
+    config = ExperimentConfig(max_iterations=5, outdir=str(path.parent / "out"))
+    reference = bin_samples(homodyne.load_samples(path)[0], config.tomography())
+    binned = []
+    reconstruct = pipeline._reconstruct
+
+    def recorded(alpha, data, tomo, povm):
+        binned.append(data)
+        return reconstruct(alpha, data, tomo, povm)
+
+    with mock.patch.object(homodyne, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(homodyne, "_CHUNK_SHOTS", chunk), \
+            mock.patch.object(homodyne, "_CSV_SLICE_BYTES", slice_bytes), \
+            mock.patch.object(pipeline, "_reconstruct", recorded):
+        if reference.total == 0:
+            with pytest.raises(ConfigError, match="none inside"):
+                pipeline.reconstruct_file(config, str(path))
+            return
+        pipeline.reconstruct_file(config, str(path))
+    assert np.array_equal(binned[0].thetas, reference.thetas)
+    assert np.array_equal(binned[0].counts, reference.counts)
+    assert binned[0].out_of_range == reference.out_of_range
+    _assert_no_child_left()
+
+
+def test_sample_and_reconstruct_memory_does_not_grow_with_the_shots(tmp_path):
+    # no shot column: one process draws and writes, then parses and bins, every row, and
+    # both peak below the 8 MB x column of the larger file at 250,000 and 1,000,000 shots
+    base = ExperimentConfig(alphas=(0.53,), max_iterations=50, outdir=str(tmp_path))
+    path = str(tmp_path / "alpha_0.53" / "samples.csv")
+    peaks = []
+    with mock.patch.object(homodyne, "_usable_cpus", return_value=1):
+        pipeline.sample(dataclasses.replace(base, n_phases=2, samples_per_phase=10))  # imports
+        pipeline.reconstruct_file(base, path)
+        for shots in (250_000, 1_000_000):
+            config = dataclasses.replace(base, samples_per_phase=shots // 12)
+            for run in (pipeline.sample, functools.partial(pipeline.reconstruct_file, path=path)):
+                tracemalloc.start()
+                try:
+                    run(config)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+    assert max(peaks) < 8 * 1_000_000, peaks
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("row", [1, 2])
+@pytest.mark.parametrize("bad, error", [
+    ("0.0,abc", "could not convert string 'abc' to float64 at data row {row}, column 2."),
+    ("0.0,nan", "non-finite theta or x in data row {row}")], ids=["text", "nan"])
+def test_sample_file_errors_name_the_data_row(cpus, row, bad, error, tmp_path, capsys):
+    # a value that is not a number and a NaN are named by the same 1-based data row, header
+    # excluded, whether one process or three parse the file, and by both readers
+    rows = [f"{i * 0.25!r},{i / 7!r}" for i in range(60)]
+    rows[row - 1] = bad
+    path = tmp_path / "samples.csv"
+    path.write_text("theta,x\r\n" + "\r\n".join(rows) + "\r\n", newline="")
+    expected = error.format(row=row)
+    with _workers(cpus), mock.patch.object(homodyne, "_CSV_SLICE_BYTES", 16):
+        with pytest.raises(ValueError) as exc:
+            homodyne.load_samples(path)
+        assert str(exc.value) == expected
+        assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration: cannot read samples from {path}: {expected}\n")
+    _assert_no_child_left()
+
+
+def test_python_m_kerrsim_runs_the_command_line():
+    # python -m kerrsim from a source checkout, as the kerrsim script
+    env = {**os.environ, "PYTHONPATH": str(Path(kerrsim.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "kerrsim", "solve"], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["ns_success_probability"] > 0
+
+
 def test_sample_holds_one_amplitude_at_a_time(tmp_path):
     # each amplitude's batch is let go after its emit: what sample returns is the counts
     config = ExperimentConfig(samples_per_phase=5000, outdir=str(tmp_path / "run"))
@@ -610,14 +766,14 @@ def test_sample_csv_failure_is_the_same_for_any_worker_count(cpus, tmp_path, cap
                                                              monkeypatch):
     # rows 0..240,000 in 1, 2 or 3 ranges; the range that reaches row 200,000 fails, here or
     # in a child, and the failure is reported as one process reports it
-    write_rows = homodyne._write_rows
+    write_draws = homodyne._write_draws
 
-    def failing(batch, lo, hi, fh):
+    def failing(shots, lo, hi, fh):
         if hi > 200_000:
             raise ValueError("cannot format row 200000")
-        write_rows(batch, lo, hi, fh)
+        write_draws(shots, lo, hi, fh)
 
-    monkeypatch.setattr(homodyne, "_write_rows", failing)
+    monkeypatch.setattr(homodyne, "_write_draws", failing)
     monkeypatch.setattr(homodyne, "_usable_cpus", lambda: cpus)
     out = tmp_path / "out"
     with mock.patch.object(os, "fork", wraps=os.fork) as fork:

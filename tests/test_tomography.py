@@ -585,6 +585,8 @@ def _reference_bin_counts(shot_thetas, xs, cfg):
     chunk=st.sampled_from([7, 64, tomography._CHUNK_SHOTS]),
 )
 def test_bin_samples_matches_per_phase_reference(seed, bin_width, x_max, n_phases, interleaved, chunk):
+    # the strategies reach grids with no bin (x_max 0.5, bin_width 2), which the config refuses
+    assume(round(2.0 * x_max / bin_width) >= 1)
     cfg = TomographyConfig(bin_width=bin_width, x_max=x_max)
     rng = np.random.default_rng(seed)
     edges = cfg.bin_edges()
