@@ -21,16 +21,12 @@ cumulative end.  The sampler makes one run per schedule phase; the readers
 and writers work on the runs, and none expands a theta per shot.
 
 Sample files are ``.npy`` or CSV.  A CSV is formatted and parsed in
-contiguous row ranges, the first in the calling process and the others in
-forked children, one per usable CPU, and none while another thread runs; the
-bytes and values are those of one process.  A writer formats a batch's rows,
-or draws its own rows of a schedule (``_Shots``) and formats them, so that no
-process holds the shot column.  A reader gives each parsed piece of rows to a
-sink (``_Rows``): ``load_samples`` gathers them into a batch, and
-``tomography._Histogram`` bins them as they come.  ``pipeline.run_pipeline``
-forks its workers through the same ``_run_parts``.  Each child sends back its
-value or its exception with its log records and warnings, in one pickle, so
-a child's failure is reported as one process reports it.
+contiguous row ranges, each a part of ``_parts.run_parts``; the bytes and
+values do not depend on how many.  A writer formats a batch's rows, or draws
+its own rows of a schedule (``_Shots``) and formats them, so that no range
+holds the shot column.  A reader gives each parsed piece of rows to a sink
+(``_Rows``): ``load_samples`` gathers them into a batch, and
+``tomography._Histogram`` bins them as they come.
 """
 
 from __future__ import annotations
@@ -42,16 +38,14 @@ import io
 import json
 import math
 import os
-import pickle
 import re
 import shutil
-import sys
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._parts import _worker_count, run_parts, values
 from .artifacts import atomic_open, write_json
 from .channels import LossChannel, apply_loss
 from .errors import NumericalError
@@ -387,10 +381,8 @@ def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
     its header, then rows built from the runs ``_CHUNK_SHOTS`` at a time, so
     no more than one chunk of the table is held.  Any other path gets a CSV
     (header theta,x): each row is ``repr(theta),repr(x)`` with CRLF line
-    ends, the bytes ``csv.writer`` gives, each run's theta formatted once.
-    The CSV rows are formatted in contiguous ranges by up to one process per
-    usable CPU (at most one per ``_CHUNK_SHOTS`` rows); the bytes do not
-    depend on how many, and there is no setting.
+    ends, the bytes ``csv.writer`` gives, each run's theta formatted once,
+    in the ranges of _write_csv, whose number does not change the bytes.
     """
     path = str(path)
     if path.endswith(".npy"):
@@ -420,118 +412,6 @@ def _save_shots(shots: _Shots, path: str, meta: dict | None = None) -> None:
 def _write_sidecar(path: str, count: int, meta: dict | None) -> None:
     sidecar = {"schema_version": 1, "file": os.path.basename(path), "count": count}
     write_json(_sidecar_path(path), {**sidecar, **(meta or {})})
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork, or should not: while another
-    thread runs, a forked child may inherit a lock that thread holds, and deadlock on it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(rows: int) -> int:
-    """Processes that share ``rows`` CSV rows: one per usable CPU, at most one per _CHUNK_SHOTS rows."""
-    return max(1, min(_usable_cpus(), rows // _CHUNK_SHOTS))
-
-
-class _Kept(list):
-    """A forked child's log records and warnings (see _replay); as the filter of its ``kerrsim``
-    logger it keeps each record, its message formatted so that it pickles, and passes none."""
-
-    def filter(self, record) -> bool:
-        record.msg, record.args = record.getMessage(), None
-        record.exc_info = record.exc_text = None
-        self.append(record)
-        return False
-
-
-def _child(part, pipe: int) -> None:
-    """Run ``part`` in a forked child, write ``(value, exception or None, _Kept events)`` to the
-    file descriptor ``pipe``, pickled, and exit 0, or 255 if that pickle cannot be written."""
-    import logging
-
-    status, events, value, error = 255, _Kept(), None, None
-    try:
-        logging.getLogger("kerrsim").filters = [events]  # the caller's filters act in _replay
-        with warnings.catch_warnings():
-            warnings.showwarning = lambda message, category, filename, lineno, *_: events.append(
-                (message, filename, lineno))
-            try:
-                value = part()
-            except Exception as exc:  # raised by _run_parts in the calling process
-                error = exc
-        with open(pipe, "wb") as out:
-            pickle.dump((value, error, events), out, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _replay(events: list) -> None:
-    """Give a child's log records to this process's ``kerrsim`` logger, and raise its
-    warnings again here, under the filters and the registry of the module each came from,
-    so that a repeat is shown or not as in one process."""
-    for event in events:
-        if not isinstance(event, tuple):
-            import logging
-
-            logging.getLogger("kerrsim").handle(event)
-            continue
-        message, filename, lineno = event
-        module = next((m for m in list(sys.modules.values())
-                       if getattr(m, "__file__", None) == filename), None)
-        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
-        warnings.warn_explicit(message, type(message), filename, lineno,
-                               getattr(module, "__name__", None), registry)
-
-
-def _run_parts(parts: list) -> list:
-    """Call ``parts[0]`` here while each later part runs in a forked child (see _child), and
-    return the parts' values in order.
-
-    Every child is reaped before this returns or raises; if this process is unwinding, its
-    children are killed first.  A child that ends without its pickle raises
-    ChildProcessError; else the children's log records and warnings are given here in part
-    order, then the first child's exception, in part order, is raised unchanged, as one
-    process would raise it."""
-    pids, pipes = [], []
-    try:
-        for part in parts[1:]:
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(part, write)
-            finally:
-                os.close(write)  # the child's copy alone, so its exit ends the pipe
-            pids.append(pid)
-        values = [parts[0]()]
-        payloads = [pipe.read() for pipe in pipes]
-    except BaseException:
-        import signal
-
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for code in filter(None, codes):
-        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        raise ChildProcessError(f"a worker process failed ({how})")
-    outcomes = [pickle.loads(payload) for payload in payloads]
-    for _, _, events in outcomes:
-        _replay(events)
-    errors = [error for _, error, _ in outcomes if error is not None]
-    if errors:
-        raise errors[0]
-    return values + [value for value, _, _ in outcomes]
 
 
 def _log_rows(path: str, action: str, rows: int, workers: int) -> None:
@@ -571,13 +451,11 @@ def _write_draws(shots: _Shots, lo: int, hi: int, fh) -> None:
 
 def _write_csv(path: str, rows: int, write_range) -> None:
     """Write the sample CSV of ``rows`` rows, whose rows ``lo``..``hi`` ``write_range(lo, hi,
-    fh)`` writes, in contiguous ranges: the first here, each later one in a forked child.
-
-    Each child writes its range to its own temporary file beside ``path``;
-    this process writes the header and the first range, then appends the
-    parts in order.
+    fh)`` writes, in contiguous ranges, one a part of run_parts per usable CPU but at most one
+    per _CHUNK_SHOTS rows.  Each range but the first is written to its own temporary file
+    beside ``path``; this process writes the header and the first range, then appends those.
     """
-    workers = _worker_count(rows)
+    workers = _worker_count(rows // _CHUNK_SHOTS)
     bounds = [rows * i // workers for i in range(workers + 1)]
     parts = [f"{path}.{os.urandom(6).hex()}.tmp" for _ in range(workers - 1)]
 
@@ -588,9 +466,9 @@ def _write_csv(path: str, rows: int, write_range) -> None:
     try:
         with atomic_open(path, newline="") as fh:
             fh.write("theta,x\r\n")
-            _run_parts([functools.partial(write_range, bounds[0], bounds[1], fh),
-                        *(functools.partial(write_part, part, lo, hi)
-                          for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))])
+            values(run_parts([functools.partial(write_range, bounds[0], bounds[1], fh),
+                              *(functools.partial(write_part, part, lo, hi)
+                                for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))]))
             fh.flush()
             for part in parts:
                 with open(part, "rb") as src:
@@ -609,19 +487,17 @@ def load_samples(path) -> tuple[SampleBatch, dict]:
     A ``.npy`` file must hold an ``(N, 2)`` float64 array; it is read
     ``_CHUNK_SHOTS`` rows at a time, and the batch takes its phase runs from
     column 0 and its x from column 1.  Any other file is a CSV, parsed by
-    NumPy's C reader, which rounds each decimal exactly as ``float()`` does;
-    its rows are parsed in contiguous ranges by up to one process per usable
-    CPU (at most one per ``_CHUNK_SHOTS`` rows), with the same result however
-    many, and there is no setting.  The ranges' x values go to one shared
-    array of 8 bytes a row, and each range returns its phase runs, which are
-    joined where a run spans two ranges.  Either way a reloaded batch is
-    bit-identical to the saved one.  A file that cannot be parsed raises
-    ValueError, and so does one that holds a NaN or infinite theta or x; each
-    error names the first bad row as its 1-based data row, header excluded,
-    and the sampler writes none.  The fields are {} when no sidecar describes
-    the file (there is none, it names another file, or its count is not the
-    number of rows read); a sidecar that is not a JSON object, or whose
-    ``eta`` is not a number in (0, 1], raises ValueError naming it.
+    NumPy's C reader, which rounds each decimal exactly as ``float()`` does, in
+    the ranges of _parse_csv, whose number does not change the result.  The
+    ranges' x values go to one shared array of 8 bytes a row, and each range
+    returns its phase runs, which are joined where a run spans two.  Either way
+    a reloaded batch is bit-identical to the saved one.  A file that cannot be
+    parsed raises ValueError, and so does one that holds a NaN or infinite
+    theta or x; each error names the first bad row as its 1-based data row,
+    header excluded, and the sampler writes none.  The fields are {} when no
+    sidecar describes the file (there is none, it names another file, or its
+    count is not the number of rows read); a sidecar that is not a JSON object,
+    or whose ``eta`` is not a number in (0, 1], raises ValueError naming it.
     """
     column = []  # the x column the ranges of a CSV share, when there are several
 
@@ -683,8 +559,9 @@ class _Gather(_Rows):
     def _take(self, table: np.ndarray) -> None:
         if self.out is None:
             self.pieces.append(table[:, 1].copy())
+        elif self.rows + len(table) > self.out.size:
+            raise _NotItsLines(f"more rows than the {self.out.size} lines of the range")
         else:
-            # more rows than the range's lines raise ValueError here, as in any bad file
             self.out[self.rows:self.rows + len(table)] = table[:, 1]
         run_thetas, run_ends = _runs(table[:, 0])
         self.thetas.append(run_thetas)
@@ -753,14 +630,18 @@ def _loadtxt(fh) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
 
 
+class _NotItsLines(Exception):
+    """A range of a CSV parsed to more or fewer rows than it has lines: it holds a blank line,
+    a ``#`` line or a lone CR, so its rows, and the rows after it, are not numbered by lines."""
+
+
 def _parse_csv(path: str, sinks) -> list:
     """A CSV's rows given to sinks, in the contiguous ranges of _csv_ranges.
 
-    This process parses the first range while forked children parse the
-    others, each into its own sink, which it sends back.  When one range
-    covers the body, or when any range fails, this process parses the whole
-    body into one sink instead, so that a bad row's error is the one a single
-    process gives.
+    Each range is a part of run_parts, parsed into its own sink.  The first
+    range that fails raises its error, which names the file's data row; but
+    when it fails with _NotItsLines, or when one range covers the body, this
+    process parses the whole body into one sink instead.
     """
     with open(path, newline="") as fh:
         line = fh.readline()
@@ -775,8 +656,8 @@ def _parse_csv(path: str, sinks) -> list:
         parts = [functools.partial(_parse_range, path, lo, hi, encoding, sink, lines)
                  for lo, hi, sink, lines in zip(offsets, offsets[1:], sinks(bounds),
                                                 np.diff(bounds).tolist())]
-        with contextlib.suppress(Exception):
-            parsed = _run_parts(parts)
+        with contextlib.suppress(_NotItsLines):
+            parsed = values(run_parts(parts))
     if parsed is None:
         parsed = [_parse_range(path, start, offsets[-1], encoding, sinks([0, bounds[-1]])[0])]
     _log_rows(path, "read", sum(sink.rows for sink in parsed), len(parsed))
@@ -800,7 +681,7 @@ def _csv_ranges(path: str, start: int) -> tuple[list[int], list[int]]:
             last = block
         end = raw.tell()
         lines = before[-1] + (not last.endswith(b"\n"))
-        workers = _worker_count(lines)
+        workers = _worker_count(lines // _CHUNK_SHOTS)
         offsets, first_line = [start], [0]
         for i in range(1, workers):
             edge = (len(before) - 1) * i // workers
@@ -820,8 +701,7 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows,
     A row that cannot be parsed raises np.loadtxt's ValueError, which names
     the row by its data row in the file, counted from the sink's start.  With
     ``lines``, a range that does not parse to that many rows raises
-    ValueError too: a blank or comment line, which np.loadtxt skips, so that
-    the caller parses the file whole instead.
+    _NotItsLines.
     """
     carry = b""
     with open(path, "rb") as raw:
@@ -841,7 +721,7 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows,
                 sink.take(_parse_piece(text[:cut].decode(encoding), sink.start + sink.rows))
             carry = text[cut:]
     if lines is not None and not sink.full and sink.rows != lines:
-        raise ValueError(f"{sink.rows} rows parsed from {lines} lines")
+        raise _NotItsLines(f"{sink.rows} rows parsed from {lines} lines")
     return sink
 
 

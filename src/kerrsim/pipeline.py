@@ -13,9 +13,7 @@ while writing artifacts is an OSError (an output that cannot be written) or
 a StageError naming ``emit``.  Each stage logs its wall time at INFO level on
 the ``kerrsim`` logger (``kerrsim --verbose``), and each reconstruction logs
 its iterations, convergence flag and certified gap there; no timing enters
-an artifact.  ``run_pipeline`` runs its amplitudes in contiguous ranges, the
-first here and the others in forked workers; its artifacts, output and log
-lines are those of one process.
+an artifact.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import __version__
+from ._parts import _worker_count, run_parts, values
 from .artifacts import alpha_dir, write_json, write_matrix_table, write_table
 from .errors import ConfigError, StageError, _show
 from .fock import (
@@ -51,14 +50,13 @@ from .gates import (
     solve_superposition,
 )
 from .homodyne import (
+    _CHUNK_SHOTS,
     PhaseSchedule,
     _read,
-    _run_parts,
     _sample_peak_bytes,
     _save_shots,
     _Shots,
     _shots_peak_bytes,
-    _worker_count,
     default_schedule,
     sample_quadratures,
     save_samples,
@@ -451,10 +449,8 @@ def sample(config: ExperimentConfig) -> list[int]:
     The sample stage makes the sampler and tabulates each phase's CDF once,
     so that a grid that misses the state's mass fails there.  The emit stage
     draws the shots and writes them, the bytes save_samples writes for
-    sample_quadratures' batch: the rows are split into contiguous ranges, one
-    per usable CPU, and each process draws the rows it formats, so none holds
-    the x column.  numpy's BLAS is held at one thread meanwhile, as in
-    run_pipeline.
+    sample_quadratures' batch; each range of rows draws the rows it formats,
+    so none holds the x column.
     """
     import numpy.random  # noqa: F401  (as in run_pipeline: no sample stage pays its import)
 
@@ -465,9 +461,7 @@ def sample(config: ExperimentConfig) -> list[int]:
             shots = _Shots(rho_out_full, config.schedule(index), config.eta)
             for phase in range(len(shots.schedule.phases)):
                 shots.cdf(phase)
-        # each process tabulates the CDFs of the phases it draws, a BLAS call whose idle
-        # threads would spin on the cores that format the rows
-        with _one_blas_thread(), _stage("emit", alpha):
+        with _stage("emit", alpha):
             _save_batch(config, index, shots, "samples.csv", save=_save_shots)
         counts.append(shots.schedule.total)
     return counts
@@ -588,53 +582,17 @@ def _run_alpha(
 
 def _run_range(
     config: ExperimentConfig, emit: bool, povm: np.ndarray, thetas: np.ndarray, lo: int,
-    hi: int, outcomes: list,
+    hi: int,
 ) -> list:
-    """Amplitudes ``lo``..``hi - 1`` of run_pipeline; appends to ``outcomes``, and returns it,
-    each one's AlphaRecord or the exception it raised."""
+    """Amplitudes ``lo``..``hi - 1`` of run_pipeline: each one's AlphaRecord or the exception
+    it raised."""
+    outcomes = []
     for index in range(lo, hi):
         try:
             outcomes.append(_run_alpha(config, index, config.alphas[index], emit, povm, thetas))
         except Exception as exc:  # raised once every amplitude has run
             outcomes.append(exc)
     return outcomes
-
-
-@functools.cache
-def _openblas():
-    """The OpenBLAS that numpy's wheel bundles, as numpy loaded it, or None where numpy
-    uses another BLAS or none is found."""
-    import ctypes
-    import glob
-
-    here = os.path.dirname(np.__file__)
-    for pattern in (os.path.join(os.path.dirname(here), "numpy.libs", "*openblas*"),
-                    os.path.join(here, ".dylibs", "*openblas*")):
-        for path in glob.glob(pattern):
-            try:
-                # RTLD_NOLOAD: the copy numpy loaded, never a second one
-                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-                lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-            except (OSError, AttributeError):
-                continue
-            return lib
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's BLAS at one thread for the block and yield True, then restore its
-    thread count; yield False, changing nothing, where _openblas finds no library."""
-    lib = _openblas()
-    if lib is None:
-        yield False
-        return
-    threads = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield True
-    finally:
-        lib.scipy_openblas_set_num_threads64_(threads)
 
 
 def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
@@ -647,16 +605,12 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
     error.
 
     The amplitudes are split into contiguous ranges, one per usable CPU but at
-    most one per ``homodyne._CHUNK_SHOTS`` shots.  This process runs the first
-    range while forked workers run the others, each amplitude with all its
-    stages, ``emit`` included; none is forked while another thread runs.  With
-    more than one worker, numpy's BLAS is held at one thread in every process
-    until the workers have ended; where it cannot be, one process runs them
-    all.  The workers' log records and warnings are given here in amplitude
-    order, after this process's own.  Every amplitude runs, and writes its
-    artifacts if it succeeds; then the lowest-index failure is raised, and
-    ``report.json`` is written only when none failed.  A worker that ends
-    without a result is a StageError of stage ``worker``.
+    most one per ``_CHUNK_SHOTS`` shots, each a part of ``_parts.run_parts``
+    that runs its amplitudes with all their stages, ``emit`` included.  Every
+    amplitude runs, and writes its artifacts if it succeeds; a worker that
+    ends without a result fails each of its amplitudes with a StageError of
+    stage ``worker``.  Then the lowest-index failure is raised, and
+    ``report.json`` is written only when none failed.
     """
     # numpy loads numpy.random on first use: load it before the first stage, so that no
     # amplitude's sample stage is charged for it, and the workers inherit it
@@ -671,26 +625,14 @@ def run_pipeline(config: ExperimentConfig, emit: bool = True) -> RunReport:
         thetas = np.array([theta for theta, _ in config.schedule(0).phases])
         povm = build_povm(config.tomography(), thetas)
     count = len(config.alphas)
-    workers = min(count, _worker_count(count * config.schedule(0).total))
-    outcomes: list = []
-    lost = []
-    with _one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as held:
-        workers = workers if held else 1
-        bounds = [count * i // workers for i in range(workers + 1)]
-        run = functools.partial(_run_range, config, emit, povm, thetas)
-        try:
-            _, *caught = _run_parts([
-                functools.partial(run, 0, bounds[1], outcomes),
-                *(functools.partial(run, lo, hi, []) for lo, hi in zip(bounds[1:], bounds[2:])),
-            ])
-        except (OSError, ChildProcessError) as exc:
-            caught, lost = [], [StageError("worker", str(exc))]
-    for part in caught:
-        outcomes += part
-    failures = [o for o in outcomes if isinstance(o, Exception)] + lost
-    if failures:
-        raise failures[0]
-    report.records = outcomes
+    workers = _worker_count(min(count, count * config.schedule(0).total // _CHUNK_SHOTS))
+    ranges = [(count * i // workers, count * (i + 1) // workers) for i in range(workers)]
+    run = functools.partial(_run_range, config, emit, povm, thetas)
+    outcomes = []
+    for (lo, hi), part in zip(ranges, run_parts([functools.partial(run, *r) for r in ranges])):
+        dead = isinstance(part, BaseException)
+        outcomes += [StageError("worker", str(part))] * (hi - lo) if dead else part
+    report.records = values(outcomes)
     if emit:
         with _stage("emit"):
             write_json(os.path.join(config.outdir, "report.json"), report.to_dict())

@@ -1,3 +1,4 @@
+import os
 import time
 from dataclasses import dataclass
 
@@ -9,6 +10,17 @@ from kerrsim.pipeline import ExperimentConfig, RunReport, run_pipeline
 # a busy machine can stall one example past hypothesis' default 200 ms deadline
 settings.register_profile("kerrsim", deadline=None)
 settings.load_profile("kerrsim")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, ended or still running."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process ({'still running' if pid == 0 else pid})")
 
 
 @dataclass

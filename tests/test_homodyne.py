@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from kerrsim import homodyne
+from kerrsim import _parts, homodyne
 from kerrsim.channels import LossChannel, apply_loss
 from kerrsim.errors import NumericalError
 from kerrsim.fock import DensityMatrix, basis_state, coherent_state, density_from_pure
@@ -557,10 +557,6 @@ def _saved_bytes(batch, path):
     return path.read_bytes()
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
 
 _EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 9999999999999998.0,
                 0.0001, math.pi, -1.5)
@@ -590,10 +586,9 @@ def test_save_samples_bytes_match_row_writer(runs, xs_pool, chunk, cpus, worker_
     path = tmp_path_factory.mktemp("csv") / "samples.csv"
     with mock.patch.object(homodyne, "_CSV_CHUNK_ROWS", chunk), \
             mock.patch.object(homodyne, "_CHUNK_SHOTS", worker_rows), \
-            mock.patch.object(homodyne, "_usable_cpus", return_value=cpus):
+            mock.patch.object(_parts, "_usable_cpus", return_value=cpus):
         assert _saved_bytes(batch, path) == _reference_csv(batch)
     assert sorted(os.listdir(path.parent)) == ["samples.csv", "samples_meta.json"]
-    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -640,8 +635,8 @@ def test_save_samples_default_batch_bytes(tmp_path):
     batch = sample_quadratures(rho, schedule, eta=0.66)
     assert len(batch) == 12 * 16667
     # 200k rows give every usable CPU up to three a range of its own
-    workers = homodyne._worker_count(len(batch))
-    assert workers == min(homodyne._usable_cpus(), 3)
+    workers = _parts._worker_count(len(batch) // homodyne._CHUNK_SHOTS)
+    assert workers == min(_parts._usable_cpus(), 3)
     path = tmp_path / "samples.csv"
     with mock.patch.object(os, "fork", wraps=os.fork) as fork:
         assert _saved_bytes(batch, path) == _reference_csv(batch)
@@ -650,7 +645,6 @@ def test_save_samples_default_batch_bytes(tmp_path):
         assert fork.call_count == 2 * (workers - 1)
     assert np.array_equal(loaded.xs.view(np.int64), batch.xs.view(np.int64))
     assert np.array_equal(loaded.thetas.view(np.int64), batch.thetas.view(np.int64))
-    _assert_no_child_left()
 
 
 def test_csv_forks_no_worker_while_another_thread_runs(tmp_path, caplog):
@@ -666,7 +660,7 @@ def test_csv_forks_no_worker_while_another_thread_runs(tmp_path, caplog):
     helper = threading.Thread(target=release.wait)
     helper.start()
     try:
-        assert homodyne._worker_count(len(batch)) == 1
+        assert _parts._worker_count(len(batch) // homodyne._CHUNK_SHOTS) == 1
         path = tmp_path / "threaded.csv"
         with caplog.at_level("INFO", logger="kerrsim"), \
                 mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
@@ -682,7 +676,6 @@ def test_csv_forks_no_worker_while_another_thread_runs(tmp_path, caplog):
     for got in (loaded, forked_load):
         assert np.array_equal(got.xs.view(np.int64), batch.xs.view(np.int64))
         assert np.array_equal(got.thetas.view(np.int64), batch.thetas.view(np.int64))
-    _assert_no_child_left()
 
 
 def _whole_file_loadtxt(path):
@@ -706,7 +699,7 @@ def _in_ranges(cpus, slice_bytes):
     """Patches that split even a small CSV over ``cpus`` processes, slice by slice."""
     stack = contextlib.ExitStack()
     stack.enter_context(mock.patch.object(homodyne, "_CHUNK_SHOTS", 1))
-    stack.enter_context(mock.patch.object(homodyne, "_usable_cpus", return_value=cpus))
+    stack.enter_context(mock.patch.object(_parts, "_usable_cpus", return_value=cpus))
     stack.enter_context(mock.patch.object(homodyne, "_CSV_SLICE_BYTES", slice_bytes))
     return stack
 
@@ -751,7 +744,6 @@ def test_load_samples_in_ranges_matches_whole_file_loadtxt(rows, ends, last_end,
         loaded, _ = load_samples(path)
     assert np.array_equal(loaded.thetas.view(np.int64), expected[:, 0].view(np.int64))
     assert np.array_equal(loaded.xs.view(np.int64), expected[:, 1].view(np.int64))
-    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("bad_row", ["1.0,abc", "2.0", "0.5,", "1.0;2.0"])
@@ -768,7 +760,6 @@ def test_load_samples_bad_row_in_last_range_raises_the_whole_file_error(bad_row,
         assert fork.call_count == cpus - 1
         assert str(ranged.value) == _as_data_row(str(whole.value))
         assert "at data row 61" in str(ranged.value)
-        _assert_no_child_left()
 
 
 _PHASES = (0.0, -0.0, math.pi / 12, 1.5, 1e-300)
@@ -804,7 +795,6 @@ def test_csv_round_trip_of_shuffled_batch_matches_per_shot_reference(counts, see
     assert np.array_equal(loaded.xs.view(np.int64), xs.view(np.int64))
     run_bits = loaded.run_thetas.view(np.int64)
     assert np.all(run_bits[1:] != run_bits[:-1])  # runs split at a range or slice edge are joined
-    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".npy"])
@@ -824,7 +814,6 @@ def test_load_samples_names_the_first_bad_row_of_theta_or_x(suffix, cpus, tmp_pa
                 load_samples(path)
         first = min(bad_x, 20 * bad_theta_run) + 1
         assert str(exc.value) == f"non-finite theta or x in data row {first}"
-    _assert_no_child_left()
 
 
 def _failing_in_children(fn, failure):
@@ -871,7 +860,6 @@ def test_save_samples_child_failure_raises_and_leaves_nothing(failure, raised, t
     elif raised is RuntimeError:
         assert str(exc.value) == "formatter broke"
     assert os.listdir(tmp_path) == []
-    _assert_no_child_left()
 
 
 def test_csv_children_log_and_warn_as_one_process(tmp_path, caplog):
@@ -894,7 +882,6 @@ def test_csv_children_log_and_warn_as_one_process(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         *ranges, "samples.csv: 60 rows written, 3 workers"]
     assert (tmp_path / "samples.csv").read_bytes() == _reference_csv(_SMALL_BATCH)
-    _assert_no_child_left()
 
 
 def test_save_samples_failure_here_kills_and_reaps_the_children(tmp_path):
@@ -913,24 +900,54 @@ def test_save_samples_failure_here_kills_and_reaps_the_children(tmp_path):
             save_samples(_SMALL_BATCH, path)
     assert time.monotonic() - start < 30
     assert os.listdir(tmp_path) == ["samples.csv"] and path.read_bytes() == b"previous"
-    _assert_no_child_left()
 
 
-@pytest.mark.parametrize("failure", [_raise(RuntimeError("parser broke")), _killed],
-                         ids=["exception", "killed"])
-def test_load_samples_child_failure_falls_back_to_one_reader(failure, tmp_path):
-    # a range that fails for a reason other than its rows is parsed again by the
-    # whole-file reader, which gives the result or the error of a bad row
+@pytest.mark.parametrize(
+    "failure, raised",
+    [(_raise(RuntimeError("parser broke")), "parser broke"),
+     (_killed, f"a worker process failed (killed by signal {signal.SIGKILL})")],
+    ids=["exception", "killed"],
+)
+def test_load_samples_child_failure_is_raised(failure, raised, tmp_path):
+    # a reading child's failure is raised here as a writing child's is: its exception, or a
+    # ChildProcessError for a child that ends without its result; no range is parsed again
     path = tmp_path / "samples.csv"
     save_samples(_SMALL_BATCH, path)
     parse_range = _failing_in_children(homodyne._parse_range, failure)
-    with _in_ranges(3, 16), mock.patch.object(homodyne, "_parse_range", parse_range), \
+    with _in_ranges(3, 16), \
+            mock.patch.object(homodyne, "_parse_range", wraps=parse_range) as here, \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        loaded, fields = load_samples(path)
-    assert fork.call_count == 2
-    assert np.array_equal(loaded.xs, _SMALL_BATCH.xs) and fields["count"] == 60
+        with pytest.raises(ChildProcessError if failure is _killed else RuntimeError) as exc:
+            load_samples(path)
+    assert (fork.call_count, here.call_count) == (2, 1)
+    assert str(exc.value) == raised
     assert sorted(os.listdir(tmp_path)) == ["samples.csv", "samples_meta.json"]
-    _assert_no_child_left()
+
+
+def test_load_samples_bad_row_in_last_range_parses_each_range_once(tmp_path):
+    # the range that holds the bad row names it as the file's data row, as one process
+    # would; no process parses the file, or a range, a second time
+    path = tmp_path / "samples.csv"
+    rows = [f"{i * 0.25!r},{i / 7!r}" for i in range(60)] + ["1.0,abc"]
+    path.write_text("theta,x\r\n" + "\r\n".join(rows) + "\r\n", newline="")
+    with pytest.raises(ValueError) as whole:
+        _whole_file_loadtxt(path)
+    calls, parse_range = tmp_path / "calls", homodyne._parse_range
+
+    def recorded(path, lo, hi, *args):
+        with open(calls, "a") as fh:  # one small append a call, from any process
+            fh.write(f"{lo} {hi}\n")
+        return parse_range(path, lo, hi, *args)
+
+    with _in_ranges(3, 16), mock.patch.object(homodyne, "_parse_range", recorded):
+        offsets, _ = homodyne._csv_ranges(path, len("theta,x\r\n"))
+        with pytest.raises(ValueError) as ranged:
+            load_samples(path)
+    assert len(offsets) == 4 and offsets[2] < path.read_bytes().index(b"1.0,abc")
+    assert sorted(tuple(map(int, line.split())) for line in calls.read_text().splitlines()) == \
+        list(zip(offsets, offsets[1:]))
+    assert str(ranged.value) == _as_data_row(str(whole.value))
+    assert str(ranged.value) == "could not convert string 'abc' to float64 at data row 61, column 2."
 
 
 def test_one_usable_cpu_never_forks(tmp_path):
@@ -938,7 +955,7 @@ def test_one_usable_cpu_never_forks(tmp_path):
     with mock.patch.object(homodyne, "_CHUNK_SHOTS", 1), \
             mock.patch.object(os, "sched_getaffinity", return_value={0}), \
             mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
-        assert homodyne._worker_count(len(_SMALL_BATCH)) == 1
+        assert _parts._worker_count(len(_SMALL_BATCH) // homodyne._CHUNK_SHOTS) == 1
         save_samples(_SMALL_BATCH, path)
         loaded, _ = load_samples(path)
     assert path.read_bytes() == _reference_csv(_SMALL_BATCH)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import functools
 import importlib
 import importlib.util
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import kerrsim
-from kerrsim import homodyne, pipeline
+from kerrsim import _parts, homodyne, pipeline
 from kerrsim.artifacts import atomic_open, write_json
 from kerrsim.cli import main
 from kerrsim.errors import ConfigError, StageError
@@ -33,6 +34,7 @@ from kerrsim.pipeline import (
     BESTFIT_RATIO_PHASE,
     MODES,
     ExperimentConfig,
+    SignSummary,
     fix_global_phase,
     klm_compare,
     run_pipeline,
@@ -632,7 +634,7 @@ def test_sample_csv_is_the_sampled_batch_csv_for_any_worker_count(cpus, phases, 
     config = ExperimentConfig(alphas=(0.53,), n_phases=phases, samples_per_phase=shots, seed=4242)
     expected = tmp_path / "expected.csv"
     homodyne.save_samples(pipeline._sample(config, 0, 0.53)[0], expected)
-    with mock.patch.object(homodyne, "_usable_cpus", return_value=cpus), \
+    with mock.patch.object(_parts, "_usable_cpus", return_value=cpus), \
             mock.patch.object(homodyne, "_CHUNK_SHOTS", 7), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         assert main(["sample", *args, "--out", str(tmp_path / "out")]) == 0
@@ -640,7 +642,6 @@ def test_sample_csv_is_the_sampled_batch_csv_for_any_worker_count(cpus, phases, 
     written = tmp_path / "out" / "alpha_0.53" / "samples.csv"
     assert written.read_bytes() == expected.read_bytes()
     assert json.loads(written.with_name("samples_meta.json").read_text())["count"] == phases * shots
-    _assert_no_child_left()
 
 
 _ON_EDGES = ExperimentConfig().tomography().bin_edges()
@@ -679,7 +680,7 @@ def test_reconstruct_file_bins_as_bin_samples_of_the_loaded_batch(
         binned.append(data)
         return reconstruct(alpha, data, tomo, povm)
 
-    with mock.patch.object(homodyne, "_usable_cpus", return_value=cpus), \
+    with mock.patch.object(_parts, "_usable_cpus", return_value=cpus), \
             mock.patch.object(homodyne, "_CHUNK_SHOTS", chunk), \
             mock.patch.object(homodyne, "_CSV_SLICE_BYTES", slice_bytes), \
             mock.patch.object(pipeline, "_reconstruct", recorded):
@@ -691,7 +692,6 @@ def test_reconstruct_file_bins_as_bin_samples_of_the_loaded_batch(
     assert np.array_equal(binned[0].thetas, reference.thetas)
     assert np.array_equal(binned[0].counts, reference.counts)
     assert binned[0].out_of_range == reference.out_of_range
-    _assert_no_child_left()
 
 
 def test_sample_and_reconstruct_memory_does_not_grow_with_the_shots(tmp_path):
@@ -700,7 +700,7 @@ def test_sample_and_reconstruct_memory_does_not_grow_with_the_shots(tmp_path):
     base = ExperimentConfig(alphas=(0.53,), max_iterations=50, outdir=str(tmp_path))
     path = str(tmp_path / "alpha_0.53" / "samples.csv")
     peaks = []
-    with mock.patch.object(homodyne, "_usable_cpus", return_value=1):
+    with mock.patch.object(_parts, "_usable_cpus", return_value=1):
         pipeline.sample(dataclasses.replace(base, n_phases=2, samples_per_phase=10))  # imports
         pipeline.reconstruct_file(base, path)
         for shots in (250_000, 1_000_000):
@@ -735,7 +735,6 @@ def test_sample_file_errors_name_the_data_row(cpus, row, bad, error, tmp_path, c
         assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         f"error: invalid configuration: cannot read samples from {path}: {expected}\n")
-    _assert_no_child_left()
 
 
 def test_python_m_kerrsim_runs_the_command_line():
@@ -774,7 +773,7 @@ def test_sample_csv_failure_is_the_same_for_any_worker_count(cpus, tmp_path, cap
         write_draws(shots, lo, hi, fh)
 
     monkeypatch.setattr(homodyne, "_write_draws", failing)
-    monkeypatch.setattr(homodyne, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_parts, "_usable_cpus", lambda: cpus)
     out = tmp_path / "out"
     with mock.patch.object(os, "fork", wraps=os.fork) as fork:
         code = main(["sample", "--alpha", "0.53", "--samples-per-phase", "20000", "--out",
@@ -782,7 +781,6 @@ def test_sample_csv_failure_is_the_same_for_any_worker_count(cpus, tmp_path, cap
     assert (code, fork.call_count) == (3, cpus - 1)
     assert capsys.readouterr().err == "error: stage 'emit': cannot format row 200000\n"
     assert os.listdir(out / "alpha_0.53") == []
-    _assert_no_child_left()
 
 
 def test_cli_huge_amplitude_fails_in_forward_model(tmp_path, capsys):
@@ -1306,16 +1304,13 @@ _THREE = ["--alpha", "0.23", "--alpha", "0.53", "--alpha", "0.79", "--phases", "
 TINY = dict(FAST, n_phases=3, samples_per_phase=200)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
 
 def _workers(cpus):
     """Patches that give ``cpus`` usable CPUs and a worker for as few as one shot."""
     stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(homodyne, "_usable_cpus", return_value=cpus))
+    stack.enter_context(mock.patch.object(_parts, "_usable_cpus", return_value=cpus))
     stack.enter_context(mock.patch.object(homodyne, "_CHUNK_SHOTS", 1))
+    stack.enter_context(mock.patch.object(pipeline, "_CHUNK_SHOTS", 1))
     return stack
 
 
@@ -1334,7 +1329,6 @@ def _run_on(cpus, args, out, capsys, caplog):
     files = {str(p.relative_to(out)): p.read_bytes().replace(str(out).encode(), b"<out>")
              for p in sorted(out.rglob("*")) if p.is_file()}
     logged = [masked(r.getMessage()) for r in caplog.records if r.name == "kerrsim"]
-    _assert_no_child_left()
     return (code, masked(captured.out), masked(captured.err), logged), files, fork.call_count
 
 
@@ -1402,6 +1396,45 @@ def test_pipeline_worker_killed_exits_3(tmp_path, capsys, caplog, monkeypatch):
     assert "report.json" not in files
 
 
+def test_pipeline_killed_worker_loses_no_other_failure_or_record(tmp_path, capsys, caplog,
+                                                                monkeypatch):
+    # three workers: alpha 0.23 here, 0.53 in the second, which fails, and 0.79 in the third,
+    # which is killed; the killed worker's amplitude alone is lost, the lower-index failure
+    # is raised, and the second worker's log lines are given here
+    _failing_at((0.53,), monkeypatch)
+    forward = pipeline.simulate_forward
+
+    def forward_model(config, alpha):
+        pipeline._log.info("forward model alpha=%g", alpha)
+        if alpha == 0.79:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(config, alpha)
+
+    monkeypatch.setattr(pipeline, "simulate_forward", forward_model)
+    (code, out, err, logged), files, forks = _run_on(3, ["--verbose", "pipeline", *_THREE],
+                                                     tmp_path / "run", capsys, caplog)
+    assert (code, out, forks) == (3, "", 2)
+    assert err.splitlines()[-1] == "error: stage 'forward-model': forced at alpha=0.53"
+    assert {Path(name).parts[0] for name in files} == {"alpha_0.23"}
+    assert [line for line in logged if line.startswith("forward model")] == [
+        "forward model alpha=0.23", "forward model alpha=0.53"]
+    assert "stage emit alpha=0.23: <time>" in logged
+
+
+def test_pipeline_worker_that_cannot_start_fails_its_amplitudes(tmp_path, capsys):
+    # no process to be had for the workers: this process still runs and writes alpha 0.23,
+    # and the workers' amplitudes fail in stage worker
+    out = tmp_path / "run"
+    with _workers(3), mock.patch.object(os, "fork", side_effect=BlockingIOError(
+            errno.EAGAIN, "Resource temporarily unavailable")) as fork:
+        code = main(["pipeline", *_THREE, "--out", str(out)])
+    assert (code, fork.call_count) == (3, 1)
+    assert capsys.readouterr().err == (
+        "error: stage 'worker': a worker process could not start "
+        f"([Errno {errno.EAGAIN}] Resource temporarily unavailable)\n")
+    assert sorted(p.name for p in out.iterdir()) == ["alpha_0.23"]
+
+
 @pytest.mark.filterwarnings("ignore:conditional output weight:UserWarning")
 def test_pipeline_worker_warnings_are_given_here(tmp_path, capsys, caplog):
     # the zero output at alpha 0 warns in the worker that runs it; the warning is raised
@@ -1438,17 +1471,22 @@ def test_pipeline_worker_warnings_repeat_as_in_one_process(tmp_path, monkeypatch
 
 
 def test_pipeline_forks_nothing_where_the_blas_cannot_be_held(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "_openblas", lambda: None)
-    with _workers(2), mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+    # three CPUs and a worker for every shot, but no BLAS to hold: one usable CPU
+    monkeypatch.setattr(_parts, "_openblas", lambda: None)
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2}), \
+            mock.patch.object(homodyne, "_CHUNK_SHOTS", 1), \
+            mock.patch.object(pipeline, "_CHUNK_SHOTS", 1), \
+            mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert _parts._usable_cpus() == 1
         report = run_pipeline(ExperimentConfig(outdir=str(tmp_path / "run"), **TINY))
     assert [r.alpha for r in report.records] == [0.23, 0.53, 0.79]
 
 
-@pytest.mark.skipif(pipeline._openblas() is None, reason="numpy's BLAS is not its own OpenBLAS")
+@pytest.mark.skipif(_parts._openblas() is None, reason="numpy's BLAS is not its own OpenBLAS")
 @pytest.mark.parametrize("failing", [(), (0.79,)])
 def test_pipeline_holds_the_blas_at_one_thread_then_restores_it(failing, tmp_path, caplog,
                                                                  monkeypatch):
-    lib = pipeline._openblas()
+    lib = _parts._openblas()
     before = lib.scipy_openblas_get_num_threads64_()
     forward = pipeline.simulate_forward
 
@@ -1469,3 +1507,22 @@ def test_pipeline_holds_the_blas_at_one_thread_then_restores_it(failing, tmp_pat
         lib.scipy_openblas_set_num_threads64_(before)
     held = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blas")]
     assert held == ["blas threads 1"] * (3 - len(failing))
+
+
+_FAILS_AT_ZERO = st.one_of(st.just(0.0), st.just(-0.0), st.just(math.nan))
+
+
+@given(
+    holds=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    data=st.data(),
+    im01=st.floats(),
+)
+def test_vacuum_flip_needs_every_witness_clause(holds, data, im01):
+    # the paper's sign change is Re rho01 < 0, Re rho02 < 0 and Re rho12 > 0; it is visible
+    # only when all three hold, and a clause fails at either zero and at NaN too
+    negative = st.floats(max_value=0.0, exclude_max=True, allow_nan=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+    re01, re02 = (data.draw(negative if ok else st.one_of(positive, _FAILS_AT_ZERO))
+                  for ok in holds[:2])
+    re12 = data.draw(positive if holds[2] else st.one_of(negative, _FAILS_AT_ZERO))
+    assert SignSummary(re01, re02, re12, im01).vacuum_flip_visible() is all(holds)

@@ -30,6 +30,7 @@ from kerrsim.homodyne import (
     PhaseSchedule,
     SampleBatch,
     default_schedule,
+    quadrature_pdf,
     sample_quadratures,
     wavefunction_table,
 )
@@ -798,3 +799,26 @@ def test_first_bin_samples_leaves_numpy_ma_unloaded():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\n"
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 8),
+    eta=st.floats(0.05, 1.0),
+    theta=st.floats(-2 * math.pi, 2 * math.pi),
+)
+def test_povm_born_probability_is_the_bin_mass_of_the_sampled_pdf(seed, dim, eta, theta):
+    # the estimator (tomography's POVM) and the sampler (homodyne's pdf of the lossy state)
+    # share one phase convention and one loss model: Tr[rho E_b(theta)] is the mass of bin
+    # b under quadrature_pdf(apply_loss(rho, eta), theta, x), here by a 40-node
+    # Gauss-Legendre rule per bin
+    rho = _random_density(np.random.default_rng(seed), dim, rank=dim)
+    cfg = TomographyConfig(dim=dim, eta=eta, bin_width=0.25)
+    born = np.einsum("bmn,nm->b", build_povm(cfg, [theta])[0], rho.elems).real
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    edges = cfg.bin_edges()
+    half = 0.5 * np.diff(edges)[:, None]
+    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    pdf = quadrature_pdf(apply_loss(rho, LossChannel(eta)), theta, x.ravel()).reshape(x.shape)
+    assert_allclose(born, (half * pdf) @ weights, rtol=0, atol=1e-13)
