@@ -64,6 +64,7 @@ from .errors import (
     ConfigError,
     KerrsimError,
     NumericalError,
+    SampleFileError,
     StageError,
     SubspaceSupportError,
     TruncationOverflowError,

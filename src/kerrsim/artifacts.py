@@ -16,12 +16,12 @@ __all__ = ["atomic_open", "write_json", "write_table", "write_matrix_table", "al
 
 
 @contextlib.contextmanager
-def atomic_open(path, newline: str | None = None, binary: bool = False):
+def atomic_open(path, binary: bool = False):
     """Text file handle, or bytes if ``binary``, whose content replaces ``path`` on a clean exit."""
     path = os.fspath(path)
     # "x" refuses an existing name; the file keeps the umask's permissions
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp, "xb" if binary else "x", newline=newline)
+    fh = open(tmp, "xb" if binary else "x")
     try:
         with fh:
             yield fh

@@ -5,8 +5,9 @@ Subcommands: ``pipeline`` (full run), ``simulate`` (forward model only),
 ``.csv`` or ``.npy``), ``klm`` (detector comparison table), ``solve``
 (print gate algebra).  Exit codes:
 0 success, 2 invalid configuration, unusable sample file or sidecar, or an
-output that cannot be written (path named on stderr), 3 numerical failure
-(stage named on stderr); reconstruction warnings go to stderr.  Each subcommand but
+output that cannot be written (path named on stderr), 3 numerical failure or
+a worker process that ended without its result (stage named on stderr);
+reconstruction warnings go to stderr.  Each subcommand but
 ``solve`` is one ``pipeline`` entry point; ``kerrsim --verbose`` logs its
 stages' wall times, each reconstruction's convergence and each sample CSV's
 rows and worker processes to stderr.
@@ -23,7 +24,7 @@ import logging
 import os
 import sys
 
-from .errors import ConfigError, StageError
+from .errors import ConfigError, SampleFileError, StageError
 from .gates import solve_superposition
 from .klm import solve_ns_transmittances
 from .pipeline import (
@@ -206,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
             return args.fn(args)
     except OSError as exc:  # unreadable inputs already became ConfigError; this is an output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except SampleFileError as exc:  # names its file, which is no configuration
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

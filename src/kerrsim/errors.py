@@ -22,6 +22,10 @@ class ConfigError(KerrsimError):
     """Invalid configuration (bad field values, malformed config file)."""
 
 
+class SampleFileError(ConfigError):
+    """An unusable sample file or sidecar; the message names the file."""
+
+
 class NumericalError(KerrsimError):
     """A numerical contract was violated during a computation."""
 

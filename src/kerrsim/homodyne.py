@@ -22,11 +22,12 @@ and writers work on the runs, and none expands a theta per shot.
 
 Sample files are ``.npy`` or CSV.  A CSV is formatted and parsed in
 contiguous row ranges, each a part of ``_parts.run_parts``; the bytes and
-values do not depend on how many.  A writer formats a batch's rows, or draws
-its own rows of a schedule (``_Shots``) and formats them, so that no range
-holds the shot column.  A reader gives each parsed piece of rows to a sink
-(``_Rows``): ``load_samples`` gathers them into a batch, and
-``tomography._Histogram`` bins them as they come.
+values do not depend on how many.  The x values are formatted with array
+arithmetic (``_floatrepr.format_rows``), bit for bit as ``repr``.  A writer
+formats a batch's rows, or draws its own rows of a schedule (``_Shots``) and
+formats them, so that no range holds the shot column.  A reader gives each
+parsed piece of rows to a sink (``_Rows``): ``load_samples`` gathers them
+into a batch, and ``tomography._Histogram`` bins them as they come.
 """
 
 from __future__ import annotations
@@ -381,8 +382,11 @@ def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
     its header, then rows built from the runs ``_CHUNK_SHOTS`` at a time, so
     no more than one chunk of the table is held.  Any other path gets a CSV
     (header theta,x): each row is ``repr(theta),repr(x)`` with CRLF line
-    ends, the bytes ``csv.writer`` gives, each run's theta formatted once,
-    in the ranges of _write_csv, whose number does not change the bytes.
+    ends, the bytes ``csv.writer`` gives, in the ranges of _write_csv, whose
+    number does not change the bytes.  Each run's theta is formatted once,
+    and its x values _CSV_CHUNK_ROWS at a time by _floatrepr.format_rows,
+    which finds repr's digits with array arithmetic and calls ``repr`` only
+    for the values it does not settle (0.6 % of normal draws).
     """
     path = str(path)
     if path.endswith(".npy"):
@@ -425,21 +429,23 @@ def _log_rows(path: str, action: str, rows: int, workers: int) -> None:
 
 
 def _write_rows(batch: SampleBatch, lo: int, hi: int, fh) -> None:
-    """Write rows ``lo``..``hi`` of the CSV body.
+    """Write rows ``lo``..``hi`` of the CSV body to the binary file ``fh``.
 
-    Each phase run's ``repr(theta) + ","`` is formatted once and joined in
-    front of every x of the run that falls in the rows.
+    Each phase run's ``repr(theta) + ","`` is formatted once and put in front
+    of every x of the run that falls in the rows, _CSV_CHUNK_ROWS rows at a
+    time by format_rows.
     """
+    # imported only where a CSV is written: compiled on `import kerrsim`, it raised that
+    # import's peak RSS by 0.27 MB
+    from ._floatrepr import format_rows
+
     runs, lengths = _runs_in(batch.run_ends, lo, hi)
     start = lo
     for theta, length in zip(batch.run_thetas[runs].tolist(), lengths.tolist()):
         stop = start + length
-        prefix = repr(theta) + ","
-        sep = "\r\n" + prefix
-        # bounded chunks keep the formatted text small next to the batch itself
+        prefix = (repr(theta) + ",").encode()
         for first in range(start, stop, _CSV_CHUNK_ROWS):
-            xs = batch.xs[first:min(first + _CSV_CHUNK_ROWS, stop)].tolist()
-            fh.write(prefix + sep.join(map(repr, xs)) + "\r\n")
+            fh.write(format_rows(prefix, batch.xs[first:min(first + _CSV_CHUNK_ROWS, stop)]))
         start = stop
 
 
@@ -460,24 +466,29 @@ def _write_csv(path: str, rows: int, write_range) -> None:
     parts = [f"{path}.{os.urandom(6).hex()}.tmp" for _ in range(workers - 1)]
 
     def write_part(part: str, lo: int, hi: int) -> None:
-        with open(part, "x", newline="") as out:
+        with open(part, "xb") as out:
             write_range(lo, hi, out)
 
     try:
-        with atomic_open(path, newline="") as fh:
-            fh.write("theta,x\r\n")
+        with atomic_open(path, binary=True) as fh:
+            fh.write(b"theta,x\r\n")
             values(run_parts([functools.partial(write_range, bounds[0], bounds[1], fh),
                               *(functools.partial(write_part, part, lo, hi)
                                 for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))]))
             fh.flush()
             for part in parts:
                 with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
+                    shutil.copyfileobj(src, fh)
                 os.remove(part)
     finally:
         for part in parts:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(part)
+        # format_rows's table of digits, let go so that a process that goes on to
+        # reconstruct does not hold it at its peak
+        from ._floatrepr import digit_words
+
+        digit_words.cache_clear()
     _log_rows(path, "written", rows, workers)
 
 
@@ -488,7 +499,9 @@ def load_samples(path) -> tuple[SampleBatch, dict]:
     ``_CHUNK_SHOTS`` rows at a time, and the batch takes its phase runs from
     column 0 and its x from column 1.  Any other file is a CSV, parsed by
     NumPy's C reader, which rounds each decimal exactly as ``float()`` does, in
-    the ranges of _parse_csv, whose number does not change the result.  The
+    the ranges of _parse_csv, whose number does not change the result; a
+    piece of rows of one phase, as the sampler writes, has its x column
+    parsed alone and its theta parsed once (see _parse_piece).  The
     ranges' x values go to one shared array of 8 bytes a row, and each range
     returns its phase runs, which are joined where a run spans two.  Either way
     a reloaded batch is bit-identical to the saved one.  A file that cannot be
@@ -622,12 +635,13 @@ def _read_npy(path: str, sinks) -> list:
     return [sink]
 
 
-def _loadtxt(fh) -> np.ndarray:
-    """The CSV rows left in the text stream ``fh`` as an (N, 2) array."""
+def _loadtxt(fh, usecols: tuple[int, ...] = (0, 1)) -> np.ndarray:
+    """The columns ``usecols`` of the CSV rows left in the text stream ``fh``, as an
+    (N, len(usecols)) array."""
     with warnings.catch_warnings():
         # a header-only file is an empty batch; the caller decides what that means
         warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-        return np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2)
+        return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2)
 
 
 class _NotItsLines(Exception):
@@ -728,7 +742,18 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows,
 def _parse_piece(text: str, before: int) -> np.ndarray:
     """The rows of ``text``, whole lines of the CSV after ``before`` data rows, as an (n, 2)
     array; a row that cannot be parsed raises np.loadtxt's ValueError, with the row named as
-    the file's 1-based data row, header excluded."""
+    the file's 1-based data row, header excluded.
+
+    A piece of one phase, every line of which begins with ``repr(t) + ","``
+    for the t its first field holds, has its x column parsed alone, and t
+    fills its theta column: np.loadtxt reads repr(t) as t.  Any other piece,
+    or one whose x column fails to parse or gives a row count other than its
+    line count, is parsed on both columns, so that its values and its errors
+    are those of the two-column parse.
+    """
+    table = _one_phase(text)
+    if table is not None:
+        return table
     try:
         return _loadtxt(io.StringIO(text))
     except ValueError:
@@ -741,6 +766,30 @@ def _parse_piece(text: str, before: int) -> np.ndarray:
         shift = before + message.startswith("could not convert")
         raise ValueError(re.sub(r"\bat row (\d+)", lambda m: f"at data row {int(m[1]) + shift}",
                                 message, count=1)) from exc
+
+
+def _one_phase(text: str) -> np.ndarray | None:
+    """_parse_piece's table of ``text`` if every line begins with ``repr(t) + ","`` for the t
+    of its first field and the x column alone parses to a row a line; else None."""
+    first = text[:text.find(",") + 1]  # the first field and its comma; "" without a comma
+    try:
+        theta = float(first[:-1])
+    except ValueError:
+        return None
+    prefix = repr(theta) + ","
+    lines = text.count("\n") + (not text.endswith("\n"))
+    if not text.startswith(prefix) or text.count("\n" + prefix) != lines - 1:
+        return None
+    try:
+        xs = _loadtxt(io.StringIO(text), usecols=(1,))
+    except ValueError:
+        return None
+    if len(xs) != lines:
+        return None
+    table = np.empty((lines, 2))
+    table[:, 0] = theta
+    table[:, 1:] = xs
+    return table
 
 
 def _sidecar_for(path: str, rows: int) -> dict:

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from ._parts import _worker_count, run_parts, values
 from .artifacts import alpha_dir, write_json, write_matrix_table, write_table
-from .errors import ConfigError, StageError, _show
+from .errors import ConfigError, SampleFileError, StageError, _show
 from .fock import (
     DensityMatrix,
     FockVector,
@@ -346,12 +346,18 @@ def _stage(name: str, alpha: float | None = None):
     report any failure as a StageError that names the stage.
 
     A ConfigError (an unusable input) and an OSError (an output that cannot be
-    written) pass through unchanged, as does a StageError.
+    written) pass through unchanged, as does a StageError; but a ChildProcessError,
+    a worker process that ended without its result, is a StageError of stage
+    ``worker``, as in run_pipeline.
     """
     start = time.perf_counter()
     try:
         yield
-    except (StageError, ConfigError, OSError):
+    except (StageError, ConfigError):
+        raise
+    except ChildProcessError as exc:
+        raise StageError("worker", str(exc)) from exc
+    except OSError:
         raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
@@ -450,7 +456,8 @@ def sample(config: ExperimentConfig) -> list[int]:
     so that a grid that misses the state's mass fails there.  The emit stage
     draws the shots and writes them, the bytes save_samples writes for
     sample_quadratures' batch; each range of rows draws the rows it formats,
-    so none holds the x column.
+    so none holds the x column.  A writing worker process that ends without
+    its result is a StageError of stage ``worker``, and leaves no file.
     """
     import numpy.random  # noqa: F401  (as in run_pipeline: no sample stage pays its import)
 
@@ -485,12 +492,14 @@ def reconstruct_file(
     range counts its rows per phase and bin as it parses them, and holds no x
     column.  The bin stage adds the ranges' counts up by theta, as
     bin_samples would count the loaded batch.  A file of more phases than the
-    POVM budget admits is a ConfigError, raised before any histogram of them
-    all exists; a range stops reading once it finds more.  The POVM is built
-    for the phases found in the file and compensates ``config.eta``; if no
-    sidecar records the file's eta, or it records another, the diagnostics
+    POVM budget admits is a SampleFileError, raised before any histogram of
+    them all exists; a range stops reading once it finds more.  The POVM is
+    built for the phases found in the file and compensates ``config.eta``; if
+    no sidecar records the file's eta, or it records another, the diagnostics
     carry a warning.  A file or sidecar that cannot be read, or a file with
-    no sample inside the binning range, is a ConfigError.
+    no sample inside the binning range, is a SampleFileError, a ConfigError
+    that names the file; a reading worker process that ends without its
+    result is a StageError of stage ``worker``.
     """
     tomo = config.tomography()
     most = _admitted_phases(tomo)
@@ -498,20 +507,22 @@ def reconstruct_file(
         try:
             histograms, fields = _read(
                 str(path), lambda bounds: [_Histogram(lo, tomo, most) for lo in bounds[:-1]])
+        except ChildProcessError:
+            raise
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read samples from {path}: {exc}") from exc
+            raise SampleFileError(f"cannot read samples from {path}: {exc}") from exc
     thetas = _sorted_distinct(np.concatenate([np.empty(0), *(h.thetas for h in histograms)]))
     if thetas.size > most:
         counted = "at least " if any(h.partial for h in histograms) else ""
-        raise ConfigError(f"cannot reconstruct from {path}: {counted}{thetas.size} phases give a "
-                          f"POVM too large to hold at recon_dim {tomo.dim} within the "
-                          f"{_BUDGET >> 30} GiB budget")
+        raise SampleFileError(f"cannot reconstruct from {path}: {counted}{thetas.size} phases "
+                              f"give a POVM too large to hold at recon_dim {tomo.dim} within "
+                              f"the {_BUDGET >> 30} GiB budget")
     rows = sum(h.rows for h in histograms)
     if rows:
         with _stage("bin"):
             binned = _merged(histograms, thetas)
     if not rows or binned.total <= 0:
-        raise ConfigError(
+        raise SampleFileError(
             f"cannot reconstruct from {path}: {rows} samples, none inside +-{tomo.x_max:g}"
         )
     with _stage("povm"):

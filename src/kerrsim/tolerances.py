@@ -33,6 +33,9 @@ class Tolerances:
     # an upper bound on L* - L(rho) in nats, is this small; the gap float64 can reach
     # grows with the shot count N: 0.1 nats at N = 2e6 needs lambda_max - 1 <= 5e-8
     ml_gap_nats: float = 0.1
+    # relative rounding of a log-likelihood, a sum of count * log(probability) over the
+    # occupied bins, between two orders of its terms or two runs to the same optimum
+    loglik_rounding: float = 1e-12
     # fidelity treats a state with 1 - Tr[rho^2] / Tr[rho]^2 below this as pure
     pure: float = 1e-12
     # NS gate: largest residual of lambda_1/lambda_0 = 1 and lambda_2/lambda_0 = -1

@@ -12,7 +12,7 @@ def _subclasses(cls):
 def test_every_kerrsim_error_survives_pickling():
     # a failure raised in a worker process reaches its caller as the same error
     kinds = [errors.KerrsimError, *_subclasses(errors.KerrsimError)]
-    assert errors.StageError in kinds and len(kinds) == 6
+    assert errors.StageError in kinds and len(kinds) == 7
     for kind in kinds:
         exc = kind("bin", "boom") if issubclass(kind, errors.StageError) else kind("boom")
         again = pickle.loads(pickle.dumps(exc))

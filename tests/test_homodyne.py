@@ -9,6 +9,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from kerrsim import _parts, homodyne
+from kerrsim import _floatrepr, _parts, homodyne
 from kerrsim.channels import LossChannel, apply_loss
 from kerrsim.errors import NumericalError
 from kerrsim.fock import DensityMatrix, basis_state, coherent_state, density_from_pure
@@ -608,6 +610,107 @@ def test_save_samples_bytes_match_row_writer(runs, xs_pool, chunk, cpus, worker_
 def test_save_samples_edge_rows(thetas, xs, tmp_path):
     batch = SampleBatch(np.array(thetas, dtype=np.float64), np.array(xs, dtype=np.float64))
     assert _saved_bytes(batch, tmp_path / "samples.csv") == _reference_csv(batch)
+
+
+def _repr_rows(prefix, xs):
+    """The rows ``prefix + repr(x) + CRLF``, as the writer joined them before _format_rows."""
+    prefix = prefix.decode()
+    return (prefix + ("\r\n" + prefix).join(map(repr, xs.tolist())) + "\r\n").encode()
+
+
+def test_format_rows_is_repr_bit_for_bit():
+    # the edges of the formatter's array path: powers of two (ulp(x) is halved below them)
+    # and of ten (the range, and an estimate of floor(log10|x|) one off), with their
+    # neighbours; 1 + 2**-j, exact ties at 15 to 17 digits for some j; values repr formats
+    # alone; then normal draws as the sampler gives, and draws spread over the range's decades
+    powers = np.array([2.0**e for e in range(-16, 50)] + [10.0**e for e in range(-5, 16)])
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    ties = 1.0 + 2.0 ** -np.arange(1, 53)
+    special = np.array([0.0, math.nan, math.inf, 5e-324, 1e-310, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 0.1, 0.5, 1.0, 123456.789, 99.99999999999999])
+    listed = np.concatenate([edges, ties, special])
+    rng = np.random.default_rng(20230)
+    draws = rng.normal(0.0, 1.3, 10**6)
+    spread = draws[:20_000] * 10.0 ** rng.integers(-5, 16, 20_000)
+    for xs in (np.concatenate([listed, -listed]), draws, spread):
+        for lo in range(0, xs.size, homodyne._CSV_CHUNK_ROWS):
+            chunk = xs[lo:lo + homodyne._CSV_CHUNK_ROWS]
+            assert _floatrepr.format_rows(b"0.5,", chunk) == _repr_rows(b"0.5,", chunk)
+    assert _floatrepr.format_rows(b"-2.0943951023931957,", ties) == \
+        _repr_rows(b"-2.0943951023931957,", ties)
+
+
+def test_formatter_is_loaded_by_a_csv_write_and_its_table_let_go(tmp_path):
+    # `import kerrsim` does not compile the formatter, which raised its peak RSS; a process
+    # that writes a CSV and then reconstructs does not hold the digit table at its peak
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(homodyne.__file__))}
+    code = "import sys, kerrsim.cli; print('kerrsim._floatrepr' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+    save_samples(SampleBatch(np.zeros(3), np.array([0.25, -1.5, 3e-7])), tmp_path / "s.csv")
+    assert _floatrepr.digit_words.cache_info().currsize == 0
+
+
+def _two_column_piece(text, before):
+    """_parse_piece's table or error message, parsed on both columns."""
+    with mock.patch.object(homodyne, "_one_phase", return_value=None):
+        try:
+            return homodyne._parse_piece(text, before)
+        except ValueError as exc:
+            return str(exc)
+
+
+@pytest.mark.parametrize("piece, x_only", [
+    ("0.5,1.0\r\n0.5,-2.5\r\n0.5,3e-7", True), ("0.50,1.0\r\n0.50,-2.5\r\n", False),
+    (" 0.5,1.0\r\n 0.5,-2.5\r\n", False), ("5e-1,1.0\r\n5e-1,-2.5\r\n", False),
+    ("0.5,1.0\r\n0.50,-2.5\r\n", False), ("0.5,1.0\r\n0.25,-2.5\r\n", False),
+    ("0.5,1.0\r\n-0.5,-2.5\r\n", False), ("0.5,1.0\r\n0.5,abc\r\n", False),
+    ("0.5,1.0\r\n0.5,\r\n", False), ("0.5,1.0\r\n0.5\r\n", False),
+    ("0.5,1.0\r0.5,-2.5\r\n", False), ("0.5,1.0\r\n\r\n0.5,-2.5\r\n", False),
+    ("0.5,1.0\r\n# note\r\n", False), ("0.5,1.0\r\n0.5,-2.5,7\r\n", True),
+    ("nan,1.0\r\nnan,2.0\r\n", True), ("0.5,nan\r\n", True),
+], ids=["one-phase", "trailing-zero", "space", "exponent", "mixed-text", "two-phases",
+        "signed", "bad-x", "missing-x", "no-comma", "lone-cr", "blank-line", "comment",
+        "third-column", "nan-theta", "nan-x"])
+def test_parse_piece_is_the_two_column_parse(piece, x_only):
+    # a piece parsed on its x column alone gives the table the two-column parse gives, bit
+    # for bit; any other falls through to that parse, and raises its error
+    expected = _two_column_piece(piece, 7)
+    try:
+        got = homodyne._parse_piece(piece, 7)
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert (homodyne._one_phase(piece) is not None) == x_only
+
+
+def test_sampled_csv_takes_the_x_only_parse(tmp_path):
+    # every piece of the sampler's CSV that holds one phase is parsed on its x column alone
+    rho = density_from_pure(coherent_state(0.53, 16))
+    schedule = default_schedule(seed=4242, n_phases=12, samples_per_phase=5000)
+    batch = sample_quadratures(rho, schedule, eta=0.66)
+    path = tmp_path / "samples.csv"
+    save_samples(batch, path)
+    one_phase, parsed = homodyne._one_phase, []
+
+    def recorded(text):
+        table = one_phase(text)
+        parsed.append((table is not None, len({line.split(",")[0] for line in text.splitlines()})))
+        return table
+
+    with mock.patch.object(_parts, "_usable_cpus", return_value=1), \
+            mock.patch.object(homodyne, "_CSV_SLICE_BYTES", 2**14), \
+            mock.patch.object(homodyne, "_one_phase", recorded):
+        loaded, _ = load_samples(path)
+    # a piece that straddles a phase edge is parsed on both columns, and no other
+    assert len(parsed) > 100 and all(x_only == (phases == 1) for x_only, phases in parsed)
+    assert sum(phases == 2 for _, phases in parsed) == 11
+    assert np.array_equal(loaded.xs.view(np.int64), batch.xs.view(np.int64))
+    assert np.array_equal(loaded.thetas.view(np.int64), batch.thetas.view(np.int64))
 
 
 @pytest.mark.parametrize("dim", [3, 8, 16, 40, 96])

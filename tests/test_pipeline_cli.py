@@ -590,7 +590,7 @@ def test_reconstruct_refuses_a_file_of_too_many_phases(tmp_path, capsys):
         code = main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: invalid configuration: cannot reconstruct from {path}: 9000 phases give a "
+        f"error: cannot reconstruct from {path}: 9000 phases give a "
         "POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
 
 
@@ -617,7 +617,7 @@ def test_reconstruct_refuses_a_npy_of_too_many_phases_before_binning_them(tmp_pa
         tracemalloc.stop()
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: invalid configuration: cannot reconstruct from {path}: at least 65536 phases "
+        f"error: cannot reconstruct from {path}: at least 65536 phases "
         "give a POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
     assert peak < 4 * 2**20
     assert not os.path.exists(tmp_path / "out")
@@ -734,7 +734,7 @@ def test_sample_file_errors_name_the_data_row(cpus, row, bad, error, tmp_path, c
         assert str(exc.value) == expected
         assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        f"error: invalid configuration: cannot read samples from {path}: {expected}\n")
+        f"error: cannot read samples from {path}: {expected}\n")
 
 
 def test_python_m_kerrsim_runs_the_command_line():
@@ -894,7 +894,7 @@ def test_cli_reconstruct_missing_samples(tmp_path, capsys):
         sidecar.write_bytes(text)
         assert main(["reconstruct", "--samples", str(good), "--out", str(tmp_path)]) == 2, text[:40]
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid configuration: cannot read samples from {good}: "
+        assert err.startswith(f"error: cannot read samples from {good}: "
                               f"sidecar {sidecar} "), text[:40]
         assert len(err.splitlines()) == 1, text[:40]
         assert not os.path.exists(tmp_path / "reconstructed.json")
@@ -1394,6 +1394,46 @@ def test_pipeline_worker_killed_exits_3(tmp_path, capsys, caplog, monkeypatch):
     assert err.splitlines() == [
         f"error: stage 'worker': a worker process failed (killed by signal {signal.SIGKILL})"]
     assert "report.json" not in files
+
+
+def _killed_in_children(fn):
+    """``fn`` that kills the process it runs in, but for this one."""
+    parent = os.getpid()
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+    return killed
+
+
+def test_sample_worker_killed_exits_3_and_leaves_no_file(tmp_path, capsys, caplog,
+                                                         monkeypatch):
+    # a writing child that ends without its result fails stage worker, as in pipeline; no
+    # samples.csv, part file or sidecar is left
+    monkeypatch.setattr(homodyne, "_write_draws", _killed_in_children(homodyne._write_draws))
+    args = ["sample", "--alpha", "0.53", *_THREE[6:]]
+    (code, out, err, _), files, forks = _run_on(2, args, tmp_path / "run", capsys, caplog)
+    assert (code, out, forks) == (3, "", 1)
+    assert err.splitlines() == [
+        f"error: stage 'worker': a worker process failed (killed by signal {signal.SIGKILL})"]
+    assert files == {} and os.listdir(tmp_path / "run" / "alpha_0.53") == []
+
+
+def test_reconstruct_worker_killed_exits_3_and_writes_nothing(tmp_path, capsys, caplog,
+                                                              monkeypatch):
+    # a reading child that ends without its result fails stage worker, not the sample file
+    samples = tmp_path / "samples.csv"
+    homodyne.save_samples(homodyne.SampleBatch(np.repeat([0.0, 1.5], 30),
+                                               np.linspace(-2.0, 2.0, 60)), samples)
+    monkeypatch.setattr(homodyne, "_parse_range", _killed_in_children(homodyne._parse_range))
+    with mock.patch.object(homodyne, "_CSV_SLICE_BYTES", 16):
+        (code, out, err, _), files, forks = _run_on(
+            2, ["reconstruct", "--samples", str(samples)], tmp_path / "out", capsys, caplog)
+    assert (code, out, forks) == (3, "", 1)
+    assert err.splitlines() == [
+        f"error: stage 'worker': a worker process failed (killed by signal {signal.SIGKILL})"]
+    assert files == {} and sorted(os.listdir(tmp_path)) == ["samples.csv", "samples_meta.json"]
 
 
 def test_pipeline_killed_worker_loses_no_other_failure_or_record(tmp_path, capsys, caplog,

@@ -94,6 +94,18 @@ def test_povm_bins_are_the_histogram_bins(bin_width):
     assert_allclose(povm[0, :, 0, 0].real, mass, atol=1e-10)
 
 
+def test_gauss_legendre_nodes_are_leggauss_5():
+    # written out so that importing kerrsim does not load numpy.polynomial
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert_allclose(tomography._GL_NODES, nodes, rtol=0, atol=4e-16)
+    assert_allclose(tomography._GL_WEIGHTS, weights, rtol=0, atol=4e-16)
+    env = {**os.environ, "PYTHONPATH": str(Path(tomography.__file__).resolve().parents[1])}
+    code = "import sys, kerrsim.cli; print('numpy.polynomial' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
 def _reference_stack(cfg, theta):
     """The rotated projectors integrated over every bin on the same Gauss-Legendre
     panels, pushed through the adjoint loss, one element per bin."""
@@ -722,6 +734,36 @@ def test_reconstruct_properties_on_random_binned_data(seed, dim, n_phases, eta, 
     slack = 1e-12 * abs(diag.final_loglik)  # rounding of the two sums of logs
     for sigma in rivals:
         assert loglikelihood(sigma, data, povm) <= diag.final_loglik + diag.ml_gap_nats + slack
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 6),
+    n_phases=st.integers(2, 5),
+    eta=st.floats(0.5, 1.0),
+)
+def test_reconstruct_is_invariant_under_a_permutation_of_the_phases(seed, dim, n_phases, eta):
+    # the likelihood is a sum over (phase, bin) terms: permuting the thetas, the count rows
+    # and the POVM rows together changes only the order of the sums, so both runs reach the
+    # same optimum, each within its certified gap of it; and each estimate is Hermitian
+    # exactly, not only within TOL.hermitian
+    rng = np.random.default_rng(seed)
+    cfg = TomographyConfig(dim=dim, eta=eta, bin_width=1.0)
+    shape = (n_phases, cfg.n_bins)
+    counts = rng.poisson(rng.exponential(50.0, size=shape) * (rng.random(shape) < 0.6)).astype(float)
+    counts[:, rng.integers(cfg.n_bins)] += 1.0  # no phase without a count
+    thetas = rng.choice(12, size=n_phases, replace=False) * math.pi / 12
+    povm = build_povm(cfg, thetas)
+    order = rng.permutation(n_phases)
+    runs = [reconstruct(BinnedData(thetas, counts), cfg, povm),
+            reconstruct(BinnedData(thetas[order], counts[order]), cfg, povm[order])]
+    for rho_hat, diag in runs:
+        assert diag.converged
+        assert np.array_equal(rho_hat.elems, rho_hat.elems.conj().T)
+    (_, one), (_, other) = runs
+    slack = TOL.loglik_rounding * abs(one.final_loglik)
+    assert abs(one.final_loglik - other.final_loglik) <= one.ml_gap_nats + other.ml_gap_nats + slack
 
 
 def _random_hermitian(rng, *shape):
