@@ -25,9 +25,12 @@ contiguous row ranges, each a part of ``_parts.run_parts``; the bytes and
 values do not depend on how many.  The x values are formatted with array
 arithmetic (``_floatrepr.format_rows``), bit for bit as ``repr``.  A writer
 formats a batch's rows, or draws its own rows of a schedule (``_Shots``) and
-formats them, so that no range holds the shot column.  A reader gives each
-parsed piece of rows to a sink (``_Rows``): ``load_samples`` gathers them
-into a batch, and ``tomography._Histogram`` bins them as they come.
+formats them, so that no range holds the shot column.  A reader cuts the
+body by bytes at line ends and gives each parsed piece of a range's rows to
+the range's own sink (``_Rows``), which counts them from 0; the calling
+process numbers the rows once every range is parsed, so no range is parsed
+twice.  ``load_samples`` gathers the rows into a batch, and
+``tomography._Histogram`` bins them as they come.
 """
 
 from __future__ import annotations
@@ -501,9 +504,10 @@ def load_samples(path) -> tuple[SampleBatch, dict]:
     NumPy's C reader, which rounds each decimal exactly as ``float()`` does, in
     the ranges of _parse_csv, whose number does not change the result; a
     piece of rows of one phase, as the sampler writes, has its x column
-    parsed alone and its theta parsed once (see _parse_piece).  The
-    ranges' x values go to one shared array of 8 bytes a row, and each range
-    returns its phase runs, which are joined where a run spans two.  Either way
+    parsed alone and its theta parsed once (see _parse_piece).  Each range
+    returns its x values in pieces, and its phase runs counted from its first
+    row; this process joins the pieces into one x column, 8 bytes a row, and
+    the runs where a run spans two.  Either way
     a reloaded batch is bit-identical to the saved one.  A file that cannot be
     parsed raises ValueError, and so does one that holds a NaN or infinite
     theta or x; each error names the first bad row as its 1-based data row,
@@ -512,22 +516,12 @@ def load_samples(path) -> tuple[SampleBatch, dict]:
     count is not the number of rows read); a sidecar that is not a JSON object,
     or whose ``eta`` is not a number in (0, 1], raises ValueError naming it.
     """
-    column = []  # the x column the ranges of a CSV share, when there are several
-
-    def gather(bounds: list[int]) -> list[_Gather]:
-        if len(bounds) == 2:
-            return [_Gather(0)]
-        import mmap
-
-        column.append(np.frombuffer(mmap.mmap(-1, 8 * bounds[-1]), np.float64))
-        return [_Gather(lo, column[-1][lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-    sinks, fields = _read(str(path), gather)
-    xs = column[-1] if len(sinks) > 1 else np.concatenate([np.empty(0), *sinks[0].pieces])
+    sinks, fields = _read(str(path), _Gather)
+    xs = np.concatenate([np.empty(0), *(x for s in sinks for x in s.pieces)])
     # a run that crosses a piece or range edge comes back in pieces: the runs of the
     # pieces' thetas join them, and each joined run ends where its last piece does
     run_thetas, last = _runs(np.concatenate([np.empty(0), *(t for s in sinks for t in s.thetas)]))
-    run_ends = np.concatenate([np.empty(0, np.intp), *(e for s in sinks for e in s.ends)])
+    run_ends = np.concatenate([np.empty(0, np.intp), *(s.start + e for s in sinks for e in s.ends)])
     return SampleBatch.from_runs(run_thetas, run_ends[last - 1], xs), fields
 
 
@@ -536,20 +530,21 @@ class _Rows:
     time by ``take``.
 
     It counts the rows it takes and notes the first that holds a NaN or an
-    infinity, numbered in the file from ``start``, the sink's first row.  A
+    infinity, both from its own first row; ``start``, the rows of the file
+    before that one, is set by the reader once every range is parsed.  A
     subclass keeps what it needs of the rows in ``_take``, and may set ``full``
-    to be given no more; a reader that stops for that with rows left sets
-    ``partial``.
+    to be given no more.
     """
 
-    full = partial = False
+    full = False
+    start = 0
 
-    def __init__(self, start: int):
-        self.start, self.rows, self.first_bad = start, 0, None
+    def __init__(self):
+        self.rows, self.first_bad = 0, None
 
     def take(self, table: np.ndarray) -> None:
         if self.first_bad is None and not np.isfinite(table).all():
-            self.first_bad = self.start + self.rows + int(np.argmin(np.isfinite(table).all(axis=1)))
+            self.first_bad = self.rows + int(np.argmin(np.isfinite(table).all(axis=1)))
         self._take(table)
         self.rows += len(table)
 
@@ -558,49 +553,40 @@ class _Rows:
 
 
 class _Gather(_Rows):
-    """Keeps the rows: the x values in ``out``, the sink's rows of a column that the ranges
-    share, or without ``out`` in ``pieces``; and each piece's phase runs, their ends counted
-    from the file's first row."""
+    """Keeps the rows: the x values in ``pieces``, and each piece's phase runs, their ends
+    counted from the sink's first row."""
 
-    def __init__(self, start: int, out: np.ndarray | None = None):
-        super().__init__(start)
-        self.out, self.pieces, self.thetas, self.ends = out, [], [], []
-
-    def __getstate__(self) -> dict:
-        return {**vars(self), "out": None}  # sent back without the shared column
+    def __init__(self):
+        super().__init__()
+        self.pieces, self.thetas, self.ends = [], [], []
 
     def _take(self, table: np.ndarray) -> None:
-        if self.out is None:
-            self.pieces.append(table[:, 1].copy())
-        elif self.rows + len(table) > self.out.size:
-            raise _NotItsLines(f"more rows than the {self.out.size} lines of the range")
-        else:
-            self.out[self.rows:self.rows + len(table)] = table[:, 1]
+        self.pieces.append(table[:, 1].copy())
         run_thetas, run_ends = _runs(table[:, 0])
         self.thetas.append(run_thetas)
-        self.ends.append(run_ends + self.start + self.rows)
+        self.ends.append(run_ends + self.rows)
 
 
-def _read(path: str, sinks) -> tuple[list, dict]:
+def _read(path: str, new_sink) -> tuple[list, dict]:
     """The rows of the sample file at ``path``, given to sinks, and its sidecar's fields.
 
-    ``sinks(bounds)`` gives a _Rows for each range of rows ``bounds[i]`` up to
-    ``bounds[i + 1]``; ``bounds[-1]`` counts the lines of a CSV (the rows of a
-    .npy), and a single range counts its rows as it parses them.  A ``.npy`` file is one range,
-    read ``_CHUNK_SHOTS`` rows at a time; a CSV is parsed as _parse_csv says.
-    Returns the sinks in row order.  A file that cannot be parsed raises
-    ValueError, and then so does one with a NaN or infinite theta or x, naming
-    its first such row.
+    ``new_sink()`` gives a _Rows for each range of the file.  A ``.npy`` file
+    is one range, read ``_CHUNK_SHOTS`` rows at a time; a CSV is parsed as
+    _parse_csv says.  Returns the sinks in row order, each with its
+    ``start``, up to the first that is full.  A file that cannot be parsed
+    raises ValueError, and then so does one with a NaN or infinite theta or
+    x, naming its first such row.
     """
-    parsed = _read_npy(path, sinks) if path.endswith(".npy") else _parse_csv(path, sinks)
-    bad = [sink.first_bad for sink in parsed if sink.first_bad is not None]
+    parsed = _read_npy(path, new_sink()) if path.endswith(".npy") else _parse_csv(path, new_sink)
+    bad = [sink.start + sink.first_bad for sink in parsed if sink.first_bad is not None]
     if bad:
-        raise ValueError(f"non-finite theta or x in data row {min(bad) + 1}")
+        raise ValueError(f"non-finite theta or x in data row {bad[0] + 1}")
     return parsed, _sidecar_for(path, sum(sink.rows for sink in parsed))
 
 
-def _read_npy(path: str, sinks) -> list:
-    """An ``(N, 2)`` float64 .npy array's rows, given to one sink _CHUNK_SHOTS at a time."""
+def _read_npy(path: str, sink: _Rows) -> list:
+    """An ``(N, 2)`` float64 .npy array's rows, given to ``sink`` _CHUNK_SHOTS at a time
+    until it is full."""
     fmt = np.lib.format
     with open(path, "rb") as fh:
         # the .npy header alone: np.load would also open a zip archive or a pickle
@@ -613,7 +599,6 @@ def _read_npy(path: str, sinks) -> list:
         if dtype != np.float64 or len(shape) != 2 or shape[1] != 2:
             raise ValueError(f"expected an (N, 2) float64 array, got {dtype} of shape {shape}")
         rows = shape[0]
-        sink, = sinks([0, rows])
         body = fh.tell()
 
         def values(offset: int, count: int) -> np.ndarray:
@@ -625,7 +610,6 @@ def _read_npy(path: str, sinks) -> list:
 
         for lo in range(0, rows, _CHUNK_SHOTS):
             if sink.full:
-                sink.partial = True
                 break
             count = min(_CHUNK_SHOTS, rows - lo)
             if fortran_order:  # every theta, then every x
@@ -644,18 +628,17 @@ def _loadtxt(fh, usecols: tuple[int, ...] = (0, 1)) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2)
 
 
-class _NotItsLines(Exception):
-    """A range of a CSV parsed to more or fewer rows than it has lines: it holds a blank line,
-    a ``#`` line or a lone CR, so its rows, and the rows after it, are not numbered by lines."""
+def _parse_csv(path: str, new_sink) -> list:
+    """A CSV's rows given to sinks, one from ``new_sink()`` for each range of _csv_ranges,
+    and the sinks in row order.
 
-
-def _parse_csv(path: str, sinks) -> list:
-    """A CSV's rows given to sinks, in the contiguous ranges of _csv_ranges.
-
-    Each range is a part of run_parts, parsed into its own sink.  The first
-    range that fails raises its error, which names the file's data row; but
-    when it fails with _NotItsLines, or when one range covers the body, this
-    process parses the whole body into one sink instead.
+    Each range is a part of run_parts, parsed into its own sink, which counts
+    its rows from 0.  This process then numbers them: a sink's ``start`` is
+    the rows of the ranges before it, and the first range that failed has
+    the data row its error names moved on by as many, and raises it.  A range
+    whose sink stopped it, full, ends the file, as it would in one process:
+    the ranges after it are dropped, whatever their outcome.  No range is
+    parsed twice.
     """
     with open(path, newline="") as fh:
         line = fh.readline()
@@ -663,68 +646,56 @@ def _parse_csv(path: str, sinks) -> list:
     header = next(csv.reader([line]), [])
     if header[:2] != ["theta", "x"]:
         raise ValueError(f"unexpected sample CSV header: {header}")
-    start = len(line.encode(encoding))
-    offsets, bounds = _csv_ranges(path, start)
-    parsed = None
-    if len(offsets) > 2:
-        parts = [functools.partial(_parse_range, path, lo, hi, encoding, sink, lines)
-                 for lo, hi, sink, lines in zip(offsets, offsets[1:], sinks(bounds),
-                                                np.diff(bounds).tolist())]
-        with contextlib.suppress(_NotItsLines):
-            parsed = values(run_parts(parts))
-    if parsed is None:
-        parsed = [_parse_range(path, start, offsets[-1], encoding, sinks([0, bounds[-1]])[0])]
-    _log_rows(path, "read", sum(sink.rows for sink in parsed), len(parsed))
+    offsets = _csv_ranges(path, len(line.encode(encoding)))
+    outcomes = run_parts([functools.partial(_parse_range, path, lo, hi, encoding, new_sink())
+                          for lo, hi in zip(offsets, offsets[1:])])
+    parsed, rows = [], 0
+    for outcome in outcomes:
+        if isinstance(outcome, ValueError):
+            raise ValueError(_data_row(str(outcome), "data row", rows)) from outcome
+        if isinstance(outcome, BaseException):
+            raise outcome
+        outcome.start, rows = rows, rows + outcome.rows
+        parsed.append(outcome)
+        if outcome.full:
+            break
+    _log_rows(path, "read", rows, len(outcomes))
     return parsed
 
 
-def _csv_ranges(path: str, start: int) -> tuple[list[int], list[int]]:
+def _csv_ranges(path: str, start: int) -> list[int]:
     """The byte offsets of the ranges that the CSV body from byte ``start`` on is parsed in,
-    and its end; and each range's first line, and the body's lines.
+    and its end.
 
-    There is a range per process that _worker_count gives for the lines.
-    Range i begins after the line that holds the first byte of the
-    _CSV_SLICE_BYTES slice i / workers of the way into the body.
+    There is a range per process that _worker_count gives for one per
+    32 * _CHUNK_SHOTS bytes of the body (a sampler row averages 38 bytes), and
+    range i begins at the line after byte i / workers of the body; no more of
+    the file is read than the line that holds that byte.
     """
     with open(path, "rb") as raw:
-        raw.seek(start)
-        # lines ending before each slice of the body, and a last line without a line end
-        before, last = [0], b"\n"
-        for block in iter(functools.partial(raw.read, _CSV_SLICE_BYTES), b""):
-            before.append(before[-1] + block.count(b"\n"))
-            last = block
-        end = raw.tell()
-        lines = before[-1] + (not last.endswith(b"\n"))
-        workers = _worker_count(lines // _CHUNK_SHOTS)
-        offsets, first_line = [start], [0]
+        end = os.fstat(raw.fileno()).st_size
+        workers = _worker_count((end - start) // (32 * _CHUNK_SHOTS))
+        offsets = [start]
         for i in range(1, workers):
-            edge = (len(before) - 1) * i // workers
-            raw.seek(start + edge * _CSV_SLICE_BYTES)
-            rest = raw.readline()
+            raw.seek(start + (end - start) * i // workers)
+            raw.readline()
             offsets.append(raw.tell())
-            first_line.append(before[edge] + 1 if rest.endswith(b"\n") else lines)
-    return offsets + [end], first_line + [lines]
+    return offsets + [end]
 
 
-def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows,
-                 lines: int | None = None) -> _Rows:
-    """Parse bytes ``lo``..``hi`` of the CSV, a row per line, in newline-aligned pieces of at
+def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows) -> _Rows:
+    """Parse bytes ``lo``..``hi`` of the CSV, whole lines, in newline-aligned pieces of at
     most _CSV_SLICE_BYTES, give each piece's rows to ``sink`` as it is parsed, and return the
     sink; stop early once it is full.
 
     A row that cannot be parsed raises np.loadtxt's ValueError, which names
-    the row by its data row in the file, counted from the sink's start.  With
-    ``lines``, a range that does not parse to that many rows raises
-    _NotItsLines.
+    the row by its 1-based data row counted from the range's first.
     """
     carry = b""
     with open(path, "rb") as raw:
         raw.seek(lo)
         pos = lo
-        while pos < hi:
-            if sink.full:
-                sink.partial = True
-                break
+        while pos < hi and not sink.full:
             block = raw.read(min(_CSV_SLICE_BYTES, hi - pos))
             if not block:
                 raise ValueError(f"{path} shrank while it was read")
@@ -732,17 +703,15 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows,
             text = carry + block
             cut = len(text) if pos == hi else text.rfind(b"\n") + 1
             if cut:
-                sink.take(_parse_piece(text[:cut].decode(encoding), sink.start + sink.rows))
+                sink.take(_parse_piece(text[:cut].decode(encoding), sink.rows))
             carry = text[cut:]
-    if lines is not None and not sink.full and sink.rows != lines:
-        raise _NotItsLines(f"{sink.rows} rows parsed from {lines} lines")
     return sink
 
 
 def _parse_piece(text: str, before: int) -> np.ndarray:
-    """The rows of ``text``, whole lines of the CSV after ``before`` data rows, as an (n, 2)
-    array; a row that cannot be parsed raises np.loadtxt's ValueError, with the row named as
-    the file's 1-based data row, header excluded.
+    """The rows of ``text``, whole lines of a range of the CSV after ``before`` of its data
+    rows, as an (n, 2) array; a row that cannot be parsed raises np.loadtxt's ValueError, with
+    the row named as the range's 1-based data row, which _parse_csv renumbers in the file.
 
     A piece of one phase, every line of which begins with ``repr(t) + ","``
     for the t its first field holds, has its x column parsed alone, and t
@@ -764,8 +733,13 @@ def _parse_piece(text: str, before: int) -> np.ndarray:
         message = str(exc)
         # np.loadtxt counts rows from 0 where a value is not a number, from 1 where one is missing
         shift = before + message.startswith("could not convert")
-        raise ValueError(re.sub(r"\bat row (\d+)", lambda m: f"at data row {int(m[1]) + shift}",
-                                message, count=1)) from exc
+        raise ValueError(_data_row(message, "row", shift)) from exc
+
+
+def _data_row(message: str, named: str, shift: int) -> str:
+    """``message`` with its first "at <named> N" given as "at data row <N + shift>"."""
+    return re.sub(rf"\bat {named} (\d+)", lambda m: f"at data row {int(m[1]) + shift}", message,
+                  count=1)
 
 
 def _one_phase(text: str) -> np.ndarray | None:

@@ -492,8 +492,9 @@ def reconstruct_file(
     range counts its rows per phase and bin as it parses them, and holds no x
     column.  The bin stage adds the ranges' counts up by theta, as
     bin_samples would count the loaded batch.  A file of more phases than the
-    POVM budget admits is a SampleFileError, raised before any histogram of
-    them all exists; a range stops reading once it finds more.  The POVM is
+    POVM budget admits is a SampleFileError naming that count, raised before
+    any histogram of them all exists; a range stops reading once it finds
+    more, and ends the file there, as it would in one process.  The POVM is
     built for the phases found in the file and compensates ``config.eta``; if
     no sidecar records the file's eta, or it records another, the diagnostics
     carry a warning.  A file or sidecar that cannot be read, or a file with
@@ -505,18 +506,16 @@ def reconstruct_file(
     most = _admitted_phases(tomo)
     with _stage("load"):
         try:
-            histograms, fields = _read(
-                str(path), lambda bounds: [_Histogram(lo, tomo, most) for lo in bounds[:-1]])
+            histograms, fields = _read(str(path), functools.partial(_Histogram, tomo, most))
         except ChildProcessError:
             raise
         except (OSError, ValueError) as exc:
             raise SampleFileError(f"cannot read samples from {path}: {exc}") from exc
     thetas = _sorted_distinct(np.concatenate([np.empty(0), *(h.thetas for h in histograms)]))
     if thetas.size > most:
-        counted = "at least " if any(h.partial for h in histograms) else ""
-        raise SampleFileError(f"cannot reconstruct from {path}: {counted}{thetas.size} phases "
-                              f"give a POVM too large to hold at recon_dim {tomo.dim} within "
-                              f"the {_BUDGET >> 30} GiB budget")
+        raise SampleFileError(f"cannot reconstruct from {path}: more than {most} phases give a "
+                              f"POVM too large to hold at recon_dim {tomo.dim} within the "
+                              f"{_BUDGET >> 30} GiB budget")
     rows = sum(h.rows for h in histograms)
     if rows:
         with _stage("bin"):

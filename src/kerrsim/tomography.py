@@ -219,8 +219,8 @@ class _Histogram(_Rows):
     but neither grows nor adds to its counts.
     """
 
-    def __init__(self, start: int, config: TomographyConfig, max_phases: int):
-        super().__init__(start)
+    def __init__(self, config: TomographyConfig, max_phases: int):
+        super().__init__()
         self.config, self.max_phases = config, max_phases
         self.thetas = np.empty(0)
         self.slots = np.zeros((0, config.n_bins + 2), dtype=np.intp)

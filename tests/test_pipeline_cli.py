@@ -590,14 +590,35 @@ def test_reconstruct_refuses_a_file_of_too_many_phases(tmp_path, capsys):
         code = main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: cannot reconstruct from {path}: 9000 phases give a "
+        f"error: cannot reconstruct from {path}: more than 8662 phases give a "
+        "POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("tail", [["0.5,abc"], [f"{1.0 + i / 128!r},0.25" for i in range(100)]],
+                         ids=["bad-row", "more-phases"])
+def test_reconstruct_refuses_too_many_phases_alike_at_any_worker_count(cpus, tail, tmp_path,
+                                                                       capsys):
+    # 100 one-row phases and 100 rows of one phase, then a bad row or 100 more phases, with
+    # 10 phases admitted: the range whose sink is full ends the file, as it would in one
+    # process, so the refusal is the same at 1 and 3 CPUs and names the admitted count
+    rows = [f"{i / 128!r},0.25" for i in range(100)] + ["2.0,0.5"] * 100 + tail
+    path = tmp_path / "samples.csv"
+    path.write_text("theta,x\r\n" + "\r\n".join(rows) + "\r\n", newline="")
+    with _workers(cpus), mock.patch.object(homodyne, "_CSV_SLICE_BYTES", 16), \
+            mock.patch.object(pipeline, "_admitted_phases", return_value=10), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        code = main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")])
+    assert (code, fork.call_count) == (2, cpus - 1)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot reconstruct from {path}: more than 10 phases give a "
         "POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
 
 
 def test_reconstruct_refuses_a_npy_of_too_many_phases_before_binning_them(tmp_path, capsys):
     # one shot at each of 100,000 phases; the default grid's POVM budget admits 8,662, so the
     # read stops after the first 65,536-row chunk, before any histogram of its phases exists,
-    # and names the phases it counted (a 1.6 MB file that once peaked at 396 MB)
+    # and names the count admitted (a 1.6 MB file that once peaked at 396 MB)
     tomo = ExperimentConfig().tomography()
     most = pipeline._admitted_phases(tomo)
     assert most == 8662
@@ -617,7 +638,7 @@ def test_reconstruct_refuses_a_npy_of_too_many_phases_before_binning_them(tmp_pa
         tracemalloc.stop()
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: cannot reconstruct from {path}: at least 65536 phases "
+        f"error: cannot reconstruct from {path}: more than 8662 phases "
         "give a POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
     assert peak < 4 * 2**20
     assert not os.path.exists(tmp_path / "out")
