@@ -7,12 +7,13 @@ through its Kraus operators A_k (k photons lost),
 
 which only move population downward, so the map is trace preserving on the
 truncated space.  The adjoint is used to fold detector inefficiency into
-measurement operators instead of states.
+measurement operators instead of states.  Both maps go by the one nonzero
+diagonal of each A_k (``_loss_map``), in O(dim^2) memory; the dense
+(dim, dim, dim) stack of ``loss_kraus`` is a reference for tests.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -36,12 +37,30 @@ class LossChannel:
 
 
 def _kraus_diagonals(eta: float, dim: int) -> Iterator[np.ndarray]:
-    """c_k for k = 0 .. dim - 1, the nonzero superdiagonal of A_k: (A_k)[i, i + k] = c_k[i]."""
+    """c_k for k = 0 .. dim - 1, the nonzero superdiagonal of A_k: (A_k)[i, i + k] = c_k[i].
+    Its binomials C(m, k) are exact, C(m - 1, k) * m // (m - k), then rounded by float(),
+    which raises OverflowError past float64's range, from dim 1031 on."""
     eta = float(eta)
-    kept = np.arange(dim, dtype=np.float64)
     for k in range(dim):
-        binom = np.array([float(math.comb(m, k)) for m in range(k, dim)])
-        yield np.sqrt(binom) * eta ** (kept[:dim - k] / 2.0) * (1.0 - eta) ** (k / 2.0)
+        binom = [1]
+        for m in range(k + 1, dim):
+            binom.append(binom[-1] * m // (m - k))
+        yield (np.sqrt(np.array([float(b) for b in binom])) * eta ** (np.arange(dim - k) / 2.0)
+               * (1.0 - eta) ** (k / 2.0))
+
+
+def _loss_map(x: np.ndarray, eta: float, adjoint: bool = False) -> np.ndarray:
+    """sum_k A_k X A_k^T, or with ``adjoint`` sum_k A_k^T X A_k, for each X of a real or
+    complex (..., dim, dim) stack, k ascending: each term is X's block scaled by c_k c_k^T
+    and moved k levels, up the diagonal or with ``adjoint`` down it."""
+    d = x.shape[-1]
+    out = np.zeros_like(x)
+    for k, c in enumerate(_kraus_diagonals(eta, d)):
+        if adjoint:
+            out[..., k:, k:] += np.outer(c, c) * x[..., :d - k, :d - k]
+        else:
+            out[..., :d - k, :d - k] += np.outer(c, c) * x[..., k:, k:]
+    return out
 
 
 def loss_kraus(channel: LossChannel, dim: int) -> np.ndarray:
@@ -54,18 +73,14 @@ def loss_kraus(channel: LossChannel, dim: int) -> np.ndarray:
 
 def apply_loss(rho: DensityMatrix, channel: LossChannel) -> DensityMatrix:
     """rho' = sum_k A_k rho A_k^T; trace preserving and positivity preserving."""
-    ops = loss_kraus(channel, rho.dim)
-    out = np.einsum("kab,bc,kdc->ad", ops, rho.elems, ops, optimize=["einsum_path", (0, 1), (0, 1)])
-    return DensityMatrix(rho.dim, out)
+    return DensityMatrix(rho.dim, _loss_map(rho.elems, channel.eta))
 
 
 def loss_adjoint_on_operator(e: np.ndarray, channel: LossChannel) -> np.ndarray:
     """Adjoint channel on measurement operators: E' = sum_k A_k^T E A_k.
 
-    ``e`` is one operator of shape (dim, dim) or a stack of shape
-    (..., dim, dim), mapped in one contraction; every element of the stack must
-    be Hermitian with 0 <= E <= I.  Preserves Hermiticity and those bounds;
-    satisfies the duality Tr[rho E'] = Tr[rho' E] with rho' the lossy state.
+    ``e`` is one operator of shape (dim, dim) or a stack of shape (..., dim, dim), each
+    Hermitian with 0 <= E <= I.  E' keeps both; Tr[rho E'] = Tr[rho' E], rho' the lossy state.
     """
     e = np.asarray(e, dtype=np.complex128)
     if e.ndim < 2 or e.shape[-1] != e.shape[-2]:
@@ -78,9 +93,4 @@ def loss_adjoint_on_operator(e: np.ndarray, channel: LossChannel) -> np.ndarray:
         lo, hi = w[..., 0].min(), w[..., -1].max()
         if lo < -TOL.psd_floor or hi > 1.0 + TOL.psd_floor:
             raise ValueError(f"operator bounds violated: eigenvalues in [{lo:.3e}, {hi:.3e}]")
-    ops = loss_kraus(channel, e.shape[-1])
-    # the Kraus pair first, as the real dim^4 superoperator, then the stack: a
-    # pinned path, as optimize=True caps intermediates at the largest input and
-    # so falls back to the naive loop once dim^2 exceeds the stack length (7 s
-    # for 360 bins at dim 20, against 0.02 s)
-    return np.einsum("kba,...bc,kcd->...ad", ops, e, ops, optimize=["einsum_path", (0, 2), (0, 1)])
+    return _loss_map(e, channel.eta, adjoint=True)

@@ -357,10 +357,12 @@ def sample_quadratures(
 
 def _sample_peak_bytes(dim: int) -> int:
     """A bound, in Python ints, on sample_quadratures' memory peak for a state of ``dim``
-    levels, the shots aside (tracemalloc measures 6.0 dim^3 doubles at dim 200): apply_loss's
-    Kraus stack and its complex einsum operands 7 dim^3, the state's copies, and the
-    wavefunction tables on the sampling grid."""
-    return 8 * (7 * dim**3 + 4 * dim * dim + 8 * (dim + 1) * _GRID_POINTS)
+    levels, the shots aside: tracemalloc measures 7 (dim + 1) _GRID_POINTS + 2 dim^2 doubles
+    from dim 96 to 1030, 0.76-0.86 of the bound from dim 3 to 1030.  Its peak is in a phase's
+    pdf, with the wavefunction table, the complex phased vectors, their conjugates and their
+    product on the sampling grid, beside the lossy state; apply_loss's temporaries, five
+    dim^2 doubles, are let go before."""
+    return 8 * (4 * dim * dim + 8 * (dim + 1) * _GRID_POINTS)
 
 
 def _shots_peak_bytes(n_phases: int, samples_per_phase: int) -> int:

@@ -116,7 +116,7 @@ def _is_number(value, kind=numbers.Complex) -> bool:
 
 _KINDS = {"float": "a finite real number", "complex": "a finite complex number"}
 # bytes build_povm, or the sample stage, may hold at once, on every host (recon_dim 130 at
-# x_max 15 on 12 phases, sim_dim 335, and 12 phases of 22.3 M shots at sim_dim 16, fit)
+# x_max 15 on 12 phases, sim_dim 7078, and 12 phases of 22.3 M shots at sim_dim 16, fit)
 _BUDGET = 2**31
 
 
@@ -203,6 +203,12 @@ class ExperimentConfig:
                 (_povm_peak_bytes(tomo, self.n_phases), f"n_phases {n_phases}, {grid} {povm}")):
             if peak > _BUDGET:
                 raise ConfigError(f"{what} within the {_BUDGET >> 30} GiB budget")
+        top = self.sim_dim - 1  # the loss channel's largest binomial, which it takes as a float
+        try:
+            float(math.comb(top, top // 2))
+        except OverflowError:
+            raise ConfigError(f"sim_dim {sim_dim} gives a loss binomial, C({top}, {top // 2}), "
+                              f"too large for float64") from None
         if (residual := completeness_residual(tomo)) > TOL.completeness:
             raise ConfigError(f"x_max {self.x_max:g} is too small for recon_dim "
                               f"{_show(self.recon_dim)}: POVM completeness residual {residual:.3e}")

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .artifacts import atomic_open
-from .channels import _kraus_diagonals, loss_adjoint_on_operator  # noqa: F401  (perfbench wraps it)
+from .channels import _loss_map, loss_adjoint_on_operator  # noqa: F401  (perfbench wraps it)
 from .errors import NumericalError, _show
 from .fock import DensityMatrix
 from .homodyne import (
@@ -281,24 +281,13 @@ def _povm_peak_bytes(config: TomographyConfig, n_phases: int) -> int:
     return 8 * (n * d * d + 2 * n_phases * (n + 2) * d * d + 4 * table) + 2**18
 
 
-def _adjoint_loss(stack: np.ndarray, eta: float) -> np.ndarray:
-    """sum_k A_k^T E A_k for each E of a real (n, dim, dim) stack, with no dim^4 superoperator:
-    A_k^T E A_k is E's leading block scaled by c_k c_k^T, c_k the k-th superdiagonal of A_k,
-    moved k levels down the diagonal."""
-    d = stack.shape[-1]
-    out = np.zeros_like(stack)
-    for k, c in enumerate(_kraus_diagonals(eta, d)):
-        out[:, k:, k:] += np.outer(c, c) * stack[:, :d - k, :d - k]
-    return out
-
-
 def completeness_residual(config: TomographyConfig) -> float:
     """||sum_b E_b - I||_2 of the POVM at every phase, from one (dim, dim) operator: the
     adjoint loss is linear, so it maps the bins' projectors summed on the nodes; no
     element's bound is checked, as the residual is the check."""
     psi, w = _nodes(config)
     summed = np.einsum("mbk,nbk,k->mn", psi, psi, w, optimize=["einsum_path", (0, 2), (0, 1)])
-    povm_sum = _adjoint_loss(summed[None], config.eta)[0]
+    povm_sum = _loss_map(summed, config.eta, adjoint=True)
     return float(np.linalg.norm(povm_sum - np.eye(config.dim), ord=2))
 
 
@@ -307,7 +296,7 @@ def build_povm(config: TomographyConfig, thetas) -> np.ndarray:
 
     Raises NumericalError first, allocating nothing of the POVM's size, if
     ``completeness_residual`` exceeds the tolerance.  Then the bin-integrated
-    quadrature projectors at theta = 0 go through ``_adjoint_loss`` at config.eta.
+    quadrature projectors at theta = 0 go through the adjoint loss at config.eta.
     Loss commutes with U = diag(exp(-i n theta)), so the element at theta is U E(0)
     U^dag, E(0)_mn exp(-i (m - n) theta), complete as E(0) is.
     """
@@ -315,7 +304,7 @@ def build_povm(config: TomographyConfig, thetas) -> np.ndarray:
         raise NumericalError(f"POVM completeness residual {residual:.3e}")
     psi, w = _nodes(config)
     raw = np.einsum("mbk,nbk,k->bmn", psi, psi, w, optimize=["einsum_path", (0, 2), (0, 1)])
-    povm0 = _adjoint_loss(raw, config.eta)
+    povm0 = _loss_map(raw, config.eta, adjoint=True)
     del raw  # so that the peak below is 3 n_bins dim^2 doubles, not 4
     n = np.arange(config.dim)
     phase = np.exp(-1j * np.multiply.outer(np.asarray(thetas, dtype=np.float64), n[:, None] - n))

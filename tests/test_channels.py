@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import kerrsim
-from kerrsim.channels import LossChannel, apply_loss, loss_adjoint_on_operator, loss_kraus
+from kerrsim.channels import (
+    LossChannel,
+    _kraus_diagonals,
+    apply_loss,
+    loss_adjoint_on_operator,
+    loss_kraus,
+)
 from kerrsim.fock import (
     DensityMatrix,
     basis_state,
@@ -161,15 +168,42 @@ def test_adjoint_stack_matches_per_matrix(seed, eta, shape, dim):
         assert np.max(np.abs(out[index] - loss_adjoint_on_operator(stack[index], channel))) <= 1e-13
 
 
-def test_adjoint_pinned_path_is_the_default_size_choice():
-    # at the default POVM's size (240 bins, dim 8) the pinned contraction path is
-    # the one numpy's optimizer picks, so the result is the same bits
-    rng = np.random.default_rng(3)
-    stack = np.stack([random_effect(rng, 8) for _ in range(240)])
-    channel = LossChannel(0.66)
-    ops = loss_kraus(channel, 8)
-    free = np.einsum("kba,...bc,kcd->...ad", ops, stack, ops, optimize=True)
-    assert np.array_equal(loss_adjoint_on_operator(stack, channel), free)
+@pytest.mark.parametrize("dim", [1, 3, 8, 16, 24])
+@pytest.mark.parametrize("eta", [0.0, 0.1, 0.66, 0.97, 1.0])
+def test_loss_maps_match_the_dense_kraus_reference(dim, eta):
+    # the maps go by the Kraus operators' diagonals; the dense stack contracted by einsum
+    # (the Kraus pair first for the adjoint) sums the same products in another order, so
+    # they agree to rounding: 1e-15 on entries of magnitude at most 1 (2.2e-16 measured)
+    rng = np.random.default_rng(dim)
+    channel = LossChannel(eta)
+    ops = loss_kraus(channel, dim)
+    rho = random_density(rng, dim)
+    forward = np.einsum("kab,bc,kdc->ad", ops, rho.elems, ops,
+                        optimize=["einsum_path", (0, 1), (0, 1)])
+    assert_allclose(apply_loss(rho, channel).elems, forward, rtol=0, atol=1e-15)
+    stack = np.stack([random_effect(rng, dim) if dim > 1 else np.full((1, 1), 0.5)
+                      for _ in range(4)])
+    adjoint = np.einsum("kba,...bc,kcd->...ad", ops, stack, ops,
+                        optimize=["einsum_path", (0, 2), (0, 1)])
+    assert_allclose(loss_adjoint_on_operator(stack, channel), adjoint, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [3, 16, 100, 1030])
+def test_kraus_diagonals_take_math_comb_binomials(dim):
+    # the binomials come from an exact integer recurrence, one step an entry, and are
+    # rounded by float(), so every c_k is bit for bit what float(math.comb(m, k)) gives;
+    # at 1030, the largest sim_dim admitted, a few rows, the largest binomial's among them,
+    # and at 1031 that binomial passes float64's range
+    eta = 0.66
+    rows = range(dim) if dim <= 100 else (0, 1, 2, (dim - 1) // 2, dim // 2, dim - 2, dim - 1)
+    diagonals = list(_kraus_diagonals(eta, dim))
+    for k in rows:
+        binom = np.array([float(math.comb(m, k)) for m in range(k, dim)])
+        expected = np.sqrt(binom) * eta ** (np.arange(dim - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
+        assert np.array_equal(diagonals[k], expected), k
+    if dim == 1030:
+        with pytest.raises(OverflowError):
+            list(_kraus_diagonals(eta, dim + 1))
 
 
 def test_no_contraction_path_search_in_the_package():

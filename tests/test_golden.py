@@ -31,7 +31,7 @@ PIPELINE = {
         "alpha_0.23/reconstruction_diag.json":
             "5398bc3212324763ac2f1e0aec415e22a5f5233d0602773691ac93825b361981",
         "alpha_0.23/samples.npy":
-            "e089ef395deb948de1d40b29bb606332e251e9d58a5fd986bc7a67494d1fa2d3",
+            "a5af3db943beef8685bed54124f27ee18cb67d19c09bbe6283774e898e3c9a57",
         "alpha_0.23/samples_meta.json":
             "283b671bd9d4b39a92609d8d2fe1e539c0e68943585058b03b52ef8ab8add546",
         "alpha_0.23/tables/input_model.csv":
@@ -49,7 +49,7 @@ PIPELINE = {
         "alpha_0.53/reconstruction_diag.json":
             "a6940e4c37a414df2f0d5f2719547a9ba99e51a2adc2364aed46b9951d52bcfa",
         "alpha_0.53/samples.npy":
-            "8967d537ae56c7b326a984eab9bcc99aa9407343a22b73d759f84e1097486eea",
+            "701add238ced2bc88e431812e0df3f5ef9e5ee9b02dbf90d8d0abd72f9615f62",
         "alpha_0.53/samples_meta.json":
             "34f8a32f656f7d3465ebf3a0d00dfc14b9045a04eea71518a143c24a500e4533",
         "alpha_0.53/tables/input_model.csv":
@@ -67,7 +67,7 @@ PIPELINE = {
         "alpha_0.79/reconstruction_diag.json":
             "9f0be6d69f8008e6946016d0a301e185ed13dbe95087d4a6f2c1984821ccc522",
         "alpha_0.79/samples.npy":
-            "69644ed5aa797117217ce5b4635b7ba868d445dbef5fd61a9be7d9d54dbe6e8c",
+            "1162528107ebf1c82d9d4367e164017c358ba205ad6a342750b4a796354d96b8",
         "alpha_0.79/samples_meta.json":
             "37bdaa589da1f781a14672ff1bc99de9f8a1186343d9bd113e9106c7e62ee401",
         "alpha_0.79/tables/input_model.csv":
@@ -89,7 +89,7 @@ PIPELINE = {
         "alpha_0.23/reconstruction_diag.json":
             "86e42b2d9f06f81c78133d9c8e049bc33190e90e493d0dc4dce96c0751c0a5d4",
         "alpha_0.23/samples.npy":
-            "24ef1d6f527d4ac00e8156b45cf36347e6b99f1c2b24a5ece759139e56245d6f",
+            "63fe9786089ac7b4728a5d8a51e0fd9592f5634eb6f89b3e6c57042e03991d23",
         "alpha_0.23/samples_meta.json":
             "67c39b490afe90872502b4b589c77338a2b5bad188660930b07cfcb70ab2e8e5",
         "alpha_0.23/tables/input_model.csv":
@@ -107,7 +107,7 @@ PIPELINE = {
         "alpha_0.53/reconstruction_diag.json":
             "04741b5797e2d589450415eaba635b62d633d3259d2d9cb5b137ea48c6da1a33",
         "alpha_0.53/samples.npy":
-            "3ee6283538a124d4f11fcff02cf5022782fc2c95b04f7cf268edf6e35e6a5416",
+            "ef5ff7cc865222509fd80833d7e78af56d2d822f98850ed14fdb6e16bda6a246",
         "alpha_0.53/samples_meta.json":
             "aa06f340c0bc684178ad46b5d5c93f006a5bc6923dc894112de04c77ac3f34a0",
         "alpha_0.53/tables/input_model.csv":
@@ -125,7 +125,7 @@ PIPELINE = {
         "alpha_0.79/reconstruction_diag.json":
             "2e88120e68feb8f01dd098a79ab4b5ddaf6fe7bc9685fb7de860a0dcb3016515",
         "alpha_0.79/samples.npy":
-            "13ed11e81e4094773b6c2ca152d87edd02b2d39b434c20d89d1c6f17af7a29f4",
+            "b4529b0d7072d847dba6e35cfdb07b7164288ab9b1813889a4ec4ec4ceb7322f",
         "alpha_0.79/samples_meta.json":
             "da00a6e12060e0267c1b1664d0765e31ba53a6e846612d5148dfb4bc50e50e48",
         "alpha_0.79/tables/input_model.csv":
@@ -140,7 +140,7 @@ PIPELINE = {
 }
 SAMPLE_AND_RECONSTRUCT = {
     "out/alpha_0.53/samples.csv":
-        "382e434166eb1dd420f8b9ae474c5a50036f84e2c73ffc20cf4f0c251c2c7004",
+        "7a6c9500ac4f27b3af3ab34f23df02d76be562fe6c38438f9c0bf5c252cae785",
     "out/alpha_0.53/samples_meta.json":
         "dd2300166441cd9975d9bb779cf354aa3f431f1d72ab9e68d9bab8f0f3908fcc",
     "rec/reconstructed.json":

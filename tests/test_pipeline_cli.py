@@ -509,13 +509,20 @@ def test_cli_admits_a_grid_by_arithmetic(tmp_path, capsys):
 
 
 def test_cli_admits_sim_dim_by_arithmetic(tmp_path, capsys):
-    # the sample stage of sim_dim 3000 would hold a 216 GB Kraus stack; it is refused,
-    # naming the field, before anything of that size is allocated; recon_dim 440 on ten
-    # wide bins fits the POVM budget (87 MiB), and sim_dim 440 is refused before the
-    # completeness check builds the grid's node tables
+    # the sample stage of sim_dim 10**6 would hold 8 TB of grid tables; it is refused,
+    # naming the field, before anything of that size is allocated.  Memory admits sim_dim
+    # up to 7078, but the loss channel's binomials pass float64's range from 1031 on, so
+    # 1031 and 3000 are refused too, after the memory bound (10**400 never forms one).
+    # recon_dim 440 on ten wide bins fits the POVM budget (87 MiB), and sim_dim 1031 is
+    # refused before the completeness check builds the grid's node tables
     config = tmp_path / "big.json"
-    for payload in ({"sim_dim": 3000}, {"sim_dim": 336}, {"sim_dim": 10**400},
-                    {"recon_dim": 440, "sim_dim": 440, "x_max": 30.0, "bin_width": 6.0}):
+    memory = "gives a lossy state too large to sample within the 2 GiB budget"
+    for payload, ending in (
+            ({"sim_dim": 10**6}, memory), ({"sim_dim": 10**400}, memory),
+            ({"sim_dim": 1031}, "gives a loss binomial, C(1030, 515), too large for float64"),
+            ({"sim_dim": 3000}, "gives a loss binomial, C(2999, 1499), too large for float64"),
+            ({"recon_dim": 440, "sim_dim": 1031, "x_max": 30.0, "bin_width": 6.0},
+             "gives a loss binomial, C(1030, 515), too large for float64")):
         config.write_text(json.dumps(payload))
         tracemalloc.start()
         try:
@@ -526,17 +533,17 @@ def test_cli_admits_sim_dim_by_arithmetic(tmp_path, capsys):
         assert code == 2, payload
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid configuration: sim_dim "), err
-        assert err[0].endswith("too large to sample within the 2 GiB budget"), err
+        assert err[0].endswith(ending), err
         assert peak < 4 * 2**20, payload
-    assert ExperimentConfig(sim_dim=335).sim_dim == 335  # the largest admitted
+    assert ExperimentConfig(sim_dim=1030).sim_dim == 1030  # the largest admitted
     assert os.listdir(tmp_path) == ["big.json"]
 
 
 def test_cli_admits_the_shot_batch_by_arithmetic(tmp_path, capsys):
-    # 8 bytes a shot: 12 phases of 22,309,781 shots pass the 2 GiB budget at sim_dim 16,
+    # 8 bytes a shot: 12 phases of 22,312,171 shots pass the 2 GiB budget at sim_dim 16,
     # and are refused, naming both fields, before the schedule or any shot is allocated
     config = tmp_path / "big.json"
-    for payload in ({"samples_per_phase": 22_309_781}, {"n_phases": 10**15},
+    for payload in ({"samples_per_phase": 22_312_171}, {"n_phases": 10**15},
                     {"n_phases": 1, "samples_per_phase": 10**400}):
         config.write_text(json.dumps(payload))
         tracemalloc.start()
@@ -551,7 +558,7 @@ def test_cli_admits_the_shot_batch_by_arithmetic(tmp_path, capsys):
         assert "samples_per_phase" in err[0], err
         assert err[0].endswith("too large to sample at sim_dim 16 within the 2 GiB budget"), err
         assert peak < 4 * 2**20, payload
-    assert ExperimentConfig(samples_per_phase=22_309_780).samples_per_phase == 22_309_780
+    assert ExperimentConfig(samples_per_phase=22_312_170).samples_per_phase == 22_312_170
     assert os.listdir(tmp_path) == ["big.json"]
 
 
