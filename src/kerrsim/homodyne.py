@@ -535,7 +535,7 @@ class _Rows:
     infinity, both from its own first row; ``start``, the rows of the file
     before that one, is set by the reader once every range is parsed.  A
     subclass keeps what it needs of the rows in ``_take``, and may set ``full``
-    to be given no more.
+    to be given no more there; ``take`` still counts and checks the rows.
     """
 
     full = False
@@ -547,7 +547,8 @@ class _Rows:
     def take(self, table: np.ndarray) -> None:
         if self.first_bad is None and not np.isfinite(table).all():
             self.first_bad = self.rows + int(np.argmin(np.isfinite(table).all(axis=1)))
-        self._take(table)
+        if not self.full:
+            self._take(table)
         self.rows += len(table)
 
     def _take(self, table: np.ndarray) -> None:
@@ -573,11 +574,11 @@ def _read(path: str, new_sink) -> tuple[list, dict]:
     """The rows of the sample file at ``path``, given to sinks, and its sidecar's fields.
 
     ``new_sink()`` gives a _Rows for each range of the file.  A ``.npy`` file
-    is one range, read ``_CHUNK_SHOTS`` rows at a time; a CSV is parsed as
-    _parse_csv says.  Returns the sinks in row order, each with its
-    ``start``, up to the first that is full.  A file that cannot be parsed
-    raises ValueError, and then so does one with a NaN or infinite theta or
-    x, naming its first such row.
+    is one range, read ``_CHUNK_SHOTS`` rows at a time until its sink is full;
+    a CSV is parsed to its end as _parse_csv says.  Returns the sinks in row
+    order, each with its ``start``.  A file that cannot be parsed raises
+    ValueError, and then so does one with a NaN or infinite theta or x among
+    the rows read, naming its first such row.
     """
     parsed = _read_npy(path, new_sink()) if path.endswith(".npy") else _parse_csv(path, new_sink)
     bad = [sink.start + sink.first_bad for sink in parsed if sink.first_bad is not None]
@@ -637,9 +638,10 @@ def _parse_csv(path: str, new_sink) -> list:
     Each range is a part of run_parts, parsed into its own sink, which counts
     its rows from 0.  This process then numbers them: a sink's ``start`` is
     the rows of the ranges before it, and the first range that failed has
-    the data row its error names moved on by as many, and raises it.  A range
-    whose sink stopped it, full, ends the file, as it would in one process:
-    the ranges after it are dropped, whatever their outcome.  No range is
+    the data row its error names moved on by as many, and raises it.  Every
+    range is parsed to its end, a full sink's too, so at any worker count a
+    row that cannot be parsed is raised first, then a non-finite row (_read),
+    then too many phases (the caller's check of the full sinks).  No range is
     parsed twice.
     """
     with open(path, newline="") as fh:
@@ -659,8 +661,6 @@ def _parse_csv(path: str, new_sink) -> list:
             raise outcome
         outcome.start, rows = rows, rows + outcome.rows
         parsed.append(outcome)
-        if outcome.full:
-            break
     _log_rows(path, "read", rows, len(outcomes))
     return parsed
 
@@ -688,7 +688,7 @@ def _csv_ranges(path: str, start: int) -> list[int]:
 def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows) -> _Rows:
     """Parse bytes ``lo``..``hi`` of the CSV, whole lines, in newline-aligned pieces of at
     most _CSV_SLICE_BYTES, give each piece's rows to ``sink`` as it is parsed, and return the
-    sink; stop early once it is full.
+    sink; a full sink is given the rest too (see _Rows.take), so that every row is parsed.
 
     A row that cannot be parsed raises np.loadtxt's ValueError, which names
     the row by its 1-based data row counted from the range's first.
@@ -697,7 +697,7 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows) -> _Ro
     with open(path, "rb") as raw:
         raw.seek(lo)
         pos = lo
-        while pos < hi and not sink.full:
+        while pos < hi:
             block = raw.read(min(_CSV_SLICE_BYTES, hi - pos))
             if not block:
                 raise ValueError(f"{path} shrank while it was read")

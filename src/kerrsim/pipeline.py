@@ -499,8 +499,9 @@ def reconstruct_file(
     column.  The bin stage adds the ranges' counts up by theta, as
     bin_samples would count the loaded batch.  A file of more phases than the
     POVM budget admits is a SampleFileError naming that count, raised before
-    any histogram of them all exists; a range stops reading once it finds
-    more, and ends the file there, as it would in one process.  The POVM is
+    any histogram of them all exists: a range that finds more bins no more
+    rows, but a CSV range parses on to its end, so that at any worker count a
+    row that cannot be parsed, then a non-finite one, is the error.  The POVM is
     built for the phases found in the file and compensates ``config.eta``; if
     no sidecar records the file's eta, or it records another, the diagnostics
     carry a warning.  A file or sidecar that cannot be read, or a file with

@@ -601,14 +601,22 @@ def test_reconstruct_refuses_a_file_of_too_many_phases(tmp_path, capsys):
         "POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
 
 
+_TOO_MANY = ("error: cannot reconstruct from {path}: more than 10 phases give a POVM too "
+             "large to hold at recon_dim 8 within the 2 GiB budget")
+_CANNOT_CONVERT = ("error: cannot read samples from {path}: could not convert string 'abc' to "
+                   "float64 at data row {row}, column 2.")
+
+
 @pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("tail", [["0.5,abc"], [f"{1.0 + i / 128!r},0.25" for i in range(100)]],
-                         ids=["bad-row", "more-phases"])
-def test_reconstruct_refuses_too_many_phases_alike_at_any_worker_count(cpus, tail, tmp_path,
-                                                                       capsys):
+@pytest.mark.parametrize("tail, refusal", [
+    (["0.5,abc"], _CANNOT_CONVERT.format(path="{path}", row=201)),
+    ([f"{1.0 + i / 128!r},0.25" for i in range(100)], _TOO_MANY)],
+    ids=["bad-row", "more-phases"])
+def test_reconstruct_refuses_too_many_phases_alike_at_any_worker_count(cpus, tail, refusal,
+                                                                       tmp_path, capsys):
     # 100 one-row phases and 100 rows of one phase, then a bad row or 100 more phases, with
-    # 10 phases admitted: the range whose sink is full ends the file, as it would in one
-    # process, so the refusal is the same at 1 and 3 CPUs and names the admitted count
+    # 10 phases admitted: every range is parsed to its end, the full ones too, so the bad
+    # row is the error, and otherwise the refusal names the admitted count, at 1 and 3 CPUs
     rows = [f"{i / 128!r},0.25" for i in range(100)] + ["2.0,0.5"] * 100 + tail
     path = tmp_path / "samples.csv"
     path.write_text("theta,x\r\n" + "\r\n".join(rows) + "\r\n", newline="")
@@ -617,9 +625,34 @@ def test_reconstruct_refuses_too_many_phases_alike_at_any_worker_count(cpus, tai
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         code = main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")])
     assert (code, fork.call_count) == (2, cpus - 1)
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: cannot reconstruct from {path}: more than 10 phases give a "
-        "POVM too large to hold at recon_dim 8 within the 2 GiB budget"]
+    assert capsys.readouterr().err.splitlines() == [refusal.format(path=path)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bad, refusal", [
+    ("1.0,abc", _CANNOT_CONVERT.format(path="{path}", row=65)),
+    ("1.0,nan", "error: cannot read samples from {path}: non-finite theta or x in data row 65"),
+    ("1.0,0.5", _TOO_MANY)], ids=["text", "nan", "none"])
+def test_reconstruct_refusal_order_does_not_depend_on_the_worker_count(cpus, bad, refusal,
+                                                                       tmp_path, capsys):
+    # 11 one-row phases past the 10 admitted end the first half of the body, and the second
+    # half's fourth row is bad; one process parses it in the same piece as the phases, two
+    # in the second range, after the full first one.  Either way a row that cannot be
+    # parsed is the error, then a non-finite row, then too many phases
+    first = ["0.0,0.25"] * 50 + [f"{1.0 + i / 128!r},0.25" for i in range(11)]
+    second = ["0.0,0.5"] * 3 + [bad] + ["0.0,0.5"] * 68
+    path = tmp_path / "samples.csv"
+    text = "theta,x\r\n" + "\r\n".join(first + second) + "\r\n"
+    path.write_text(text, newline="")
+    with _workers(cpus), mock.patch.object(pipeline, "_admitted_phases", return_value=10), \
+            mock.patch.object(homodyne, "_CSV_SLICE_BYTES", 2**18):
+        offsets = homodyne._csv_ranges(str(path), len("theta,x\r\n"))
+        assert len(offsets) == cpus + 1
+        if cpus == 2:  # the second range holds the bad row, and none of the first's phases
+            assert text.index("0.0,0.5") <= offsets[1] <= text.index(bad)
+        code = main(["reconstruct", "--samples", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [refusal.format(path=path)]
 
 
 def test_reconstruct_refuses_a_npy_of_too_many_phases_before_binning_them(tmp_path, capsys):
