@@ -535,7 +535,8 @@ class _Rows:
     infinity, both from its own first row; ``start``, the rows of the file
     before that one, is set by the reader once every range is parsed.  A
     subclass keeps what it needs of the rows in ``_take``, and may set ``full``
-    to be given no more there; ``take`` still counts and checks the rows.
+    to be given no more there: ``take`` still counts the rows and notes a
+    non-finite one.
     """
 
     full = False

@@ -53,6 +53,14 @@ MUTANTS = [
      "outcome.start, rows = rows, rows + outcome.rows",
      "outcome.start, rows = 0, rows + outcome.rows",
      "every CSV range's start left at 0 after the parse"),
+    ("lossy-ulp", "src/kerrsim/homodyne.py",
+     "self.lossy = apply_loss(rho, LossChannel(eta))",
+     "self.lossy = apply_loss(rho, LossChannel(float(np.nextafter(eta, 1))))",
+     "the sampler's lossy state at an eta one ulp higher"),
+    ("loss-forward-as-adjoint", "src/kerrsim/channels.py",
+     "out[..., :d - k, :d - k] += np.outer(c, c) * x[..., k:, k:]",
+     "out[..., k:, k:] += np.outer(c, c) * x[..., :d - k, :d - k]",
+     "the forward loss map with the adjoint's slicing"),
 ]
 
 
