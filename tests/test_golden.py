@@ -170,17 +170,16 @@ def _hashes(root: str, keep=lambda name: True) -> dict:
 
 
 @pytest.mark.parametrize("seed", sorted(PIPELINE))
-def test_pipeline_artifacts_are_golden(seed, tmp_path, monkeypatch, capsys):
+def test_pipeline_artifacts_are_golden(seed, tmp_path, monkeypatch):
     _require_recorded_environment()
     monkeypatch.chdir(tmp_path)  # report.json records the outdir as given
     assert main(["pipeline", "--seed", str(seed), "--out", "out"]) == 0
-    capsys.readouterr()
     assert _hashes("out", lambda rel: rel == "report.json" or rel.startswith("alpha_")) \
         == PIPELINE[seed]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_sample_and_reconstruct_artifacts_are_golden(cpus, tmp_path, monkeypatch, capsys):
+def test_sample_and_reconstruct_artifacts_are_golden(cpus, tmp_path, monkeypatch):
     _require_recorded_environment()
     monkeypatch.chdir(tmp_path)
     with mock.patch.object(_parts, "_usable_cpus", return_value=cpus):
@@ -188,5 +187,4 @@ def test_sample_and_reconstruct_artifacts_are_golden(cpus, tmp_path, monkeypatch
                      "--out", "out"]) == 0
         assert main(["reconstruct", "--samples", "out/alpha_0.53/samples.csv",
                      "--out", "rec"]) == 0
-    capsys.readouterr()
     assert _hashes(".") == SAMPLE_AND_RECONSTRUCT

@@ -717,7 +717,7 @@ def test_sampled_csv_takes_the_x_only_parse(tmp_path):
 def test_sample_peak_bytes_bounds_the_sampler(dim):
     # the size rule admits sim_dim by this count, so it must cover what sampling holds
     # beside its few shots, and stay within twice that; its leading term, the tables on
-    # the sampling grid, dominates at every dim below the 1,201 grid points
+    # the sampling grid, dominates at every admitted dim
     rho = density_from_pure(coherent_state(0.05, dim))
     schedule = default_schedule(seed=1, n_phases=2, samples_per_phase=10)
     sample_quadratures(rho, schedule, eta=0.66)  # first-call imports outside the count
