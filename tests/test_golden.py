@@ -148,6 +148,10 @@ SAMPLE_AND_RECONSTRUCT = {
     "rec/reconstruction_diag.json":
         "f99cfc2e48ffeab33ea2d737a9c65d2b04c27ef99f67dc3b290c734969a72be9",
 }
+KLM = {
+    "klm_table.csv": "f57f95692bc5fb5083b22c70eb93bd0c114d0c24f70f84cbe0f4d57f350d96c3",
+    "klm_table.json": "f9eb7d8083317f03f21e458dbfee64308d12ca2b7d91f6292d7ef9aedb167e47",
+}
 
 
 def _require_recorded_environment() -> None:
@@ -188,3 +192,10 @@ def test_sample_and_reconstruct_artifacts_are_golden(cpus, tmp_path, monkeypatch
         assert main(["reconstruct", "--samples", "out/alpha_0.53/samples.csv",
                      "--out", "rec"]) == 0
     assert _hashes(".") == SAMPLE_AND_RECONSTRUCT
+
+
+def test_klm_table_is_golden(tmp_path, monkeypatch):
+    _require_recorded_environment()
+    monkeypatch.chdir(tmp_path)
+    assert main(["klm", "--out", "out"]) == 0
+    assert _hashes("out") == KLM
