@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -332,6 +334,17 @@ def test_run_ns_gate_input_validation():
         run_ns_gate(bad, DetectorModel("pnr", 1.0))
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_run_ns_gate_refuses_a_non_finite_norm_without_a_warning(bad):
+    # NaN and inf amplitudes, and 1e200 whose squared norm overflows
+    state = FockVector(3, np.array([bad, 1.0, 1.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="norm"):
+            run_ns_gate(state, DetectorModel("pnr", 1.0))
+    assert caught == []
+
 def _reference_branches(state, det_one, det_zero):
     """run_ns_gate's branches with every amplitude a fresh permanent of the solved network."""
     network = transfer_matrix(*solve_ns_transmittances().transmittances)
@@ -407,3 +420,71 @@ def test_klm_compare_computes_each_herald_amplitude_once(monkeypatch):
     klm_compare()
     assert len(calls) == 10
     hash(solve_ns_transmittances())  # the frozen solution, table included, stays hashable
+
+
+def _assert_is_reference(result, psi, det_one, det_zero):
+    expected = _reference_branches(psi, det_one, det_zero)
+    assert len(result.branches) == len(expected)
+    for (weight, vec), (ref_weight, ref_amps) in zip(result.branches, expected):
+        assert weight == ref_weight
+        assert np.array_equal(vec.amps, ref_amps)
+    probability = sum(weight for weight, _ in expected)
+    rho = sum(weight * np.outer(amps, amps.conj()) for weight, amps in expected)
+    assert result.probability == probability
+    assert np.array_equal(result.output.elems, rho / probability)
+    target = density_from_pure(nonlinear_sign_target(psi.normalized()))
+    assert result.fidelity == fidelity(result.output, target)
+
+
+def test_klm_compare_builds_each_probes_branches_once():
+    klm._heralded_branches.cache_clear()
+    klm_compare()
+    info = klm._heralded_branches.cache_info()
+    assert (info.misses, info.hits) == (3, 9)  # three probes, four detector settings each
+
+
+def test_run_ns_gate_memo_follows_the_state():
+    pnr, on_off = DetectorModel("pnr", 0.66), DetectorModel("on_off", 0.8)
+    first = FockVector(3, np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0))
+    second = FockVector(3, np.array([1.0, 0.5j, -2.0]) / math.sqrt(5.25))
+    for psi in (first, second, first, second):
+        for dets in ((pnr, pnr), (pnr, on_off), (on_off, pnr)):
+            _assert_is_reference(run_ns_gate(psi, dets), psi, *dets)
+
+
+def test_run_ns_gate_memo_follows_the_solution(monkeypatch):
+    psi = FockVector(3, np.array([1.0, 1.0, 2.0]) / math.sqrt(6.0))
+    detector = DetectorModel("on_off", 0.66)
+    solved = run_ns_gate(psi, detector)
+    # the same table, built by the same entries, on another network
+    settings = (0.9, 0.6, 0.8)
+    network = transfer_matrix(*settings)
+    other = dataclasses.replace(
+        solve_ns_transmittances(),
+        transmittances=settings,
+        herald_amplitudes=tuple(
+            (pattern, klm._herald_entries(network, *pattern)) for pattern in klm._HERALD_PATTERNS
+        ),
+    )
+    monkeypatch.setattr(klm, "solve_ns_transmittances", lambda: other)
+    monkeypatch.setitem(globals(), "solve_ns_transmittances", lambda: other)  # the reference's
+    result = run_ns_gate(psi, detector)
+    assert result.probability != solved.probability
+    _assert_is_reference(result, psi, detector, detector)
+
+
+def test_run_ns_gate_branches_and_cached_projectors_are_read_only():
+    psi = FockVector(4, np.array([1.0, -1.0j, 1.0, 0.0]) / math.sqrt(3.0))
+    result = run_ns_gate(psi, DetectorModel("on_off", 0.66))
+    heralded, target = klm._heralded_branches(
+        solve_ns_transmittances(), psi.dim, psi.amps.tobytes()
+    )
+    assert len(heralded) == len(result.branches) > 1
+    for _, vec in result.branches:
+        assert not vec.amps.flags.writeable
+    for _, _, vec, projector in heralded:
+        assert not vec.amps.flags.writeable
+        assert not projector.flags.writeable
+        with pytest.raises(ValueError):
+            projector[0, 0] = 0.0
+    assert not target.elems.flags.writeable
