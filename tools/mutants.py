@@ -23,6 +23,28 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# a decorator for _heralded_branches that memoises, like lru_cache(maxsize=1), on every
+# argument but the one at ``index``; the branches of a hit are those of the last miss
+_MEMO_DROPPING = """def _memo_dropping(index):
+    def wrap(fn):
+        latest = []
+
+        @lru_cache(maxsize=1)
+        def cached(*key):
+            return fn(*latest[0])
+
+        def call(*args):
+            latest[:] = [args]
+            return cached(*args[:index], *args[index + 1:])
+
+        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+        return call
+    return wrap
+
+
+@_memo_dropping({index})
+def _heralded_branches("""
+
 # (name, file, text, replacement, what the mutant breaks)
 MUTANTS = [
     ("halve-gap", "src/kerrsim/tomography.py",
@@ -61,6 +83,12 @@ MUTANTS = [
      "out[..., :d - k, :d - k] += np.outer(c, c) * x[..., k:, k:]",
      "out[..., k:, k:] += np.outer(c, c) * x[..., :d - k, :d - k]",
      "the forward loss map with the adjoint's slicing"),
+    ("ns-memo-no-amps", "src/kerrsim/klm.py",
+     "@lru_cache(maxsize=1)\ndef _heralded_branches(", _MEMO_DROPPING.format(index=2),
+     "the NS gate's branch memo keyed without the state's amplitude bytes"),
+    ("ns-memo-no-solution", "src/kerrsim/klm.py",
+     "@lru_cache(maxsize=1)\ndef _heralded_branches(", _MEMO_DROPPING.format(index=0),
+     "the NS gate's branch memo keyed without the solution"),
 ]
 
 
