@@ -193,17 +193,18 @@ class NsGateResult:
     fidelity: float
 
 
-@lru_cache(maxsize=1)
-def _heralded_branches(solution: NsGateSolution, dim: int, amps_bytes: bytes):
-    """The detector-independent part of run_ns_gate for one input state.
+# (pattern, unnormalised mass, normalised output vector, its read-only projector)
+_Branch = tuple[tuple[int, int], float, FockVector, np.ndarray]
 
-    Checks the input, then gives, for each herald pattern of ``solution`` that leaves
-    the signal a nonzero branch, ``((n_one, n_zero), mass, branch, projector)``:
-    the branch's unnormalised mass, its normalised output vector (the pi phase plate
-    included) and that vector's read-only projector; and the sign-flip target.
-    klm_compare passes each probe with four detector settings in a row, so one
-    entry, keyed on the solution and the state's bytes, serves all four.
-    """
+
+@lru_cache(maxsize=1)
+def _heralded_branches(
+    solution: NsGateSolution, dim: int, amps_bytes: bytes
+) -> tuple[tuple[_Branch, ...], DensityMatrix]:
+    """The detector-independent part of run_ns_gate: its input checks, one branch for
+    each herald pattern of ``solution`` that leaves the signal any mass (the output
+    phase plate included), and the sign-flip target.  klm_compare passes each probe
+    with four detector settings in a row, so one entry serves all four."""
     if dim < 3:
         raise ValueError("input must cover levels {0, 1, 2}")
     amps = np.frombuffer(amps_bytes, dtype=np.complex128)

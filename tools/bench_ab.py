@@ -31,7 +31,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,15 +45,12 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def export(revision: str, dest: str) -> None:
-    """The tracked files of ``revision`` under ``dest``."""
-    archive = os.path.join(dest, "tree.tar")
-    subprocess.run(["git", "archive", "--format=tar", "-o", archive, revision], cwd=ROOT,
-                   check=True)
-    tree = os.path.join(dest, "tree")
-    with tarfile.open(archive) as tar:
-        tar.extractall(tree, filter="data")
-    os.remove(archive)
+def export(revision: str, tree: str) -> None:
+    """The tracked files of ``revision`` in the new directory ``tree``."""
+    os.mkdir(tree)
+    archive = subprocess.run(["git", "archive", revision], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, out: str) -> dict:
@@ -120,8 +116,8 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="kerrsim-ab-") as scratch:
-        export(args.parent, scratch)
         trees = {"parent": os.path.join(scratch, "tree"), "change": ROOT}
+        export(args.parent, trees["parent"])
         for pair in range(args.pairs):
             seed = args.seed + pair
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
