@@ -334,7 +334,6 @@ def test_run_ns_gate_input_validation():
         run_ns_gate(bad, DetectorModel("pnr", 1.0))
 
 
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_run_ns_gate_refuses_a_non_finite_norm_without_a_warning(bad):
     # NaN and inf amplitudes, and 1e200 whose squared norm overflows
@@ -344,6 +343,7 @@ def test_run_ns_gate_refuses_a_non_finite_norm_without_a_warning(bad):
         with pytest.raises(ValueError, match="norm"):
             run_ns_gate(state, DetectorModel("pnr", 1.0))
     assert caught == []
+
 
 def _reference_branches(state, det_one, det_zero):
     """run_ns_gate's branches with every amplitude a fresh permanent of the solved network."""
