@@ -258,19 +258,18 @@ def run_ns_gate(
         solve_ns_transmittances(), state.dim, state.amps.tobytes()
     )
     branches: list[tuple[float, FockVector]] = []
-    projectors = []
+    rho = 0
     for (n_one, n_zero), mass, branch, projector in heralded:
         weight = _detector_weight(det_zero, 0, n_zero)
         weight *= _detector_weight(det_one, 1, n_one)
         if weight == 0.0:
             continue
         branches.append((weight * mass, branch))
-        projectors.append(projector)
+        rho = rho + weight * mass * projector
 
     probability = sum(weight for weight, _ in branches)
     if probability <= 0.0:
         raise RuntimeError("herald pattern has zero probability")
-    rho = sum(weight * projector for (weight, _), projector in zip(branches, projectors))
     output = DensityMatrix(state.dim, rho / probability)
     return NsGateResult(
         branches=tuple(branches),
