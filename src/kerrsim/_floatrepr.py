@@ -3,8 +3,9 @@
 ``format_rows`` lays out the CSV rows ``prefix + repr(x) + CRLF`` of a chunk of
 x values, bit for bit as ``repr``, for the sample writer (``homodyne``), which
 imports this module only when it writes a CSV, so that ``import kerrsim`` does
-not compile it, and lets go of the 160 kB table of ``digit_words`` once the
-file is written.
+not compile it, and lets go of the 80 kB table of ``digit_words`` once the
+file is written.  The array arithmetic covers 1e-4 <= |x| < 100, where every
+sampled x lies (the sampler's grid ends at +-6); ``repr`` formats the rest.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ _TEN = 10.0 ** np.arange(23)
 _TEN_HI = _TEN * _SPLITTER - (_TEN * _SPLITTER - _TEN)
 _TEN_LO = _TEN - _TEN_HI
 _K = np.arange(23)
-# the fraction's digits R / 10**k as two 10-digit halves: R // _FRAC_DIV * _FRAC_HI and
-# R % _FRAC_DIV * _FRAC_LO
+# the fraction's digits R / 10**k as two 10-digit halves: R // _FRAC_DIV and
+# R % _FRAC_DIV * _FRAC_LO; below 100, k >= 12, so the first half never needs padding
 _FRAC_DIV = 10 ** np.maximum(_K - 10, 0)
-_FRAC_HI = 10 ** np.maximum(10 - _K, 0)
 _FRAC_LO = 10 ** (20 - np.clip(_K, 10, 20))
 _GROUP = 10**4  # a 4-digit group of characters is one uint32 of digit_words
 _EXPONENT = 0x7FF << 52
@@ -33,31 +33,30 @@ _EXPONENT = 0x7FF << 52
 def digit_words() -> np.ndarray:
     """The 4-byte words the formatter lays rows out in, as uint32, NUL where nothing is.
 
-    Word g + i * _GROUP is the 4-digit group g (0 <= g < 10**4): i = 0 without its leading
-    zeros, and nothing for 0; 1 zero-padded; 2 without its leading zeros, and "0" for 0;
-    3 without its trailing zeros.  Then "-", ".", CRLF, and at _HEAD + s * 100 + w the
-    sign s, the whole part w < 100 and the point of a number, right-aligned.
+    Word g + i * _GROUP is the 4-digit group g (0 <= g < 10**4): i = 0 zero-padded, 1
+    without its trailing zeros.  Then CRLF, and at _HEAD + s * 100 + w the sign s, the
+    whole part w < 100 and the point of a number, right-aligned.
     """
     g = np.arange(_GROUP)
     digits = (g[:, None] // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
     text = digits + ord("0")
-    lead = np.cumsum(digits, axis=1) == 0
     trail = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] == 0
-    unit = lead & (np.arange(4) < 3)
     w = np.arange(100)
     head = np.zeros((2, 100, 4), np.uint8)
     head[:, :, 3] = ord(".")
     head[:, :, 2] = w % 10 + ord("0")
     head[:, 10:, 1] = w[10:] // 10 + ord("0")
     head[1, :10, 1] = head[1, 10:, 0] = ord("-")
-    words = [np.where(lead, 0, text), text, np.where(unit, 0, text), np.where(trail, 0, text),
-             np.frombuffer(b"\0\0\0-.\0\0\0\r\n\0\0", np.uint8).reshape(3, 4),
+    words = [text, np.where(trail, 0, text), np.frombuffer(b"\r\n\0\0", np.uint8)[None],
              head.reshape(200, 4)]
     return np.concatenate(words).view(np.uint32).ravel()
 
 
-_MINUS, _DOT, _CRLF = 4 * _GROUP + np.arange(3)
-_HEAD = 4 * _GROUP + 3
+_CRLF = 2 * _GROUP
+_HEAD = 2 * _GROUP + 1
+# the words a row's number takes, a word for its sign, whole part and point and five for its
+# fraction; repr's text of any other float64 fits them too (24 bytes, "-2.2250738585072014e-308")
+_BODY = 6
 
 
 def _nearest(frac, frac_hi, frac_lo, k, half_ulp):
@@ -100,7 +99,7 @@ def _shortest(xs: np.ndarray) -> tuple[np.ndarray, ...]:
     frac(|x|) * 10**k, k of them, 1 <= k <= 20.
 
     ``repr(x)`` is the shortest decimal that rounds back to x, the nearest to x
-    of its length.  For 1e-4 <= |x| < 1e14 it is x's whole part and a
+    of its length.  For 1e-4 <= |x| < 100 it is x's whole part and a
     fraction, n significant digits in all, n the least that round-trips: with
     k = n - 1 - floor(log10|x|), the integer m nearest |x| * 10**k, whose
     distance to it is compared exactly (see _nearest), must be nearer than
@@ -108,14 +107,14 @@ def _shortest(xs: np.ndarray) -> tuple[np.ndarray, ...]:
     where n - 1 fails, so 14 is tested where 15 passes; as that test settles
     the length, an estimate of floor(log10|x|) one off changes no digit.  A
     power of two, whose rounding interval below it is half as wide, needs no
-    exception: none of the 60 in the range has its shortest decimal in that
+    exception: none of the 20 in the range has its shortest decimal in that
     half (the tests format them all).  The digits are not found for x outside
     that range, for x of 14 digits or fewer, and where none of 17, 16 and 15
     digits passes (an estimate one too high).
     """
     ax = np.abs(xs)
     with np.errstate(invalid="ignore"):  # NaN
-        found = (ax >= 1e-4) & (ax < 1e14)
+        found = (ax >= 1e-4) & (ax < 100)
     np.copyto(ax, 1.5, where=~found)  # any value in the range, so that no step overflows
     k = 16 - np.floor(np.log10(ax)).astype(np.intp)
     whole = np.floor(ax)
@@ -144,44 +143,27 @@ def format_rows(prefix: bytes, xs: np.ndarray) -> bytes:
     """``b"".join(prefix + repr(x).encode() + b"\r\n" for x in xs)`` for a non-empty ``xs``,
     with array arithmetic.
 
-    _shortest finds the digits of 99.4 % of normal draws.  The whole part and
-    the fraction's 20 digit places are laid out in fixed columns of 4-byte
-    words (digit_words), NUL where a row has no character; the other rows
-    get ``repr(x)`` in those columns.  One ``bytes.translate`` drops the
-    NULs, and the prefix goes in after each line end.  At the writer's 4096
-    values (homodyne._CSV_CHUNK_ROWS) the temporaries peak at 0.9 MB, or
-    1.3 MB where some |x| >= 100 needs the wider layout (tracemalloc).
+    _shortest finds the digits of 99.4 % of normal draws.  The sign, whole
+    part and point (one word) and the fraction's 20 digit places are laid
+    out in fixed columns of 4-byte words (digit_words), NUL where a row has
+    no character; the other rows get ``repr(x)`` in those columns.  One
+    ``bytes.translate`` drops the NULs, and the prefix goes in after each
+    line end.  At the writer's 4096 values (homodyne._CSV_CHUNK_ROWS) the
+    temporaries peak at 0.9 MB (tracemalloc).
     """
     found, whole, k, nearest = _shortest(xs)
     div = _FRAC_DIV[k]
     upper = nearest // div
     lower = ((nearest - upper * div) * _FRAC_LO[k]).astype(np.float64)
-    upper = (upper * _FRAC_HI[k]).astype(np.float64)
-    # every normal draw has |x| < 100, which saves five words a row: 0.21 s against 0.34 s
-    # per 10**6 draws in chunks of 4096
-    narrow = whole.max() < 100
-    body = 6 if narrow else 11  # the words a row's number is laid out in
-    index = np.empty((body + 1, xs.size))
-    negative = xs < 0
-    if narrow:  # sign, whole part and point in one word
-        head = index[0]
-        np.multiply(negative, 100, out=head)
-        head += whole
-        head += _HEAD
-    else:  # the sign, four groups of the whole part, high to low, and the point
-        np.multiply(negative, _MINUS, out=index[0])  # word 0, group 0 without its zeros, is NUL
-        rest = whole
-        for i, scale in enumerate((1e12, 1e8, 1e4)):
-            group = index[1 + i]
-            np.floor(rest / scale, out=group)
-            rest = rest - group * scale
-            if i:
-                group += (whole >= scale * 1e4) * _GROUP
-        index[4] = rest + 2 * _GROUP - (whole >= 1e4) * _GROUP
-        index[5] = _DOT
+    upper = upper.astype(np.float64)
+    index = np.empty((_BODY + 1, xs.size))
+    head = index[0]
+    np.multiply(xs < 0, 100, out=head)
+    head += whole
+    head += _HEAD
     # the fraction's five groups: the upper half's digits 1-4, 5-8 and 9-10, the lower's
     # 1-2 and the rest; each zero-padded but the group of the last digit (k), and after it
-    fraction = index[body - 5:body]
+    fraction = index[1:_BODY]
     np.floor(upper / 1e6, out=fraction[0])
     rest = upper - fraction[0] * 1e6
     np.floor(rest / 100, out=fraction[1])
@@ -193,7 +175,7 @@ def format_rows(prefix: bytes, xs: np.ndarray) -> bytes:
     np.subtract(lower, fraction[3] * 1e4, out=fraction[4])
     last = (k - 1) >> 2
     for i in range(5):
-        fraction[i] += 3 * _GROUP - (last > i) * (2 * _GROUP)
+        fraction[i] += (last <= i) * _GROUP
     index[-1] = _CRLF
     index = index.T.astype(np.intp, order="C")
     # a row whose digits were not found may index anywhere; repr overwrites it
@@ -201,8 +183,8 @@ def format_rows(prefix: bytes, xs: np.ndarray) -> bytes:
     del index  # each stage's arrays let go, to keep the peak low
     others = np.flatnonzero(~found)
     if others.size:
-        text = b"".join(repr(x).encode().ljust(4 * body, b"\0") for x in xs[others].tolist())
-        table[others, :body] = np.frombuffer(text, np.uint32).reshape(others.size, body)
+        text = b"".join(repr(x).encode().ljust(4 * _BODY, b"\0") for x in xs[others].tolist())
+        table[others, :_BODY] = np.frombuffer(text, np.uint32).reshape(others.size, _BODY)
     # each row ends in the one LF, which is followed by the prefix of the next
     text = table.tobytes().translate(None, b"\0")
     del table

@@ -390,8 +390,9 @@ def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
     ends, the bytes ``csv.writer`` gives, in the ranges of _write_csv, whose
     number does not change the bytes.  Each run's theta is formatted once,
     and its x values _CSV_CHUNK_ROWS at a time by _floatrepr.format_rows,
-    which finds repr's digits with array arithmetic and calls ``repr`` only
-    for the values it does not settle (0.6 % of normal draws).
+    which finds repr's digits with array arithmetic for 1e-4 <= |x| < 100
+    and calls ``repr`` for the values outside that range or not settled
+    there (0.6 % of normal draws).
     """
     path = str(path)
     if path.endswith(".npy"):
@@ -500,9 +501,10 @@ def _write_csv(path: str, rows: int, write_range) -> None:
 def load_samples(path) -> tuple[SampleBatch, dict]:
     """Read a sample file written by save_samples, and the fields of its sidecar.
 
-    A ``.npy`` file must hold an ``(N, 2)`` float64 array; it is read
-    ``_CHUNK_SHOTS`` rows at a time, and the batch takes its phase runs from
-    column 0 and its x from column 1.  Any other file is a CSV, parsed by
+    A ``.npy`` file must hold an ``(N, 2)`` float64 array in native byte
+    order, as save_samples writes it; it is read ``_CHUNK_SHOTS`` rows at a
+    time, and the batch takes its phase runs from column 0 and its x from
+    column 1.  Any other file is a CSV, parsed by
     NumPy's C reader, which rounds each decimal exactly as ``float()`` does, in
     the ranges of _parse_csv, whose number does not change the result; a
     piece of rows of one phase, as the sampler writes, has its x column
@@ -589,8 +591,8 @@ def _read(path: str, new_sink) -> tuple[list, dict]:
 
 
 def _read_npy(path: str, sink: _Rows) -> list:
-    """An ``(N, 2)`` float64 .npy array's rows, given to ``sink`` _CHUNK_SHOTS at a time
-    until it is full."""
+    """An ``(N, 2)`` native-order float64 .npy array's rows, given to ``sink`` _CHUNK_SHOTS at
+    a time until it is full."""
     fmt = np.lib.format
     with open(path, "rb") as fh:
         # the .npy header alone: np.load would also open a zip archive or a pickle
@@ -601,7 +603,9 @@ def _read_npy(path: str, sink: _Rows) -> list:
             raise ValueError(f"unsupported .npy format version {version}")
         shape, fortran_order, dtype = read_header(fh)
         if dtype != np.float64 or len(shape) != 2 or shape[1] != 2:
-            raise ValueError(f"expected an (N, 2) float64 array, got {dtype} of shape {shape}")
+            native = np.dtype(np.float64).str
+            raise ValueError(f"expected an (N, 2) float64 array in native byte order "
+                             f"({native!r}), got {dtype.str!r} of shape {shape}")
         rows = shape[0]
         body = fh.tell()
 

@@ -640,6 +640,22 @@ def test_format_rows_is_repr_bit_for_bit():
         _repr_rows(b"-2.0943951023931957,", ties)
 
 
+# float64 bit patterns: any (NaN payloads, infinities, subnormals, every exponent), and a
+# few ulps either side of the array path's edges, +-1e-4 and +-100
+_EDGE_BITS = [int(np.float64(edge).view(np.uint64)) for edge in (1e-4, 100.0)]
+_FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda edge, ulps, sign: (edge + ulps) | sign, st.sampled_from(_EDGE_BITS),
+              st.integers(-4, 4), st.sampled_from([0, 1 << 63])),
+)
+
+
+@given(st.lists(_FLOAT_BITS, min_size=1, max_size=64))
+def test_format_rows_is_repr_for_any_float64(bits):
+    xs = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _floatrepr.format_rows(b"0.5,", xs) == _repr_rows(b"0.5,", xs)
+
+
 def test_formatter_is_loaded_by_a_csv_write_and_its_table_let_go(tmp_path):
     # `import kerrsim` does not compile the formatter, which raised its peak RSS; a process
     # that writes a CSV and then reconstructs does not hold the digit table at its peak

@@ -937,15 +937,22 @@ def test_cli_reconstruct_missing_samples(tmp_path, capsys):
            "object.npy": saved(np.array([[0.0, "x"]], dtype=object)),
            "int32.npy": saved(np.array([[0, 1], [1, 2]], dtype=np.int32)),
            "three.npy": saved(np.zeros((2, 3))), "flat.npy": saved(np.zeros(4)),
+           "swapped.npy": saved(np.zeros((3, 2), np.dtype(np.float64).newbyteorder())),
            "zip.npy": saved(np.zeros((2, 2)), save=np.savez),
            "nan.npy": saved(np.array([[0.0, 0.2], [math.nan, 0.1]])),
            "inf.npy": saved(np.array([[0.0, 0.2], [0.5, -math.inf]]))}
+    errors = {}
     for name, data in bad.items():
         path = tmp_path / name
         path.write_bytes(data)
         assert main(["reconstruct", "--samples", str(path), "--out", str(tmp_path)]) == 2, name
-        assert f"cannot read samples from {path}: " in capsys.readouterr().err, name
+        errors[name] = capsys.readouterr().err
+        assert f"cannot read samples from {path}: " in errors[name], name
         assert not os.path.exists(tmp_path / "reconstructed.json")
+    # float64 in the other byte order is refused by a message that names both orders
+    native = np.dtype(np.float64)
+    assert (f": expected an (N, 2) float64 array in native byte order ({native.str!r}), got "
+            f"{native.newbyteorder().str!r} of shape (3, 2)\n") in errors["swapped.npy"]
     # a usable file whose sidecar is unusable: not a JSON object, not JSON, not UTF-8,
     # nested too deep to parse, or an eta that is not a number in (0, 1]
     sidecar = tmp_path / "good_meta.json"

@@ -89,6 +89,12 @@ MUTANTS = [
     ("ns-memo-no-solution", "src/kerrsim/klm.py",
      "@lru_cache(maxsize=1)\ndef _heralded_branches(", _MEMO_DROPPING.format(index=0),
      "the NS gate's branch memo keyed without the solution"),
+    ("floatrepr-past-100", "src/kerrsim/_floatrepr.py",
+     "found = (ax >= 1e-4) & (ax < 100)", "found = (ax >= 1e-4) & (ax < 1e14)",
+     "the formatter's array path up to 1e14, past the one-word head of whole parts below 100"),
+    ("floatrepr-trailing-zeros", "src/kerrsim/_floatrepr.py",
+     "fraction[i] += (last <= i) * _GROUP", "fraction[i] += (last < i) * _GROUP",
+     "the fraction's last digit group zero-padded, not stripped of its trailing zeros"),
 ]
 
 
