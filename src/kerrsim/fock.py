@@ -33,8 +33,11 @@ __all__ = [
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``, which is made read-only too: numpy refuses
+    setflags(write=True) on a view whose base is read-only, so no holder of the
+    view can make it writeable again."""
     arr.setflags(write=False)
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,7 @@ class DensityMatrix:
 
     dim: int
     elems: np.ndarray
+    _valid = False  # not a field: set on the instance once validate passes
 
     def __post_init__(self):
         if self.dim < 1:
@@ -94,7 +98,13 @@ class DensityMatrix:
         return float(np.trace(self.elems).real)
 
     def validate(self) -> None:
-        """Check the physicality invariants, raising ValueError on violation."""
+        """Check the physicality invariants, raising ValueError on violation.
+
+        ``elems`` cannot change, so a state that passes records it and returns at
+        once on later calls; one that fails is checked, and fails, every time.
+        """
+        if self._valid:
+            return
         herm = np.max(np.abs(self.elems - self.elems.conj().T))
         if herm > TOL.hermitian:
             raise ValueError(f"not Hermitian: residual {herm:.3e}")
@@ -104,6 +114,7 @@ class DensityMatrix:
         tr = self.trace
         if not (0.0 < tr <= 1.0 + TOL.norm_unit):
             raise ValueError(f"trace {tr!r} outside (0, 1]")
+        object.__setattr__(self, "_valid", True)
 
 
 def basis_state(n: int, dim: int) -> FockVector:

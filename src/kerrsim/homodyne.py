@@ -290,7 +290,8 @@ class _Shots:
     on demand: any contiguous rows, bit for bit as one pass over the schedule draws them.
 
     Holds the lossy state and its wavefunction table on the sampling grid; a
-    phase's CDF is tabulated when its rows are drawn.  Phase i draws from its
+    phase's CDF is tabulated when its rows are drawn, unless ``keep_cdfs``
+    kept it.  Phase i draws from its
     own Philox stream, keyed by (seed, i), which ``advance`` moves to any row,
     so a process draws its rows without the rows before them.
     """
@@ -302,11 +303,27 @@ class _Shots:
         self.grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, _GRID_POINTS)
         self.psi = wavefunction_table(self.lossy.dim, self.grid)
         self.ends = np.cumsum([count for _, count in schedule.phases], dtype=np.intp)
+        self.kept: dict[int, np.ndarray] = {}
 
     def cdf(self, index: int) -> np.ndarray:
         """Phase ``index``'s CDF on the grid; NumericalError if the grid misses the state's mass."""
+        if index in self.kept:
+            return self.kept[index]
         theta = self.schedule.phases[index][0]
         return _tabulated_cdf(self.lossy, _pdf(self.lossy, theta, self.psi), self.grid)
+
+    def keep_cdfs(self) -> None:
+        """Tabulate every phase's CDF, so that a grid that misses the state's mass fails here,
+        and keep them for ``chunks`` while they take no more bytes than the schedule's x
+        column, 8 a shot, which a caller that draws its rows by chunks never holds: all 12 of
+        the default schedule (115 kB), fewer where phases hold fewer shots than the grid's
+        1,201 points."""
+        room = 8 * self.schedule.total
+        for index in range(len(self.schedule.phases)):
+            cdf = self.cdf(index)
+            if cdf.nbytes <= room:
+                self.kept[index] = cdf
+                room -= cdf.nbytes
 
     def chunks(self, lo: int, hi: int, out: np.ndarray | None = None):
         """Draw shots ``lo``..``hi`` in chunks of at most _CHUNK_SHOTS of one phase, and yield

@@ -458,9 +458,12 @@ def sample(config: ExperimentConfig) -> list[int]:
     """Sample every alpha as run_pipeline does, one at a time, export each as samples.csv
     plus sidecar, and return the shot counts.
 
-    The sample stage makes the sampler and tabulates each phase's CDF once,
-    so that a grid that misses the state's mass fails there.  The emit stage
-    draws the shots and writes them, the bytes save_samples writes for
+    The sample stage makes the sampler and tabulates each phase's CDF, so
+    that a grid that misses the state's mass fails there, and the sampler
+    keeps them within the bytes of the x column that no process holds
+    (_Shots.keep_cdfs): the emit stage's writers, forked after it, draw from
+    those, so each CDF of the default schedule is tabulated once.  The emit
+    stage draws the shots and writes them, the bytes save_samples writes for
     sample_quadratures' batch; each range of rows draws the rows it formats,
     so none holds the x column.  A writing worker process that ends without
     its result is a StageError of stage ``worker``, and leaves no file.
@@ -472,8 +475,7 @@ def sample(config: ExperimentConfig) -> list[int]:
         rho_out_full = _model(config, alpha)[0]
         with _stage("sample", alpha):
             shots = _Shots(rho_out_full, config.schedule(index), config.eta)
-            for phase in range(len(shots.schedule.phases)):
-                shots.cdf(phase)
+            shots.keep_cdfs()
         with _stage("emit", alpha):
             _save_batch(config, index, shots, "samples.csv", save=_save_shots)
         counts.append(shots.schedule.total)

@@ -21,7 +21,9 @@ compensates detector efficiency and estimates the pre-detector state.
 The likelihood works in Hermitian coordinates: a Hermitian rho is the d^2
 reals x(rho) = [rho_ii, Re rho_ij, Im rho_ij] (i < j), and the occupied POVM
 elements are the rows [E_ii, 2 Re E_ij, 2 Im E_ij] of one real (J, d^2)
-design matrix A, built once per reconstruction.  Then the Born
+design matrix A, built once per reconstruction by gathering those real
+coordinates from the POVM's float64 view, with no complex copy of the
+elements (see _design_matrix).  Then the Born
 probabilities are A x(rho), and sum_j w_j E_j is the Hermitian matrix whose
 coordinates are w A with the off-diagonal entries halved.
 """
@@ -320,6 +322,13 @@ def _design_matrix(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.n
     A, holds flat indices into a (dim, dim) matrix: the diagonal, then (i, j)
     and (j, i) for i < j.  Raises ValueError unless the POVM has one element
     per (phase, bin) count.
+
+    The POVM's float64 view holds each entry as a (real, imaginary) pair, so
+    every column of A is one strided column of that view taken at the
+    occupied rows; the columns are written one at a time into A, and the
+    off-diagonal ones doubled in place, so that nothing of A's size is
+    allocated beside it.  A is Fortran-ordered: A @ x rounds differently on
+    a C-ordered copy of A, and the recorded estimates are those of this layout.
     """
     if povm.shape[:2] != data.counts.shape:
         raise ValueError(
@@ -327,13 +336,17 @@ def _design_matrix(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.n
         )
     counts = data.counts.reshape(-1)
     occupied = counts > 0
+    rows = np.flatnonzero(occupied)
     dim = povm.shape[-1]
     i, j = np.triu_indices(dim, 1)
     index = (np.arange(dim) * (dim + 1), i * dim + j, j * dim + i)
     diag, upper, _ = index
-    elements = np.asarray(povm, dtype=np.complex128).reshape(-1, dim * dim)[occupied]
-    off = elements[:, upper]
-    design = np.concatenate((elements[:, diag].real, 2.0 * off.real, 2.0 * off.imag), axis=1)
+    # each element's entries as (real, imaginary) pairs of doubles: a view, not a copy
+    parts = np.ascontiguousarray(povm, dtype=np.complex128).reshape(-1, dim * dim).view(np.float64)
+    design = np.empty((rows.size, dim * dim), order="F")
+    for k, column in enumerate(np.concatenate((2 * diag, 2 * upper, 2 * upper + 1)).tolist()):
+        design[:, k] = parts[rows, column]
+    design[:, dim:] *= 2.0
     return counts[occupied], design, index
 
 

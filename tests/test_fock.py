@@ -293,3 +293,47 @@ def test_states_pickle_as_read_only_values():
         assert type(again) is type(state) and again.dim == state.dim
         assert np.array_equal(getattr(again, array), getattr(state, array))
         assert not getattr(again, array).flags.writeable
+
+
+def test_state_arrays_cannot_be_made_writeable_again():
+    # amps and elems are views of a locked private copy: numpy refuses to unlock a view of a
+    # read-only base, so no holder can change a state, unpickled copies included
+    vector = coherent_state(0.5, 8)
+    rho = density_from_pure(vector)
+    for state, array in ((vector, "amps"), (rho, "elems")):
+        for copy in (state, pickle.loads(pickle.dumps(state))):
+            with pytest.raises(ValueError):
+                getattr(copy, array).setflags(write=True)
+    with pytest.raises(ValueError):
+        rho.elems[0, 0] = 7.0
+    assert abs(rho.trace - 1.0) <= 1e-12
+
+
+def test_fidelity_checks_one_target_once(monkeypatch):
+    # a state that passed validate cannot change, so repeated fidelities against it run its
+    # eigenvalue check once; each fresh state is still checked
+    target = density_from_pure(coherent_state(0.5, 8))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(mat):
+        calls.append(np.array_equal(mat, 0.5 * (target.elems + target.elems.conj().T)))
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for alpha in (0.1, 0.2, 0.3, 0.4):
+        fidelity(target, density_from_pure(coherent_state(alpha, 8)))
+    assert sum(calls) == 1
+    assert len(calls) == 5
+
+
+def test_a_failing_state_fails_validate_every_time():
+    # only a check that passed is remembered
+    lop = np.zeros((6, 6), dtype=complex)
+    lop[0, 1] = 1.0
+    for bad in (DensityMatrix(6, lop), DensityMatrix(4, np.diag([1.5, -0.5, 0.0, 0.0]))):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                bad.validate()
+        with pytest.raises(ValueError):
+            fidelity(bad, bad)

@@ -705,6 +705,37 @@ def test_sample_csv_is_the_sampled_batch_csv_for_any_worker_count(cpus, phases, 
     assert json.loads(written.with_name("samples_meta.json").read_text())["count"] == phases * shots
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sample_tabulates_each_phase_cdf_once(cpus, tmp_path):
+    # the sample stage's CDFs stay on the sampler and the writers, forked after it, draw from
+    # them: with 1000-shot chunks the first range, which this process writes, spans two
+    # phases; a phase of as many shots as grid points keeps its CDF within its x column
+    config = ExperimentConfig(alphas=(0.53,), n_phases=3, samples_per_phase=1201, seed=4242,
+                              outdir=str(tmp_path))
+    with mock.patch.object(_parts, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(homodyne, "_CHUNK_SHOTS", 1000), \
+            mock.patch.object(homodyne, "_pdf", wraps=homodyne._pdf) as pdf, \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert pipeline.sample(config) == [3603]
+    assert fork.call_count == cpus - 1
+    assert pdf.call_count == config.n_phases
+
+
+@pytest.mark.parametrize("n_phases, samples_per_phase, kept", [(12, 16667, 12), (600, 1, 0),
+                                                               (5, 1201, 5), (5, 1200, 4)])
+def test_sampler_keeps_cdfs_within_the_x_column(n_phases, samples_per_phase, kept):
+    # keep_cdfs holds no more than the 8 bytes a shot that the sample path never holds, so
+    # a schedule of many short phases is not admitted past its budget by them
+    shots = homodyne._Shots(density_from_pure(basis_state(0, 4)),
+                            homodyne.default_schedule(1, n_phases, samples_per_phase), 0.66)
+    with mock.patch.object(homodyne, "_pdf", wraps=homodyne._pdf) as pdf:
+        shots.keep_cdfs()
+    assert pdf.call_count == n_phases and len(shots.kept) == kept
+    assert sum(cdf.nbytes for cdf in shots.kept.values()) <= 8 * n_phases * samples_per_phase
+    for index, cdf in shots.kept.items():
+        assert shots.cdf(index) is cdf
+
+
 _ON_EDGES = ExperimentConfig().tomography().bin_edges()
 
 

@@ -804,6 +804,49 @@ def test_hermitian_coordinates_match_the_complex_contractions(seed, dim, n_phase
     assert np.array_equal(total, total.conj().T)
 
 
+def _concatenated_design(counts, povm):
+    """The design as it was built by concatenation: a complex copy of the occupied elements,
+    then three real pieces, kept as the reference for the gather."""
+    dim = povm.shape[-1]
+    i, j = np.triu_indices(dim, 1)
+    elements = povm.reshape(-1, dim * dim)[counts.reshape(-1) > 0]
+    off = elements[:, i * dim + j]
+    diag = elements[:, np.arange(dim) * (dim + 1)].real
+    return np.concatenate((diag, 2.0 * off.real, 2.0 * off.imag), axis=1)
+
+
+@pytest.mark.parametrize("dim", [3, 8, 16])
+def test_design_matrix_is_the_concatenated_design_bit_for_bit(dim):
+    # gathered column by column into a Fortran-ordered array, as the concatenation left it:
+    # a C-ordered copy of the same design gives other bits for A @ x
+    rng = np.random.default_rng(dim)
+    povm = _random_hermitian(rng, 3, 40, dim)
+    counts = rng.poisson(0.8, size=(3, 40)).astype(float)
+    assert 0 < np.count_nonzero(counts) < counts.size
+    c, design, _ = tomography._design_matrix(BinnedData(np.arange(3), counts), povm)
+    reference = _concatenated_design(counts, povm)
+    assert design.flags.f_contiguous and reference.flags.f_contiguous
+    assert design.dtype == np.float64
+    assert np.array_equal(design.view(np.uint64), reference.view(np.uint64))
+    assert np.array_equal(c, counts[counts > 0])
+
+
+def test_reconstruct_holds_one_real_design_beside_the_povm():
+    # every bin occupied at dim 24: beyond the POVM it is given, reconstruct holds the real
+    # design, 8 J dim^2 bytes, and no complex copy of the occupied elements
+    cfg = TomographyConfig(dim=24, x_max=8.0, max_iterations=3)
+    povm = build_povm(cfg, THETAS_12)
+    data = BinnedData(THETAS_12, np.ones(povm.shape[:2]))
+    design_bytes = 8 * data.counts.size * cfg.dim**2
+    tracemalloc.start()
+    try:
+        reconstruct(data, cfg, povm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * design_bytes + 2**20
+
+
 _SPECIAL_THETAS = [0.0, -0.0, np.nan, -np.nan, 1.0, -1.0, np.inf, -np.inf, 5e-324, math.pi]
 
 

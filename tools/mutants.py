@@ -89,6 +89,13 @@ MUTANTS = [
     ("ns-memo-no-solution", "src/kerrsim/klm.py",
      "@lru_cache(maxsize=1)\ndef _heralded_branches(", _MEMO_DROPPING.format(index=0),
      "the NS gate's branch memo keyed without the solution"),
+    ("design-c-order", "src/kerrsim/tomography.py",
+     'design = np.empty((rows.size, dim * dim), order="F")',
+     'design = np.empty((rows.size, dim * dim), order="C")',
+     "the reconstruction's design matrix built C-ordered, not Fortran-ordered"),
+    ("design-off-not-doubled", "src/kerrsim/tomography.py",
+     "    design[:, dim:] *= 2.0\n", "",
+     "the design matrix's off-diagonal columns left undoubled"),
     ("floatrepr-past-100", "src/kerrsim/_floatrepr.py",
      "found = (ax >= 1e-4) & (ax < 100)", "found = (ax >= 1e-4) & (ax < 1e14)",
      "the formatter's array path up to 1e14, past the one-word head of whole parts below 100"),
