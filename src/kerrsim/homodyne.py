@@ -291,9 +291,9 @@ class _Shots:
 
     Holds the lossy state and its wavefunction table on the sampling grid; a
     phase's CDF is tabulated when its rows are drawn, unless ``keep_cdfs``
-    kept it.  Phase i draws from its
-    own Philox stream, keyed by (seed, i), which ``advance`` moves to any row,
-    so a process draws its rows without the rows before them.
+    kept it.  Phase i draws from its own Philox stream, keyed by (seed, i),
+    which ``advance`` moves to any row, so a process draws its rows without
+    the rows before them.
     """
 
     def __init__(self, rho: DensityMatrix, schedule: PhaseSchedule, eta: float):

@@ -335,8 +335,7 @@ def _design_matrix(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.n
             f"POVM of shape {povm.shape} does not match counts of shape {data.counts.shape}"
         )
     counts = data.counts.reshape(-1)
-    occupied = counts > 0
-    rows = np.flatnonzero(occupied)
+    rows = np.flatnonzero(counts > 0)
     dim = povm.shape[-1]
     i, j = np.triu_indices(dim, 1)
     index = (np.arange(dim) * (dim + 1), i * dim + j, j * dim + i)
@@ -347,7 +346,7 @@ def _design_matrix(data: BinnedData, povm: np.ndarray) -> tuple[np.ndarray, np.n
     for k, column in enumerate(np.concatenate((2 * diag, 2 * upper, 2 * upper + 1)).tolist()):
         design[:, k] = parts[rows, column]
     design[:, dim:] *= 2.0
-    return counts[occupied], design, index
+    return counts[rows], design, index
 
 
 def _coordinates(rho: np.ndarray, index: tuple) -> np.ndarray:
