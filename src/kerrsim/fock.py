@@ -208,8 +208,10 @@ def density_from_pure(state: FockVector) -> DensityMatrix:
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """The square root of Hermitian PSD ``mat``, its eigenvalues below
+    ``TOL.sqrt_eigen_cut`` times the largest taken as the zeros they stand for."""
     w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
+    w = np.where(w > TOL.sqrt_eigen_cut * w[-1], w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -222,8 +224,10 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
 
     When either state is pure, |psi><psi|, F = <psi|other|psi> = Tr[rho sigma]
-    is computed directly: the Uhlmann form would add the square root of every
-    rounding-level eigenvalue of sqrt(rho) sigma sqrt(rho), about 3e-9 each.
+    is computed directly.  Otherwise F is the squared nuclear norm of
+    sqrt(rho) sqrt(sigma), which is symmetric in the two states, from square
+    roots that zero rounding-level eigenvalues (_psd_sqrt): the square root of
+    each, about 1e-8, would otherwise enter F.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -232,10 +236,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if _is_pure(rho) or _is_pure(sigma):
         # Tr[rho^dagger sigma], and rho is Hermitian
         return min(max(float(np.vdot(rho.elems, sigma.elems).real), 0.0), 1.0)
-    s = _psd_sqrt(0.5 * (rho.elems + rho.elems.conj().T))
-    mid = s @ sigma.elems @ s
-    w = np.linalg.eigvalsh(0.5 * (mid + mid.conj().T))
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+    roots = [_psd_sqrt(0.5 * (m.elems + m.elems.conj().T)) for m in (rho, sigma)]
+    f = float(np.sum(np.linalg.svd(roots[0] @ roots[1], compute_uv=False)) ** 2)
     return min(max(f, 0.0), 1.0)
 
 

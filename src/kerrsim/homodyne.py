@@ -17,20 +17,22 @@ interpolates with ``np.interp``'s formula, so every sample equals
 Homodyne data are recorded at a few fixed phases (Lvovsky & Raymer, RMP 81,
 299, 2009), so a ``SampleBatch`` holds one x per shot, 8 bytes, and its
 phases as runs: one theta per run of shots at that phase and the run's
-cumulative end.  The sampler makes one run per schedule phase; the readers
-and writers work on the runs, and none expands a theta per shot.
+cumulative end.  The sampler makes one run per schedule phase.  Shots move
+between the sampler, the files and the binning as SampleBatch pieces, each
+with the runs that hold it, so that no module passes a theta per shot.
 
 Sample files are ``.npy`` or CSV.  A CSV is formatted and parsed in
 contiguous row ranges, each a part of ``_parts.run_parts``; the bytes and
 values do not depend on how many.  The x values are formatted with array
-arithmetic (``_floatrepr.format_rows``), bit for bit as ``repr``.  A writer
-formats a batch's rows, or draws its own rows of a schedule (``_Shots``) and
-formats them, so that no range holds the shot column.  A reader cuts the
-body by bytes at line ends and gives each parsed piece of a range's rows to
-the range's own sink (``_Rows``), which counts them from 0; the calling
-process numbers the rows once every range is parsed, so no range is parsed
-twice.  ``load_samples`` gathers the rows into a batch, and
-``tomography._Histogram`` bins them as they come.
+arithmetic (``_floatrepr.format_rows``), bit for bit as ``repr``.  The
+writers take the ``pieces`` of a batch, or of a schedule's shots
+(``_Shots``), which draws each piece as it is written, so that no range
+holds the shot column.  A reader cuts the body by bytes at line ends and
+gives each parsed piece of a range's rows, a batch, to the range's own sink
+(``_Rows``), which counts them from 0; the calling process numbers the rows
+once every range is parsed, so no range is parsed twice.  ``load_samples``
+gathers the pieces into a batch, and ``tomography._Histogram`` bins them as
+they come.
 """
 
 from __future__ import annotations
@@ -114,14 +116,6 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[ends - 1], ends
 
 
-def _runs_in(run_ends: np.ndarray, lo: int, hi: int) -> tuple[slice, np.ndarray]:
-    """The runs that hold shots ``lo``..``hi``, as a slice of the run arrays, and how many
-    of those shots each holds."""
-    first = int(np.searchsorted(run_ends, lo, side="right"))
-    last = int(np.searchsorted(run_ends, hi, side="left"))
-    return slice(first, last + 1), np.diff(np.minimum(run_ends[first:last + 1], hi) - lo, prepend=0)
-
-
 @dataclass(frozen=True, init=False)
 class SampleBatch:
     """Samples as an x per shot plus the phase runs that hold them, 8 bytes a shot.
@@ -172,6 +166,17 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.xs.size
+
+    def pieces(self, lo: int, hi: int):
+        """Shots ``lo``..``hi`` as batches of at most _CHUNK_SHOTS shots each, with the runs
+        that hold them; a piece's x column is a view of this batch's."""
+        for a in range(lo, hi, _CHUNK_SHOTS):
+            b = min(a + _CHUNK_SHOTS, hi)
+            first = int(np.searchsorted(self.run_ends, a, side="right"))
+            last = int(np.searchsorted(self.run_ends, b, side="left")) + 1
+            yield SampleBatch.from_runs(self.run_thetas[first:last],
+                                        np.minimum(self.run_ends[first:last], b) - a,
+                                        self.xs[a:b])
 
 
 def default_schedule(seed: int, n_phases: int, samples_per_phase: int) -> PhaseSchedule:
@@ -312,10 +317,13 @@ class _Shots:
         theta = self.schedule.phases[index][0]
         return _tabulated_cdf(self.lossy, _pdf(self.lossy, theta, self.psi), self.grid)
 
+    def __len__(self) -> int:
+        return self.schedule.total
+
     def keep_cdfs(self) -> None:
         """Tabulate every phase's CDF, so that a grid that misses the state's mass fails here,
-        and keep them for ``chunks`` while they take no more bytes than the schedule's x
-        column, 8 a shot, which a caller that draws its rows by chunks never holds: all 12 of
+        and keep them for ``pieces`` while they take no more bytes than the schedule's x
+        column, 8 a shot, which a caller that draws its rows by pieces never holds: all 12 of
         the default schedule (115 kB), fewer where phases hold fewer shots than the grid's
         1,201 points."""
         room = 8 * self.schedule.total
@@ -325,10 +333,10 @@ class _Shots:
                 self.kept[index] = cdf
                 room -= cdf.nbytes
 
-    def chunks(self, lo: int, hi: int, out: np.ndarray | None = None):
-        """Draw shots ``lo``..``hi`` in chunks of at most _CHUNK_SHOTS of one phase, and yield
-        each chunk's (theta, x): x is the chunk's part of ``out``, which holds rows lo..hi,
-        or without ``out`` a buffer that the next chunk reuses."""
+    def pieces(self, lo: int, hi: int, out: np.ndarray | None = None):
+        """Draw shots ``lo``..``hi`` in pieces of at most _CHUNK_SHOTS of one phase, and yield
+        each as a one-run SampleBatch: its x column is the piece's part of ``out``, which
+        holds rows lo..hi, or without ``out`` a buffer that the next piece reuses."""
         buffer = np.empty(min(hi - lo, _CHUNK_SHOTS)) if out is None else None
         for index in range(int(np.searchsorted(self.ends, lo, side="right")), self.ends.size):
             theta, count = self.schedule.phases[index]
@@ -347,7 +355,7 @@ class _Shots:
                 b = min(a + _CHUNK_SHOTS, stop, hi)
                 x = buffer[:b - a] if out is None else out[a - lo:b - lo]
                 _inverse_cdf(rng.random(b - a), cdf, self.grid, x)
-                yield theta, x
+                yield SampleBatch.from_runs([theta], [b - a], x)
 
 
 def sample_quadratures(
@@ -367,7 +375,7 @@ def sample_quadratures(
     """
     shots = _Shots(rho, schedule, eta)
     xs = np.empty(schedule.total)
-    for _ in shots.chunks(0, xs.size, xs):
+    for _ in shots.pieces(0, xs.size, xs):
         pass
     return SampleBatch.from_runs([theta for theta, _ in schedule.phases], shots.ends, xs)
 
@@ -396,44 +404,38 @@ def _sidecar_path(path: str) -> str:
     return os.path.splitext(path)[0] + "_meta.json"
 
 
-def save_samples(batch: SampleBatch, path, meta: dict | None = None) -> None:
+def save_samples(samples, path, meta: dict | None = None) -> None:
     """Write samples plus a sidecar JSON: the file's name, the count and ``meta``.
 
-    A ``.npy`` path gets the bytes ``np.save`` gives for the ``(N, 2)``
-    float64 table of columns theta and x, which holds every value exactly:
-    its header, then rows built from the runs ``_CHUNK_SHOTS`` at a time, so
-    no more than one chunk of the table is held.  Any other path gets a CSV
-    (header theta,x): each row is ``repr(theta),repr(x)`` with CRLF line
-    ends, the bytes ``csv.writer`` gives, in the ranges of _write_csv, whose
-    number does not change the bytes.  Each run's theta is formatted once,
-    and its x values _CSV_CHUNK_ROWS at a time by _floatrepr.format_rows,
-    which finds repr's digits with array arithmetic for 1e-4 <= |x| < 100
-    and calls ``repr`` for the values outside that range or not settled
-    there (0.6 % of normal draws).
+    ``samples`` is a SampleBatch, or a _Shots, whose rows are drawn as they
+    are written, the bytes its sample_quadratures batch gives; either is
+    written by the SampleBatch pieces of its ``pieces``, so that no more than
+    a piece of a _Shots' x column is held.  A ``.npy`` path gets the bytes
+    ``np.save`` gives for the ``(N, 2)`` float64 table of columns theta and
+    x, which holds every value exactly: its header, then each piece's rows.
+    Any other path gets a CSV (header theta,x): each row is
+    ``repr(theta),repr(x)`` with CRLF line ends, the bytes ``csv.writer``
+    gives, in the ranges of _write_csv, whose number does not change the
+    bytes.  Each run's theta is formatted once a piece, and its x values
+    _CSV_CHUNK_ROWS at a time by _floatrepr.format_rows, which finds repr's
+    digits with array arithmetic for 1e-4 <= |x| < 100 and calls ``repr``
+    for the values outside that range or not settled there (0.6 % of normal
+    draws).
     """
     path = str(path)
     if path.endswith(".npy"):
-        rows = np.empty((min(len(batch), _CHUNK_SHOTS), 2))
+        rows = np.empty((min(len(samples), _CHUNK_SHOTS), 2))
         with atomic_open(path, binary=True) as fh:
             np.lib.format.write_array_header_1_0(fh, {
-                "descr": rows.dtype.str, "fortran_order": False, "shape": (len(batch), 2)})
-            for lo in range(0, len(batch), _CHUNK_SHOTS):
-                hi = min(lo + _CHUNK_SHOTS, len(batch))
-                runs, lengths = _runs_in(batch.run_ends, lo, hi)
-                rows[:hi - lo, 0] = np.repeat(batch.run_thetas[runs], lengths)
-                rows[:hi - lo, 1] = batch.xs[lo:hi]
-                fh.write(rows[:hi - lo])
+                "descr": rows.dtype.str, "fortran_order": False, "shape": (len(samples), 2)})
+            for piece in samples.pieces(0, len(samples)):
+                table = rows[:len(piece)]
+                table[:, 0] = piece.thetas
+                table[:, 1] = piece.xs
+                fh.write(table)
     else:
-        _write_csv(path, len(batch), functools.partial(_write_rows, batch))
-    _write_sidecar(path, len(batch), meta)
-
-
-def _save_shots(shots: _Shots, path: str, meta: dict | None = None) -> None:
-    """save_samples of the batch sample_quadratures draws for ``shots``, to a CSV, the same
-    bytes, with no batch: each process draws the rows it formats (see _write_draws), so none
-    holds more than one chunk of x."""
-    _write_csv(path, shots.schedule.total, functools.partial(_write_draws, shots))
-    _write_sidecar(path, shots.schedule.total, meta)
+        _write_csv(path, samples)
+    _write_sidecar(path, len(samples), meta)
 
 
 def _write_sidecar(path: str, count: int, meta: dict | None) -> None:
@@ -451,51 +453,45 @@ def _log_rows(path: str, action: str, rows: int, workers: int) -> None:
     )
 
 
-def _write_rows(batch: SampleBatch, lo: int, hi: int, fh) -> None:
-    """Write rows ``lo``..``hi`` of the CSV body to the binary file ``fh``.
+def _write_rows(samples, lo: int, hi: int, fh) -> None:
+    """Write rows ``lo``..``hi`` of the CSV body of ``samples`` to the binary file ``fh``.
 
-    Each phase run's ``repr(theta) + ","`` is formatted once and put in front
-    of every x of the run that falls in the rows, _CSV_CHUNK_ROWS rows at a
-    time by format_rows.
+    Each run of a piece has its ``repr(theta) + ","`` formatted once and put
+    in front of each of its x values, _CSV_CHUNK_ROWS rows at a time by
+    format_rows.
     """
     # imported only where a CSV is written: compiled on `import kerrsim`, it raised that
     # import's peak RSS by 0.27 MB
     from ._floatrepr import format_rows
 
-    runs, lengths = _runs_in(batch.run_ends, lo, hi)
-    start = lo
-    for theta, length in zip(batch.run_thetas[runs].tolist(), lengths.tolist()):
-        stop = start + length
-        prefix = (repr(theta) + ",").encode()
-        for first in range(start, stop, _CSV_CHUNK_ROWS):
-            fh.write(format_rows(prefix, batch.xs[first:min(first + _CSV_CHUNK_ROWS, stop)]))
-        start = stop
+    for piece in samples.pieces(lo, hi):
+        start = 0
+        for theta, stop in zip(piece.run_thetas.tolist(), piece.run_ends.tolist()):
+            prefix = (repr(theta) + ",").encode()
+            for first in range(start, stop, _CSV_CHUNK_ROWS):
+                fh.write(format_rows(prefix, piece.xs[first:min(first + _CSV_CHUNK_ROWS, stop)]))
+            start = stop
 
 
-def _write_draws(shots: _Shots, lo: int, hi: int, fh) -> None:
-    """Draw rows ``lo``..``hi`` of ``shots`` a chunk at a time, and write each chunk's rows."""
-    for theta, x in shots.chunks(lo, hi):
-        _write_rows(SampleBatch.from_runs([theta], [x.size], x), 0, x.size, fh)
-
-
-def _write_csv(path: str, rows: int, write_range) -> None:
-    """Write the sample CSV of ``rows`` rows, whose rows ``lo``..``hi`` ``write_range(lo, hi,
-    fh)`` writes, in contiguous ranges, one a part of run_parts per usable CPU but at most one
-    per _CHUNK_SHOTS rows.  Each range but the first is written to its own temporary file
-    beside ``path``; this process writes the header and the first range, then appends those.
+def _write_csv(path: str, samples) -> None:
+    """Write the sample CSV of ``samples``, in contiguous ranges of rows that _write_rows
+    writes, one a part of run_parts per usable CPU but at most one per _CHUNK_SHOTS rows.
+    Each range but the first is written to its own temporary file beside ``path``; this
+    process writes the header and the first range, then appends those.
     """
+    rows = len(samples)
     workers = _worker_count(rows // _CHUNK_SHOTS)
     bounds = [rows * i // workers for i in range(workers + 1)]
     parts = [f"{path}.{os.urandom(6).hex()}.tmp" for _ in range(workers - 1)]
 
     def write_part(part: str, lo: int, hi: int) -> None:
         with open(part, "xb") as out:
-            write_range(lo, hi, out)
+            _write_rows(samples, lo, hi, out)
 
     try:
         with atomic_open(path, binary=True) as fh:
             fh.write(b"theta,x\r\n")
-            values(run_parts([functools.partial(write_range, bounds[0], bounds[1], fh),
+            values(run_parts([functools.partial(_write_rows, samples, bounds[0], bounds[1], fh),
                               *(functools.partial(write_part, part, lo, hi)
                                 for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))]))
             fh.flush()
@@ -547,8 +543,8 @@ def load_samples(path) -> tuple[SampleBatch, dict]:
 
 
 class _Rows:
-    """A sink for the rows of a sample file, given an ``(n, 2)`` array of theta and x at a
-    time by ``take``.
+    """A sink for the rows of a sample file, given a SampleBatch piece of them at a time by
+    ``take``.
 
     It counts the rows it takes and notes the first that holds a NaN or an
     infinity, both from its own first row; ``start``, the rows of the file
@@ -564,30 +560,32 @@ class _Rows:
     def __init__(self):
         self.rows, self.first_bad = 0, None
 
-    def take(self, table: np.ndarray) -> None:
-        if self.first_bad is None and not np.isfinite(table).all():
-            self.first_bad = self.rows + int(np.argmin(np.isfinite(table).all(axis=1)))
+    def take(self, piece: SampleBatch) -> None:
+        if self.first_bad is None and not (
+                np.isfinite(piece.xs).all() and np.isfinite(piece.run_thetas).all()):
+            bad = ~np.isfinite(piece.xs) | ~np.isfinite(piece.thetas)
+            self.first_bad = self.rows + int(np.argmax(bad))
         if not self.full:
-            self._take(table)
-        self.rows += len(table)
+            self._take(piece)
+        self.rows += len(piece)
 
-    def _take(self, table: np.ndarray) -> None:
+    def _take(self, piece: SampleBatch) -> None:
         raise NotImplementedError
 
 
 class _Gather(_Rows):
-    """Keeps the rows: the x values in ``pieces``, and each piece's phase runs, their ends
-    counted from the sink's first row."""
+    """Keeps the rows: each piece's x values, contiguous, in ``pieces``, and its phase runs,
+    their ends counted from the sink's first row."""
 
     def __init__(self):
         super().__init__()
         self.pieces, self.thetas, self.ends = [], [], []
 
-    def _take(self, table: np.ndarray) -> None:
-        self.pieces.append(table[:, 1].copy())
-        run_thetas, run_ends = _runs(table[:, 0])
-        self.thetas.append(run_thetas)
-        self.ends.append(run_ends + self.rows)
+    def _take(self, piece: SampleBatch) -> None:
+        # a piece cut from a table (a two-column parse, a row-major .npy) holds its x strided
+        self.pieces.append(np.ascontiguousarray(piece.xs))
+        self.thetas.append(piece.run_thetas)
+        self.ends.append(piece.run_ends + self.rows)
 
 
 def _read(path: str, new_sink) -> tuple[list, dict]:
@@ -608,8 +606,8 @@ def _read(path: str, new_sink) -> tuple[list, dict]:
 
 
 def _read_npy(path: str, sink: _Rows) -> list:
-    """An ``(N, 2)`` native-order float64 .npy array's rows, given to ``sink`` _CHUNK_SHOTS at
-    a time until it is full."""
+    """An ``(N, 2)`` native-order float64 .npy array's rows, given to ``sink`` as pieces of
+    _CHUNK_SHOTS rows until it is full."""
     fmt = np.lib.format
     with open(path, "rb") as fh:
         # the .npy header alone: np.load would also open a zip archive or a pickle
@@ -638,9 +636,9 @@ def _read_npy(path: str, sink: _Rows) -> list:
                 break
             count = min(_CHUNK_SHOTS, rows - lo)
             if fortran_order:  # every theta, then every x
-                sink.take(np.column_stack((values(lo, count), values(rows + lo, count))))
+                sink.take(SampleBatch(values(lo, count), values(rows + lo, count)))
             else:
-                sink.take(values(2 * lo, 2 * count).reshape(count, 2))
+                sink.take(SampleBatch(*values(2 * lo, 2 * count).reshape(count, 2).T))
     return [sink]
 
 
@@ -709,7 +707,7 @@ def _csv_ranges(path: str, start: int) -> list[int]:
 
 def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows) -> _Rows:
     """Parse bytes ``lo``..``hi`` of the CSV, whole lines, in newline-aligned pieces of at
-    most _CSV_SLICE_BYTES, give each piece's rows to ``sink`` as it is parsed, and return the
+    most _CSV_SLICE_BYTES, give each piece's batch to ``sink`` as it is parsed, and return the
     sink; a full sink is given the rest too (see _Rows.take), so that every row is parsed.
 
     A row that cannot be parsed raises np.loadtxt's ValueError, which names
@@ -732,27 +730,27 @@ def _parse_range(path: str, lo: int, hi: int, encoding: str, sink: _Rows) -> _Ro
     return sink
 
 
-def _parse_piece(text: str, before: int) -> np.ndarray:
+def _parse_piece(text: str, before: int) -> SampleBatch:
     """The rows of ``text``, whole lines of a range of the CSV after ``before`` of its data
-    rows, as an (n, 2) array; a row that cannot be parsed raises np.loadtxt's ValueError, with
+    rows, as a SampleBatch; a row that cannot be parsed raises np.loadtxt's ValueError, with
     the row named as the range's 1-based data row, which _parse_csv renumbers in the file.
 
     A piece of one phase, every line of which begins with ``repr(t) + ","``
-    for the t its first field holds, has its x column parsed alone, and t
-    fills its theta column: np.loadtxt reads repr(t) as t.  Any other piece,
-    or one whose x column fails to parse or gives a row count other than its
-    line count, is parsed on both columns, so that its values and its errors
-    are those of the two-column parse.
+    for the t its first field holds, has its x column parsed alone, and is
+    one run at t: np.loadtxt reads repr(t) as t.  Any other piece, or one
+    whose x column fails to parse or gives a row count other than its line
+    count, is parsed on both columns, so that its values and its errors are
+    those of the two-column parse.
     """
-    table = _one_phase(text)
-    if table is not None:
-        return table
+    piece = _one_phase(text)
+    if piece is not None:
+        return piece
     try:
-        return _loadtxt(io.StringIO(text))
+        return SampleBatch(*_loadtxt(io.StringIO(text)).T)
     except ValueError:
         pass
     try:  # np.loadtxt refuses a lone CR, which a text file reads as a line end
-        return _loadtxt(io.StringIO(text, newline=None))
+        return SampleBatch(*_loadtxt(io.StringIO(text, newline=None)).T)
     except ValueError as exc:
         message = str(exc)
         # np.loadtxt counts rows from 0 where a value is not a number, from 1 where one is missing
@@ -766,8 +764,8 @@ def _data_row(message: str, named: str, shift: int) -> str:
                   count=1)
 
 
-def _one_phase(text: str) -> np.ndarray | None:
-    """_parse_piece's table of ``text`` if every line begins with ``repr(t) + ","`` for the t
+def _one_phase(text: str) -> SampleBatch | None:
+    """_parse_piece's batch of ``text`` if every line begins with ``repr(t) + ","`` for the t
     of its first field and the x column alone parses to a row a line; else None."""
     first = text[:text.find(",") + 1]  # the first field and its comma; "" without a comma
     try:
@@ -784,10 +782,7 @@ def _one_phase(text: str) -> np.ndarray | None:
         return None
     if len(xs) != lines:
         return None
-    table = np.empty((lines, 2))
-    table[:, 0] = theta
-    table[:, 1:] = xs
-    return table
+    return SampleBatch.from_runs([theta], [lines], xs[:, 0])
 
 
 def _sidecar_for(path: str, rows: int) -> dict:

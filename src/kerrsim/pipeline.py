@@ -54,7 +54,6 @@ from .homodyne import (
     PhaseSchedule,
     _read,
     _sample_peak_bytes,
-    _save_shots,
     _Shots,
     _shots_peak_bytes,
     default_schedule,
@@ -420,14 +419,14 @@ def _save_panels(config: ExperimentConfig, alpha: float, panels: dict) -> str:
     return adir
 
 
-def _save_batch(config: ExperimentConfig, index: int, batch, name: str, save=save_samples) -> None:
-    """Write <alpha dir>/<name> and its sidecar, which records alpha, eta, mode and seed, by
-    ``save(batch, path, meta)``: save_samples, or homodyne._save_shots for a _Shots."""
+def _save_batch(config: ExperimentConfig, index: int, samples, name: str) -> None:
+    """Write ``samples``, a SampleBatch or a _Shots, to <alpha dir>/<name> by save_samples,
+    with a sidecar that records alpha, eta, mode and seed."""
     adir = alpha_dir(config.outdir, config.alphas[index])
     os.makedirs(adir, exist_ok=True)
     meta = {"alpha": config.alphas[index], "eta": config.eta, "mode": config.mode,
             "seed": config.schedule(index).seed}
-    save(batch, os.path.join(adir, name), meta)
+    save_samples(samples, os.path.join(adir, name), meta)
 
 
 def _save_diag(directory: str, binned, diag: ReconstructionDiagnostics) -> None:
@@ -477,7 +476,7 @@ def sample(config: ExperimentConfig) -> list[int]:
             shots = _Shots(rho_out_full, config.schedule(index), config.eta)
             shots.keep_cdfs()
         with _stage("emit", alpha):
-            _save_batch(config, index, shots, "samples.csv", save=_save_shots)
+            _save_batch(config, index, shots, "samples.csv")
         counts.append(shots.schedule.total)
     return counts
 

@@ -38,6 +38,10 @@ class Tolerances:
     loglik_rounding: float = 1e-12
     # fidelity treats a state with 1 - Tr[rho^2] / Tr[rho]^2 below this as pure
     pure: float = 1e-12
+    # a state's square root zeroes eigenvalues below this times its largest: eigh gives a
+    # rank-deficient state rounding-level eigenvalues, about 1e-16 each, in place of its
+    # zeros, and the square root of each (about 1e-8) would move a fidelity by as much
+    sqrt_eigen_cut: float = 1e-12
     # NS gate: largest residual of lambda_1/lambda_0 = 1 and lambda_2/lambda_0 = -1
     ns_ratio_residual: float = 1e-10
     # global-phase fix: a single-photon amplitude below this sets no phase reference

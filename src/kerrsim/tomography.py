@@ -18,6 +18,11 @@ most ``TOL.ml_gap_nats``.  POVM elements are bin-integrated quadrature
 projectors pushed through the adjoint loss channel, so the reconstruction
 compensates detector efficiency and estimates the pre-detector state.
 
+Samples are binned a ``SampleBatch`` piece at a time, by one count of its
+runs and x values: ``bin_samples`` takes a batch's ``pieces``, and
+``_Histogram``, the sink a sample file's reader gives each parsed piece,
+bins the file as it is read.
+
 The likelihood works in Hermitian coordinates: a Hermitian rho is the d^2
 reals x(rho) = [rho_ii, Re rho_ij, Im rho_ij] (i < j), and the occupied POVM
 elements are the rows [E_ii, 2 Re E_ij, 2 Im E_ij] of one real (J, d^2)
@@ -40,15 +45,7 @@ from .artifacts import atomic_open
 from .channels import _loss_map, loss_adjoint_on_operator  # noqa: F401  (perfbench wraps it)
 from .errors import NumericalError, _show
 from .fock import DensityMatrix
-from .homodyne import (
-    _CHUNK_SHOTS,
-    SampleBatch,
-    _last_knot_at_or_below,
-    _Rows,
-    _runs,
-    _runs_in,
-    wavefunction_table,
-)
+from .homodyne import SampleBatch, _last_knot_at_or_below, _Rows, wavefunction_table
 from .tolerances import TOL
 
 __all__ = [
@@ -175,24 +172,22 @@ def bin_samples(samples: SampleBatch, config: TomographyConfig) -> BinnedData:
     A value exactly on an interior bin edge lands in the upper bin; values
     outside [-x_max, x_max) are dropped from the histogram but counted in
     ``out_of_range``.  The phases are the distinct values of the batch's
-    run thetas, sorted; the shots are read in bounded chunks, with no theta
-    per shot.
+    run thetas, sorted; the shots are counted a bounded piece at a time
+    (``SampleBatch.pieces``), with no theta per shot.
     """
     if len(samples) == 0:
         raise ValueError("empty sample batch")
     thetas = _sorted_distinct(samples.run_thetas)
     slots = np.zeros((thetas.size, config.n_bins + 2), dtype=np.intp)
-    for lo in range(0, len(samples), _CHUNK_SHOTS):
-        x = samples.xs[lo:lo + _CHUNK_SHOTS]
-        runs, lengths = _runs_in(samples.run_ends, lo, lo + x.size)
-        _count(slots, thetas, samples.run_thetas[runs], lengths, x, config)
+    for piece in samples.pieces(0, len(samples)):
+        _count(slots, thetas, piece, config)
     return _binned(thetas, slots)
 
 
-def _count(slots: np.ndarray, thetas: np.ndarray, run_thetas: np.ndarray, lengths: np.ndarray,
-           x: np.ndarray, config: TomographyConfig) -> None:
-    """Add the shots ``x`` to ``slots``, whose row i counts phase ``thetas[i]``; the shots
-    come in runs at the phases ``run_thetas``, of ``lengths`` shots each.
+def _count(slots: np.ndarray, thetas: np.ndarray, piece: SampleBatch,
+           config: TomographyConfig) -> None:
+    """Add the shots of ``piece`` to ``slots``, whose row i counts phase ``thetas[i]``, which
+    holds each of the piece's run thetas.
 
     Each phase owns n_bins + 2 slots: slot 0 below -x_max, slots 1..n_bins the
     bins and slot n_bins + 1 at or above x_max (or NaN), as np.digitize numbers
@@ -200,9 +195,9 @@ def _count(slots: np.ndarray, thetas: np.ndarray, run_thetas: np.ndarray, length
     one guess from (x + x_max) / width and one comparison with the exact edge
     above it give that edge without a search.
     """
-    run_bin1 = np.searchsorted(thetas, run_thetas) * (config.n_bins + 2) + 1
-    slot = np.repeat(run_bin1, lengths)
-    slot += _last_knot_at_or_below(config.bin_edges(), x, _lower_bin(x, config))
+    run_bin1 = np.searchsorted(thetas, piece.run_thetas) * (config.n_bins + 2) + 1
+    slot = np.repeat(run_bin1, np.diff(piece.run_ends, prepend=0))
+    slot += _last_knot_at_or_below(config.bin_edges(), piece.xs, _lower_bin(piece.xs, config))
     slots += np.bincount(slot, minlength=slots.size).reshape(slots.shape)
 
 
@@ -213,9 +208,9 @@ def _binned(thetas: np.ndarray, slots: np.ndarray) -> BinnedData:
 
 
 class _Histogram(_Rows):
-    """A sink for a sample file's rows (see homodyne._Rows) that bins them as it takes them,
-    as bin_samples bins a batch: ``slots`` holds a row of slot counts for each of the sorted
-    distinct ``thetas`` it has taken.
+    """A sink for a sample file's rows (see homodyne._Rows) that bins each piece as it takes
+    it, as bin_samples bins a batch: ``slots`` holds a row of slot counts for each of the
+    sorted distinct ``thetas`` it has taken.
 
     Past ``max_phases`` distinct thetas it is full, and keeps their thetas
     but neither grows nor adds to its counts.
@@ -227,9 +222,8 @@ class _Histogram(_Rows):
         self.thetas = np.empty(0)
         self.slots = np.zeros((0, config.n_bins + 2), dtype=np.intp)
 
-    def _take(self, table: np.ndarray) -> None:
-        run_thetas, run_ends = _runs(table[:, 0])
-        thetas = _sorted_distinct(np.concatenate((self.thetas, run_thetas)))
+    def _take(self, piece: SampleBatch) -> None:
+        thetas = _sorted_distinct(np.concatenate((self.thetas, piece.run_thetas)))
         if thetas.size > self.max_phases:
             self.thetas, self.full = thetas, True
             return
@@ -237,8 +231,7 @@ class _Histogram(_Rows):
             slots = np.zeros((thetas.size, self.slots.shape[1]), dtype=np.intp)
             slots[np.searchsorted(thetas, self.thetas)] = self.slots
             self.thetas, self.slots = thetas, slots
-        _count(self.slots, thetas, run_thetas, np.diff(run_ends, prepend=0), table[:, 1],
-               self.config)
+        _count(self.slots, thetas, piece, self.config)
 
 
 def _merged(histograms: list[_Histogram], thetas: np.ndarray) -> BinnedData:

@@ -257,6 +257,42 @@ def test_fidelity_global_phase_invariant():
     assert_allclose(f1, f2, atol=1e-12)
 
 
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _known_spectrum(rng, dim, rank):
+    """A state of ``rank`` nonzero eigenvalues, each at least 0.05 / rank, and its exact
+    square root, both built from the spectrum and eigenvectors drawn here."""
+    p = np.zeros(dim)
+    p[:rank] = rng.uniform(0.05, 1.0, size=rank)
+    p /= p.sum()
+    u = _random_unitary(rng, dim)
+    return DensityMatrix(dim, (u * p) @ u.conj().T), (u * np.sqrt(p)) @ u.conj().T
+
+
+# the mixed path's rounding: below 3e-15 over 300 pairs, against 1.7e-8 before the cut
+_FIDELITY_ATOL = 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 9), data=st.data())
+def test_fidelity_of_mixed_states_is_symmetric_invariant_and_exact(seed, dim, data):
+    # rank-deficient and full-rank pairs: F is the squared nuclear norm of sqrt(rho) sqrt(sigma)
+    # from the exact square roots, symmetric, unchanged by a common unitary, and 1 on equal states
+    rng = np.random.default_rng(seed)
+    (rho, root_rho), (sigma, root_sigma) = (
+        _known_spectrum(rng, dim, data.draw(st.integers(2, dim))) for _ in range(2))
+    reference = np.sum(np.linalg.svd(root_rho @ root_sigma, compute_uv=False)) ** 2
+    f = fidelity(rho, sigma)
+    assert abs(f - reference) <= _FIDELITY_ATOL
+    assert abs(fidelity(sigma, rho) - f) <= _FIDELITY_ATOL
+    u = _random_unitary(rng, dim)
+    turned = [DensityMatrix(dim, u @ s.elems @ u.conj().T) for s in (rho, sigma)]
+    assert abs(fidelity(*turned) - f) <= _FIDELITY_ATOL
+    assert abs(fidelity(rho, rho) - 1.0) <= _FIDELITY_ATOL
+
+
 def test_fidelity_rejects_non_psd():
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):

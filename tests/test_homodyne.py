@@ -264,7 +264,7 @@ def test_shots_draw_any_rows_as_one_pass_draws_them(counts, chunk, data):
     hi = data.draw(st.integers(lo, reference.size))
     shots = homodyne._Shots(rho, schedule, 0.66)
     with mock.patch.object(homodyne, "_CHUNK_SHOTS", chunk):
-        drawn = [(theta, x.copy()) for theta, x in shots.chunks(lo, hi)]
+        drawn = [(float(piece.run_thetas[0]), piece.xs.copy()) for piece in shots.pieces(lo, hi)]
     assert all(0 < x.size <= chunk for _, x in drawn)
     xs = np.concatenate([np.empty(0), *(x for _, x in drawn)])
     assert np.array_equal(xs.view(np.int64), reference[lo:hi].view(np.int64))
@@ -700,7 +700,9 @@ def test_parse_piece_is_the_two_column_parse(piece, x_only):
     if isinstance(expected, str):
         assert got == expected
     else:
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(got.run_thetas.view(np.int64), expected.run_thetas.view(np.int64))
+        assert np.array_equal(got.run_ends, expected.run_ends)
+        assert np.array_equal(got.xs.view(np.int64), expected.xs.view(np.int64))
     assert (homodyne._one_phase(piece) is not None) == x_only
 
 
@@ -714,9 +716,9 @@ def test_sampled_csv_takes_the_x_only_parse(tmp_path):
     one_phase, parsed = homodyne._one_phase, []
 
     def recorded(text):
-        table = one_phase(text)
-        parsed.append((table is not None, len({line.split(",")[0] for line in text.splitlines()})))
-        return table
+        piece = one_phase(text)
+        parsed.append((piece is not None, len({line.split(",")[0] for line in text.splitlines()})))
+        return piece
 
     with mock.patch.object(_parts, "_usable_cpus", return_value=1), \
             mock.patch.object(homodyne, "_CSV_SLICE_BYTES", 2**14), \

@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import kerrsim
@@ -214,6 +214,20 @@ def test_forward_model_sign_signature():
             assert rho.elems[1, 2].real > 0.0
 
 
+@settings(max_examples=50)
+@given(alpha=st.floats(0.01, 2.0), mode=st.sampled_from(["ideal", "bestfit"]))
+@example(alpha=0.01, mode="ideal")
+@example(alpha=0.01, mode="bestfit")
+@example(alpha=2.0, mode="ideal")
+@example(alpha=2.0, mode="bestfit")
+def test_model_sign_signature_holds_at_every_amplitude(alpha, mode):
+    # the signature is the gate's at any amplitude, not only the default three: from 0.01,
+    # where Re rho12 is 1e-5, to 2, where the coherent state needs sim_dim 40
+    config = ExperimentConfig(alphas=(alpha,), mode=mode, sim_dim=40)
+    panels = pipeline._model(config, alpha)[1]
+    assert SignSummary.of(panels["output_model"]).vacuum_flip_visible()
+
+
 def test_pipeline_alpha_zero(tmp_path):
     config = ExperimentConfig(alphas=(0.0,), outdir=str(tmp_path / "zero"), **FAST)
     report = run_pipeline(config)
@@ -290,6 +304,28 @@ def test_pipeline_rejects_binned_phases_other_than_the_povm_phases(tmp_path, mon
     with pytest.raises(StageError, match="are not the schedule's") as err:
         run_pipeline(config, emit=False)
     assert err.value.stage == "povm"
+
+
+def test_every_sample_file_is_written_by_the_pipeline_modules_save_samples(tmp_path,
+                                                                          monkeypatch):
+    # a wrap of pipeline.save_samples, as a tracer installs one from outside, sees each
+    # amplitude's write in run_pipeline and in sample; a default argument that bound the
+    # function at import once hid both from it
+    written = []
+    save = pipeline.save_samples
+
+    def wrapped(samples, path, meta):
+        written.append(os.path.relpath(path, tmp_path))
+        save(samples, path, meta)
+
+    monkeypatch.setattr(pipeline, "save_samples", wrapped)
+    monkeypatch.setattr(_parts, "_usable_cpus", lambda: 1)
+    config = ExperimentConfig(alphas=(0.23, 0.53), outdir=str(tmp_path / "run"), **FAST)
+    run_pipeline(config)
+    pipeline.sample(dataclasses.replace(config, outdir=str(tmp_path / "sample")))
+    assert written == [os.path.join(d, f"alpha_{a}", name)
+                       for d, name in (("run", "samples.npy"), ("sample", "samples.csv"))
+                       for a in (0.23, 0.53)]
 
 
 def test_pipeline_seed_changes_samples(tmp_path):
@@ -857,14 +893,14 @@ def test_sample_csv_failure_is_the_same_for_any_worker_count(cpus, tmp_path, cap
                                                              monkeypatch):
     # rows 0..240,000 in 1, 2 or 3 ranges; the range that reaches row 200,000 fails, here or
     # in a child, and the failure is reported as one process reports it
-    write_draws = homodyne._write_draws
+    write_rows = homodyne._write_rows
 
     def failing(shots, lo, hi, fh):
         if hi > 200_000:
             raise ValueError("cannot format row 200000")
-        write_draws(shots, lo, hi, fh)
+        write_rows(shots, lo, hi, fh)
 
-    monkeypatch.setattr(homodyne, "_write_draws", failing)
+    monkeypatch.setattr(homodyne, "_write_rows", failing)
     monkeypatch.setattr(_parts, "_usable_cpus", lambda: cpus)
     out = tmp_path / "out"
     with mock.patch.object(os, "fork", wraps=os.fork) as fork:
@@ -1510,7 +1546,7 @@ def test_sample_worker_killed_exits_3_and_leaves_no_file(tmp_path, capsys, caplo
                                                          monkeypatch):
     # a writing child that ends without its result fails stage worker, as in pipeline; no
     # samples.csv, part file or sidecar is left
-    monkeypatch.setattr(homodyne, "_write_draws", _killed_in_children(homodyne._write_draws))
+    monkeypatch.setattr(homodyne, "_write_rows", _killed_in_children(homodyne._write_rows))
     args = ["sample", "--alpha", "0.53", *_THREE[6:]]
     (code, out, err, _), files, forks = _run_on(2, args, tmp_path / "run", capsys, caplog)
     assert (code, out, forks) == (3, "", 1)

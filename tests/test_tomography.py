@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kerrsim import tomography
+from kerrsim import homodyne, tomography
 from kerrsim.channels import LossChannel, apply_loss, loss_adjoint_on_operator
 from kerrsim.errors import NumericalError
 from kerrsim.fock import (
@@ -595,7 +595,7 @@ def _reference_bin_counts(shot_thetas, xs, cfg):
     x_max=st.one_of(st.sampled_from([6.0, 5.0, 0.7, 3.3]), st.floats(0.5, 12.0)),
     n_phases=st.integers(1, 4),
     interleaved=st.booleans(),
-    chunk=st.sampled_from([7, 64, tomography._CHUNK_SHOTS]),
+    chunk=st.sampled_from([7, 64, homodyne._CHUNK_SHOTS]),
 )
 def test_bin_samples_matches_per_phase_reference(seed, bin_width, x_max, n_phases, interleaved, chunk):
     # the strategies reach grids with no bin (x_max 0.5, bin_width 2), which the config refuses
@@ -617,7 +617,7 @@ def test_bin_samples_matches_per_phase_reference(seed, bin_width, x_max, n_phase
         order = np.roll(np.argsort(thetas, kind="stable"), rng.integers(xs.size))
     batch = SampleBatch(thetas[order], xs[order])
 
-    with mock.patch.object(tomography, "_CHUNK_SHOTS", chunk):
+    with mock.patch.object(homodyne, "_CHUNK_SHOTS", chunk):
         data = bin_samples(batch, cfg)
     ref_thetas, ref_counts, ref_out = _reference_bin_counts(thetas[order], xs[order], cfg)
     assert np.array_equal(data.thetas, ref_thetas)
@@ -659,7 +659,7 @@ def test_bin_samples_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * tomography._CHUNK_SHOTS
+    assert peak < 48 * homodyne._CHUNK_SHOTS
 
 
 def _random_density(rng, dim, rank):
@@ -764,6 +764,32 @@ def test_reconstruct_is_invariant_under_a_permutation_of_the_phases(seed, dim, n
     (_, one), (_, other) = runs
     slack = TOL.loglik_rounding * abs(one.final_loglik)
     assert abs(one.final_loglik - other.final_loglik) <= one.ml_gap_nats + other.ml_gap_nats + slack
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 6),
+    n_phases=st.integers(2, 5),
+    eta=st.floats(0.5, 1.0),
+    delta=st.floats(-math.pi, math.pi),
+)
+def test_reconstruct_is_covariant_under_a_common_phase_shift(seed, dim, n_phases, eta, delta):
+    # the POVM at theta + delta is U E(theta) U^dag with U = diag(e^{-i n delta}), so the data
+    # at the shifted phases have the estimate U rho_hat U^dag: the maximally mixed start and
+    # every step commute with U, and the run takes as many iterations (9e-15 measured)
+    rng = np.random.default_rng(seed)
+    cfg = TomographyConfig(dim=dim, eta=eta, bin_width=1.0)
+    shape = (n_phases, cfg.n_bins)
+    counts = rng.poisson(rng.exponential(50.0, size=shape) * (rng.random(shape) < 0.6)).astype(float)
+    counts[:, rng.integers(cfg.n_bins)] += 1.0  # no phase without a count
+    thetas = np.sort(rng.choice(12, size=n_phases, replace=False)) * math.pi / 12
+    rho_hat, diag = reconstruct(BinnedData(thetas, counts), cfg, build_povm(cfg, thetas))
+    shifted = thetas + delta
+    turned, turned_diag = reconstruct(BinnedData(shifted, counts), cfg, build_povm(cfg, shifted))
+    u = np.exp(-1j * delta * np.arange(dim))
+    assert np.max(np.abs(turned.elems - np.outer(u, u.conj()) * rho_hat.elems)) <= 1e-12
+    assert turned_diag.iterations == diag.iterations
 
 
 def _random_hermitian(rng, *shape):

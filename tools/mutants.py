@@ -102,6 +102,20 @@ MUTANTS = [
     ("floatrepr-trailing-zeros", "src/kerrsim/_floatrepr.py",
      "fraction[i] += (last <= i) * _GROUP", "fraction[i] += (last < i) * _GROUP",
      "the fraction's last digit group zero-padded, not stripped of its trailing zeros"),
+    ("fidelity-no-cut", "src/kerrsim/fock.py",
+     "w = np.where(w > TOL.sqrt_eigen_cut * w[-1], w, 0.0)", "w = np.clip(w, 0.0, None)",
+     "fidelity's square roots keep the rounding-level eigenvalues of a rank-deficient state"),
+    ("povm-phases-folded", "src/kerrsim/tomography.py",
+     "np.multiply.outer(np.asarray(thetas, dtype=np.float64), n[:, None] - n)",
+     "np.multiply.outer(np.asarray(thetas, dtype=np.float64) % math.pi, n[:, None] - n)",
+     "build_povm folds each phase into [0, pi), whose element at theta + pi is not E(theta)"),
+    ("witness-floor", "src/kerrsim/pipeline.py",
+     "return self.re01 < 0.0 and self.re02 < 0.0 and self.re12 > 0.0",
+     "return self.re01 < 0.0 and self.re02 < 0.0 and self.re12 > 1e-4",
+     "vacuum_flip_visible asks Re rho12 to clear 1e-4, which it does not below alpha 0.02"),
+    ("pieces-unclipped", "src/kerrsim/homodyne.py",
+     "np.minimum(self.run_ends[first:last], b) - a,", "self.run_ends[first:last] - a,",
+     "SampleBatch.pieces leaves a piece's last run ending past the piece"),
 ]
 
 
